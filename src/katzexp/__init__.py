@@ -87,7 +87,6 @@ from .reports import (
     revalidate_report,
 )
 from .series import (
-    PadicContext,
     QSeries,
     apply_U,
     apply_V,

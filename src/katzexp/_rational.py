@@ -62,12 +62,17 @@ def val(x, p):
 
 
 def rational_from_str(s):
-    """Parse "num/den" or "num" (decimal strings) into an exact rational."""
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return QQ(int(num), int(den))
-    return QQ(int(s))
+    """Parse "num/den" or "num" (decimal strings) into an exact rational.
+
+    Anything else, a zero denominator included, raises ValueError.
+    """
+    if not isinstance(s, str):
+        raise ValueError("expected a rational as a string, got %r" % (s,))
+    num, slash, den = s.strip().partition("/")
+    den = int(den) if slash else 1
+    if den == 0:
+        raise ValueError("zero denominator in %r" % (s,))
+    return QQ(int(num), den)
 
 
 def rational_to_str(x):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ._rational import QQ, ZZ
 from .errors import InvalidWeight, PrecisionTooLow, UnsupportedPrime
-from .series import QSeries, qs_mul, qs_pow, qs_scalar_mul, qs_sub, qs_truncate
+from .series import QSeries, qs_mul, qs_pow, qs_scalar_mul, qs_sub
 
 _ZERO = QQ(0)
 
@@ -78,7 +78,7 @@ def eisenstein_series(k: int, N: int) -> QSeries:
             sums[m] += pw
     for n in range(1, N):
         coeffs[n] = -factor * sums[n]
-    return QSeries(tuple(coeffs), weight_tag=k)
+    return QSeries(tuple(coeffs))
 
 
 def delta_series(N: int) -> QSeries:
@@ -88,7 +88,7 @@ def delta_series(N: int) -> QSeries:
     e4 = eisenstein_series(4, N)
     e6 = eisenstein_series(6, N)
     diff = qs_sub(qs_pow(e4, 3), qs_mul(e6, e6))
-    return QSeries(qs_scalar_mul(QQ(1, 1728), diff).coeffs, weight_tag=12)
+    return qs_scalar_mul(QQ(1, 1728), diff)
 
 
 def dim_weight(k: int):
@@ -156,7 +156,7 @@ def miller_form(k: int, j: int, N: int) -> QSeries:
         g = qs_mul(g, _cached_pow("E4", a, N))
     if eps:
         g = qs_mul(g, _base_series("E6", N))
-    return QSeries(g.coeffs, weight_tag=k)
+    return g
 
 
 def miller_basis(k: int, N: int) -> MillerBasis:
@@ -198,10 +198,4 @@ def hauptmodul_series(p: int, N: int) -> QSeries:
             _sparse_div_in_place(c, m, e)
         for m in range(1, (N - 1) // p + 1):
             _sparse_mul_in_place(c, p * m, e)
-    return QSeries(tuple(QQ(x) for x in c), weight_tag=0)
-
-
-def clear_caches():
-    """Drop the memoized power series (not the Bernoulli table)."""
-    with _pow_lock:
-        _pow_cache.clear()
+    return QSeries(tuple(QQ(x) for x in c))

@@ -2,8 +2,9 @@
 
 Every subcommand prints a RunReport as JSON (or writes it with --out) and
 exits 0 when all claims certified, 1 when some claim failed, 2 when nothing
-failed but some verdict was inconclusive at the working precision, and 3 and
-up for usage or computation errors.
+failed but some verdict was inconclusive at the working precision, 3 for bad
+input or a domain error (usage, malformed files, unsupported primes or
+weights, an exceeded budget), and 4 only for an internal error.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ somewhere and is raised loudly rather than papered over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ._rational import INF, QQ, ZZ, int_val, val
-from .classical import bernoulli, eisenstein_series
+from ._rational import QQ, ZZ, int_val
+from .classical import eisenstein_series
 from .errors import (
     CrossCheckMismatch,
     InvalidWeight,
@@ -26,7 +26,6 @@ from .recurrence import delta_p
 from .series import (
     QSeries,
     apply_V,
-    qs_inv,
     qs_mul,
     qs_pow,
     qs_reduce_mod,
@@ -193,7 +192,7 @@ def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> FamilyMember:
             coeffs[n] = (coeffs[n] + term) % int(big)
     for n in range(1, N):
         coeffs[n] = (factor_mod * coeffs[n]) % pm
-    series = QSeries(tuple(QQ(c) for c in coeffs), 0)
+    series = QSeries(tuple(QQ(c) for c in coeffs))
     return FamilyMember(s, p, series, M, "teichmuller-direct")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._rational import INF, QQ, ZZ, is_prime
+from ._rational import QQ, ZZ, is_prime
 from .classical import eisenstein_series
 from .errors import EllEqualsP, InvalidWeight, PrecisionTooLow
 from .series import (
@@ -19,7 +19,6 @@ from .series import (
     apply_U,
     apply_V,
     qs_add,
-    qs_inv,
     qs_mul,
     qs_pow,
     qs_scalar_mul,
@@ -51,7 +50,7 @@ def hecke_T_ell(f: QSeries, k: int, ell: int, *, p: int | None = None) -> QSerie
         if n % ell == 0 and n // ell < N:
             c = c + scale * f.coeffs[n // ell]
         out.append(c)
-    return QSeries(tuple(out), f.weight_tag)
+    return QSeries(tuple(out))
 
 
 def twisted_U(f: QSeries, n: int, p: int) -> QSeries:
@@ -289,10 +288,7 @@ def _u_power_of_product(f: QSeries, g: QSeries, p: int, u: int) -> QSeries:
                 if b:
                     acc = acc + a * b
         out.append(acc)
-    tag = None
-    if f.weight_tag is not None and g.weight_tag is not None:
-        tag = f.weight_tag + g.weight_tag
-    return QSeries(tuple(out), tag)
+    return QSeries(tuple(out))
 
 
 def apply_hpoly_twisted(h: HPolynomial, f: QSeries, n: int, p: int) -> QSeries:
@@ -332,7 +328,7 @@ def iterate_H(h: HPolynomial, n: int, p: int, iters: int, N: int):
     if N < D ** iters:
         raise PrecisionTooLow(f"need N >= {D ** iters} for {iters} steps, got {N}")
     out = []
-    cur = QSeries((QQ(1),) + (_ZERO,) * (N - 1), 0)
+    cur = QSeries((QQ(1),) + (_ZERO,) * (N - 1))
     for _ in range(iters):
         cur = apply_hpoly_twisted(h, cur, n, p)
         out.append(cur)

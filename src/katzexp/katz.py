@@ -76,7 +76,7 @@ def _conv_at(a: QSeries, b_coeffs: list, n: int):
     return s
 
 
-def _combine(forms, coords, N, tag=None):
+def _combine(forms, coords, N):
     acc = [_ZERO] * N
     for c, f in zip(coords, forms):
         if c != 0:
@@ -84,7 +84,7 @@ def _combine(forms, coords, N, tag=None):
             for m in range(N):
                 if fc[m] != 0:
                     acc[m] += c * fc[m]
-    return QSeries(tuple(acc), tag)
+    return QSeries(tuple(acc))
 
 
 def _match_window(cur: QSeries, forms, lo: int):
@@ -162,7 +162,7 @@ def katz_split_classical(f: QSeries, n: int, p: int, *, window_basis=None) -> Ka
                         gm = g.coeffs[m]
                         if gm != 0:
                             prev_coeffs[m] += c * gm
-            f_prev = QSeries(tuple(prev_coeffs), k_prev)
+            f_prev = QSeries(tuple(prev_coeffs))
             b = qs_sub(cur, qs_mul(E, f_prev))
             forms = _window_forms(i, p, N)
             coords = _match_window(b, forms, lo)
@@ -177,7 +177,7 @@ def katz_split_classical(f: QSeries, n: int, p: int, *, window_basis=None) -> Ka
             mat = [[col.coeffs[m] for col in cols] for m in range(hi)]
             sol = _gauss_solve(mat, [cur.coeffs[m] for m in range(hi)])
             lower, coords = sol[:lo], sol[lo:]
-            f_prev = _combine(prev_basis, lower, N, k_prev)
+            f_prev = _combine(prev_basis, lower, N)
             b = _combine(forms, coords, N)
             residual = qs_sub(qs_sub(cur, qs_mul(E, f_prev)), b)
         if any(x != 0 for x in residual.coeffs):
@@ -189,7 +189,7 @@ def katz_split_classical(f: QSeries, n: int, p: int, *, window_basis=None) -> Ka
     if any(x != 0 for x in cur.coeffs[1:]):
         raise NotAModularForm("weight-0 remainder is not constant")
     c0 = cur.coeffs[0]
-    b0 = QSeries((c0,) + (_ZERO,) * (N - 1), 0)
+    b0 = QSeries((c0,) + (_ZERO,) * (N - 1))
     terms[0] = _make_term(0, p, b0, (c0,), 0, 1)
     ordered = tuple(terms[i] for i in range(n + 1))
     return KatzExpansion(p, n, ordered, n, INF)
@@ -218,7 +218,7 @@ def katz_split_function(f: QSeries, p: int, I: int, *, pprec=INF) -> KatzExpansi
         lo, hi = window_bounds(i, p)
         forms = _window_forms(i, p, N)
         coords = _match_window(r, forms, lo)
-        b = _combine(forms, coords, N, 0)
+        b = _combine(forms, coords, N)
         terms.append(_make_term(i, p, b, coords, lo, hi))
         if i < I:
             r = qs_mul(qs_sub(r, b), E)
@@ -307,7 +307,7 @@ def expand_in_hauptmodul(f: QSeries, p: int, terms: int):
     t = hauptmodul_series(p, N)
     out = []
     r = f
-    tpow = qs_one(N, 0)
+    tpow = qs_one(N)
     for i in range(terms):
         a = r.coeffs[i]
         out.append(a)

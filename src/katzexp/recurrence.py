@@ -169,49 +169,10 @@ class SymPolyQ:
         return min(vals) if vals else None
 
 
-def _dict_add(a, b, scale=None):
-    for exps, c in b.items():
-        if scale is not None:
-            c = c * scale
-        cur = a.get(exps)
-        if cur is None:
-            a[exps] = c
-        else:
-            cur = cur + c
-            if cur == 0:
-                del a[exps]
-            else:
-                a[exps] = cur
-
-
-def _dict_mul(a, b):
-    out = {}
-    items_b = list(b.items())
-    for ea, ca in a.items():
-        la = len(ea)
-        for eb, cb in items_b:
-            lb = len(eb)
-            if la < lb:
-                k = tuple(x + y for x, y in zip(ea, eb)) + eb[la:]
-            else:
-                k = tuple(x + y for x, y in zip(ea, eb)) + ea[lb:]
-            c = ca * cb
-            cur = out.get(k)
-            if cur is None:
-                out[k] = c
-            else:
-                cur = cur + c
-                if cur == 0:
-                    del out[k]
-                else:
-                    out[k] = cur
-    return out
-
-
 def sp_add(a: SymPolyQ, b: SymPolyQ) -> SymPolyQ:
-    d = dict(a.terms)
-    _dict_add(d, dict(b.terms))
-    return SymPolyQ.from_dict(d)
+    d = _packed(a)
+    _packed_add(d, _packed(b))
+    return SymPolyQ.from_dict(_unpacked(d))
 
 
 def sp_scale(c, a: SymPolyQ) -> SymPolyQ:
@@ -220,7 +181,10 @@ def sp_scale(c, a: SymPolyQ) -> SymPolyQ:
 
 
 def sp_mul(a: SymPolyQ, b: SymPolyQ) -> SymPolyQ:
-    return SymPolyQ.from_dict(_dict_mul(dict(a.terms), dict(b.terms)))
+    top = sum(max((max(e, default=0) for e, _ in x.terms), default=0) for x in (a, b))
+    if top >= 1 << _LANE:
+        raise ValueError(f"exponent sum {top} overflows a {_LANE}-bit lane")
+    return SymPolyQ.from_dict(_unpacked(_packed_mul(_packed(a), _packed(b))))
 
 
 def sp_eval(a: SymPolyQ, values) -> QQ:
@@ -238,9 +202,11 @@ def sp_eval(a: SymPolyQ, values) -> QQ:
 # ---------------------------------------------------------------------------
 # the Newton-identity chain and the diagonal scaling map
 
-# Chain polynomials multiply by adding exponent vectors, so internally each
-# vector is packed into one integer with 16-bit lanes: vector addition
-# becomes a single integer addition. Exponents stay far below 2^16.
+# Chain polynomials, and SymPolyQ products and sums, multiply by adding
+# exponent vectors, so internally each vector is packed into one integer
+# with 16-bit lanes: vector addition becomes a single integer addition.
+# _pack refuses an exponent a lane cannot hold, and sp_mul refuses a product
+# whose exponent sums would carry into the next lane.
 
 _LANE = 16
 _chain_cache: dict = {}
@@ -249,11 +215,13 @@ _chain_cache: dict = {}
 def _pack(exps):
     k = 0
     for i, e in enumerate(exps):
+        if not 0 <= e < 1 << _LANE:
+            raise ValueError(f"exponent {e} outside [0, 2^{_LANE})")
         k |= e << (_LANE * i)
     return k
 
 
-def _unpack(k, nvars):
+def _unpack(k):
     out = []
     while k:
         out.append(k & ((1 << _LANE) - 1))
@@ -261,6 +229,10 @@ def _unpack(k, nvars):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _packed(a: SymPolyQ):
+    return {_pack(e): c for e, c in a.terms}
 
 
 def _packed_mul(a, b):
@@ -321,8 +293,8 @@ def _chain_dicts(p: int, n_max: int):
     return xs, ys
 
 
-def _unpacked(d, p):
-    return {_unpack(k, p + 1): c for k, c in d.items()}
+def _unpacked(d):
+    return {_unpack(k): c for k, c in d.items()}
 
 
 def newton_chain(p: int, n_max: int):
@@ -334,8 +306,8 @@ def newton_chain(p: int, n_max: int):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     xs, ys = _chain_dicts(p, max(n_max, p + 1))
-    x_out = tuple(SymPolyQ.from_dict(_unpacked(d, p)) for d in xs)
-    y_out = tuple(SymPolyQ.from_dict(_unpacked(ys[n], p)) for n in range(1, n_max + 1))
+    x_out = tuple(SymPolyQ.from_dict(_unpacked(d)) for d in xs)
+    y_out = tuple(SymPolyQ.from_dict(_unpacked(ys[n])) for n in range(1, n_max + 1))
     return x_out, y_out
 
 
@@ -354,7 +326,7 @@ def phi_image(n: int, p: int) -> SymPolyQ:
     if n < 1:
         raise ValueError("n must be >= 1")
     _, ys = _chain_dicts(p, max(n, p + 1))
-    return SymPolyQ.from_dict(_phi_scale_dict(_unpacked(ys[n], p), p))
+    return SymPolyQ.from_dict(_phi_scale_dict(_unpacked(ys[n]), p))
 
 
 def phi_image_x(n: int, p: int) -> SymPolyQ:
@@ -362,7 +334,7 @@ def phi_image_x(n: int, p: int) -> SymPolyQ:
     if not 0 <= n <= p + 1:
         raise ValueError(f"x_n exists for 0 <= n <= {p + 1}")
     xs, _ = _chain_dicts(p, p + 1)
-    return SymPolyQ.from_dict(_phi_scale_dict(_unpacked(xs[n], p), p))
+    return SymPolyQ.from_dict(_phi_scale_dict(_unpacked(xs[n]), p))
 
 
 def sp_to_bivar_mod_p(a: SymPolyQ, p: int) -> BivarPolyModP:
@@ -384,7 +356,3 @@ def sp_to_bivar_mod_p(a: SymPolyQ, p: int) -> BivarPolyModP:
         k = (da, db)
         d[k] = (d.get(k, 0) + res) % p
     return BivarPolyModP.from_dict(p, d)
-
-
-def clear_chain_cache():
-    _chain_cache.clear()

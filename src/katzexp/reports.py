@@ -12,9 +12,10 @@ re-checked without redoing the modular-form arithmetic (revalidate_report).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str
 from .classical import dim_weight, eisenstein_series
@@ -25,6 +26,7 @@ from .katz import (
     hauptmodul_valuations,
     katz_split_classical,
     katz_split_function,
+    rate_verdict,
 )
 from .recurrence import delta_p
 from .series import apply_V, qs_div, qs_reduce_mod
@@ -57,14 +59,7 @@ class RunReport:
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "provenance": self.provenance,
-            "status": self.status,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -96,11 +91,23 @@ def certificate_entry(label, role, ke, cert, *, expected=None, note=None):
     return entry
 
 
-def _rate_label(rho, c):
-    c = QQ(c)
-    if c == 0:
-        return "rate %s, no offset" % rational_to_str(rho)
-    return "rate %s, offset %s" % (rational_to_str(rho), rational_to_str(c))
+def _rate_entry(prefix, role, ke, rho, c, **kwargs):
+    """certificate_entry for rate (rho, c), labelled prefix + the rate."""
+    cert = certify_rate(ke, rho, c)
+    offset = "no offset" if cert.c == 0 else "offset " + rational_to_str(cert.c)
+    label = "%srate %s, %s" % (prefix, rational_to_str(cert.rho), offset)
+    return certificate_entry(label, role, ke, cert, **kwargs)
+
+
+def _hauptmodul_entry(name, t_vals, note, **fields):
+    return {
+        "kind": "hauptmodul",
+        "label": name + " in the hauptmodul coordinate",
+        "role": "witness",
+        "valuations": [_val_str(v) for v in t_vals],
+        "note": note,
+        **fields,
+    }
 
 
 def comparison_entry(label, computed, published, *, note=None):
@@ -153,21 +160,12 @@ def revalidate_report(report) -> bool:
         rho = rational_from_str(cert["rho"])
         c = rational_from_str(cert["c"])
         pprec = _val_parse(entry["pprec"])
-        redone = []
-        first_failure = None
-        for idx, val_s, structural in entry["valuations"]:
-            threshold = rho * idx - c
-            if structural:
-                verdict = "pass"
-            elif threshold >= pprec:
-                verdict = "inconclusive"
-            elif _val_parse(val_s) >= threshold:
-                verdict = "pass"
-            else:
-                verdict = "fail"
-            if verdict == "fail" and first_failure is None:
-                first_failure = idx
-            redone.append(verdict)
+        redone = [
+            rate_verdict(_val_parse(val_s), rho * idx - c, pprec, structural)
+            for idx, val_s, structural in entry["valuations"]
+        ]
+        fails = [idx for (idx, _, _), v in zip(entry["valuations"], redone) if v == "fail"]
+        first_failure = fails[0] if fails else None
         if redone != cert["verdicts"]:
             return False
         if first_failure != cert["first_failure"]:
@@ -177,12 +175,12 @@ def revalidate_report(report) -> bool:
     return True
 
 
-def _finish(command, parameters, results, provenance, started) -> RunReport:
+def _finish(command, parameters, results, started, *, qprec, max_index, pprec="inf"):
     return RunReport(
         command=command,
         parameters=parameters,
         results=results,
-        provenance=provenance,
+        provenance={"qprec": qprec, "pprec": pprec, "max_index": max_index},
         status=aggregate_status(results),
         wall_time=time.perf_counter() - started,
     )
@@ -191,53 +189,59 @@ def _finish(command, parameters, results, provenance, started) -> RunReport:
 # -- the Condition ----------------------------------------------------------
 
 
+def _require_prime(p):
+    if not is_prime(p) or p < 5:
+        raise UnsupportedPrime("need a prime p >= 5, got %r" % (p,))
+
+
 def _condition_entry(args):
-    n, p = args
+    n, p, label = args
     N = qprec_for_split(p, n)
     E = eisenstein_series(n * (p - 1), N)
     ke = katz_split_classical(E, n, p)
     cert = certify_rate(ke, QQ(p, p + 1), 0)
-    return certificate_entry("n=%d" % n, "claim", ke, cert)
+    return certificate_entry(label, "claim", ke, cert)
+
+
+def _condition_sweep(targets, jobs, budget_seconds, started):
+    """Condition entries for the (n, p, label) targets, in order.
+
+    One loop serves the serial map and the parallel pool.imap. The budget is
+    checked as each entry arrives; on overrun ResourceBudgetExceeded is raised
+    and the pool is terminated, dropping targets still pending or running, so
+    a sweep is either complete or absent, never truncated.
+    """
+    pool = multiprocessing.get_context("spawn").Pool(jobs) if jobs > 1 else None
+    entries = (pool.imap if pool else map)(_condition_entry, targets)
+    results = []
+    try:
+        for (n, p, _), entry in zip(targets, entries):
+            results.append(entry)
+            if (
+                budget_seconds is not None
+                and len(results) < len(targets)
+                and time.perf_counter() - started > budget_seconds
+            ):
+                raise ResourceBudgetExceeded(
+                    "condition sweep exceeded %gs after p=%d, n=%d" % (budget_seconds, p, n)
+                )
+    finally:
+        if pool is not None:
+            pool.terminate()
+    return results
 
 
 def cmd_check_condition(p, max_n=None, *, jobs=1, budget_seconds=None) -> RunReport:
-    """Certify v_p(b_i) >= pi/(p+1) for the splits of E_{n(p-1)}, n = 1..p.
-
-    Every n gets a complete verdict list; if the time budget runs out the run
-    raises ResourceBudgetExceeded instead of reporting a truncated sweep.
-    """
+    """Certify v_p(b_i) >= pi/(p+1) for the splits of E_{n(p-1)}, n = 1..p."""
     started = time.perf_counter()
-    if not is_prime(p) or p < 5:
-        raise UnsupportedPrime("need a prime p >= 5, got %r" % (p,))
+    _require_prime(p)
     if max_n is None:
         max_n = p
-    targets = [(n, p) for n in range(1, max_n + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_condition_entry, targets))
-        if budget_seconds is not None:
-            if time.perf_counter() - started > budget_seconds:
-                raise ResourceBudgetExceeded(
-                    "condition sweep for p=%d exceeded %gs" % (p, budget_seconds)
-                )
-    else:
-        results = []
-        for target in targets:
-            if budget_seconds is not None:
-                if time.perf_counter() - started > budget_seconds:
-                    raise ResourceBudgetExceeded(
-                        "condition sweep for p=%d exceeded %gs after n=%d"
-                        % (p, budget_seconds, target[0] - 1)
-                    )
-            results.append(_condition_entry(target))
-    results.sort(key=lambda e: int(e["label"][2:]))
-    provenance = {
-        "qprec": qprec_for_split(p, max_n),
-        "pprec": "inf",
-        "max_index": max_n,
-    }
+    targets = [(n, p, "n=%d" % n) for n in range(1, max_n + 1)]
+    results = _condition_sweep(targets, jobs, budget_seconds, started)
     return _finish(
-        "check-condition", {"prime": p, "max_n": max_n}, results, provenance, started
+        "check-condition", {"prime": p, "max_n": max_n}, results, started,
+        qprec=qprec_for_split(p, max_n), max_index=max_n,
     )
 
 
@@ -246,33 +250,29 @@ def cmd_check_condition_extended(
 ) -> RunReport:
     """Run the full condition sweep for every prime 5 <= p <= max_prime."""
     started = time.perf_counter()
-    results = []
-    qprec = 0
     primes = [p for p in range(5, max_prime + 1) if is_prime(p)]
     if not primes:
         raise UnsupportedPrime("no primes in [5, %d]" % max_prime)
-    for p in primes:
-        remaining = None
-        if budget_seconds is not None:
-            remaining = budget_seconds - (time.perf_counter() - started)
-            if remaining <= 0:
-                raise ResourceBudgetExceeded(
-                    "extended sweep exceeded %gs before p=%d" % (budget_seconds, p)
-                )
-        sub = cmd_check_condition(p, jobs=jobs, budget_seconds=remaining)
-        for entry in sub.results:
-            entry["label"] = "p=%d, %s" % (p, entry["label"])
-            results.append(entry)
-        qprec = max(qprec, sub.provenance["qprec"])
-    provenance = {"qprec": qprec, "pprec": "inf", "max_index": primes[-1]}
+    targets = [(n, p, "p=%d, n=%d" % (p, n)) for p in primes for n in range(1, p + 1)]
+    results = _condition_sweep(targets, jobs, budget_seconds, started)
     return _finish(
-        "check-condition",
-        {"extended": True, "max_prime": max_prime},
-        results, provenance, started,
+        "check-condition", {"extended": True, "max_prime": max_prime}, results, started,
+        qprec=max(qprec_for_split(p, p) for p in primes), max_index=primes[-1],
     )
 
 
 # -- worked examples at p = 5 ----------------------------------------------
+
+
+def _vratio(g, p):
+    return qs_div(apply_V(g, p), g)
+
+
+def _floor_violation(t_vals):
+    """First j whose t-coefficient sits below the rate-1/(p+1) floor j/2."""
+    bad = (j for j, v in enumerate(t_vals) if v != INF and QQ(v) < QQ(j, 2))
+    return next(bad, None)
+
 
 _C1 = "-340364160000/236364091"
 _C2 = "30710845440000/236364091"
@@ -293,6 +293,7 @@ def cmd_reproduce_examples() -> RunReport:
     N = qprec_for_split(p, 6)
     E24 = eisenstein_series(24, N)
     ke = katz_split_classical(E24, 6, p)
+    t_vals = hauptmodul_valuations(_vratio(E24, p), p, len(_T_VALS_24))
     results = [
         comparison_entry(
             "window coordinate of b_3",
@@ -309,27 +310,12 @@ def cmd_reproduce_examples() -> RunReport:
             [_val_str(ke.term(3).val), _val_str(ke.term(6).val)],
             ["4", "4"],
         ),
-    ]
-    cert_sharp = certify_rate(ke, QQ(p, p + 1), 0)
-    results.append(
-        certificate_entry(
-            "split of E_24, " + _rate_label(QQ(5, 6), 0),
-            "witness",
-            ke,
-            cert_sharp,
+        _rate_entry(
+            "split of E_24, ", "witness", ke, QQ(p, p + 1), 0,
             expected={"first_failure": 6},
             note="sharp rate fails exactly at the top index; offset 1 repairs it",
-        )
-    )
-    cert_offset = certify_rate(ke, QQ(p, p + 1), 1)
-    results.append(
-        certificate_entry(
-            "split of E_24, " + _rate_label(QQ(5, 6), 1), "claim", ke, cert_offset
-        )
-    )
-    ratio = qs_div(apply_V(E24, p), E24)
-    t_vals = hauptmodul_valuations(ratio, p, len(_T_VALS_24))
-    results.append(
+        ),
+        _rate_entry("split of E_24, ", "claim", ke, QQ(p, p + 1), 1),
         comparison_entry(
             "hauptmodul valuations of V(E_24)/E_24",
             [_val_str(v) for v in t_vals],
@@ -338,40 +324,101 @@ def cmd_reproduce_examples() -> RunReport:
                 "valuation 4 at t^10 is below the floor 5 required at rate "
                 "1/6, so V(E_24)/E_24 is not overconvergent at that rate"
             ),
-        )
-    )
-    violations = [
-        j for j, v in enumerate(t_vals) if v != INF and QQ(v) < QQ(j, 2)
-    ]
-    results.append(
+        ),
         comparison_entry(
-            "first hauptmodul floor violation at rate 1/6",
-            violations[0] if violations else None,
-            10,
-        )
-    )
-    provenance = {"qprec": N, "pprec": "inf", "max_index": 6}
-    return _finish("reproduce-examples", {"prime": p}, results, provenance, started)
+            "first hauptmodul floor violation at rate 1/6", _floor_violation(t_vals), 10
+        ),
+    ]
+    return _finish("reproduce-examples", {"prime": p}, results, started, qprec=N, max_index=6)
 
 
 # -- theorem-shaped claims --------------------------------------------------
 
 
-def _split_exact(f, p, max_index):
-    return katz_split_function(f, p, max_index)
-
-
-def _vratio(g, p):
-    return qs_div(apply_V(g, p), g)
-
-
-def _family_ratio(s, p, max_index, pprec):
+def _family_targets(s, p, max_index, pprec):
+    """V(g)/g mod p^pprec for the weight-0 family member g at s."""
     N = max(50, qprec_for_split(p, max_index))
-    member = estar_family(s, p, N, pprec)
-    g = member.series
-    f = qs_reduce_mod(_vratio(g, p), p ** pprec)
-    ke = katz_split_function(f, p, max_index, pprec=pprec)
-    return ke, N, member
+    g = estar_family(s, p, N, pprec).series
+    return N, pprec, [qs_reduce_mod(_vratio(g, p), p ** pprec)]
+
+
+def _vratio_targets(k, p, max_index, pprec):
+    """V(E_k)/E_k, exact, for a weight k >= 4 divisible by p-1."""
+    if k < 4 or k % (p - 1) != 0:
+        raise InvalidWeight("V(E_k)/E_k needs k >= 4 divisible by %d" % (p - 1))
+    N = qprec_for_split(p, max_index)
+    return N, INF, [_vratio(eisenstein_series(k, N), p)]
+
+
+def _ladder_targets(n, p, max_index, pprec):
+    """e_n and its unit-root counterpart e*_n, exact."""
+    N = max(qprec_for_split(p, max_index), qprec_for_split(p, n))
+    return N, INF, list(eis_ratio(n, p, N))
+
+
+def _digit_sum_gate(what, m, p, *, below=False):
+    """delta_p(m) must equal p-1, or stay below it."""
+    gate = delta_p(m, p)
+    if (gate < p - 1) if below else (gate == p - 1):
+        return
+    need = ("it below %d" if below else "%d") % (p - 1)
+    raise InvalidWeight("digit sum of %s is %d, need %s" % (what, gate, need))
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem-shaped statement as data.
+
+    build(value, p, max_index, pprec) -> (qprec, working pprec, series);
+    targets pairs each series used with its label format and the note of
+    its sharp-rate witness (None: no witness). The claims are the standard
+    pair (base, 1), (2/3 base, 0), or with sharp=True just (base, 0).
+    """
+
+    build: Callable
+    targets: tuple
+    base_p: bool = False  # base rate p/(p+1) rather than 1/(p+1)
+    sharp: bool = False
+    gate: Callable | None = None  # (value, p); raises on a domain error
+    default: int | None = None
+    hauptmodul: bool = False  # hauptmodul floor witness at p in {5, 7, 13}
+
+
+THEOREMS = {
+    # V(g)/g for the weight-0 family member at s (default 1), mod p^pprec
+    ("A", "s"): Theorem(
+        _family_targets,
+        (("V(g)/g for the weight-0 family member at s={v} mod {p}^{pprec}", None),),
+        default=1,
+    ),
+    # V(E_k)/E_k for a classical weight k divisible by p-1
+    ("B", "k"): Theorem(
+        _vratio_targets,
+        (("V(E_{v})/E_{v}", "sharpness probe; a failure here does not touch the claims"),),
+        hauptmodul=True,
+    ),
+    # e_n and its unit-root counterpart
+    ("C", "n"): Theorem(
+        _ladder_targets,
+        (("e_{v}", "sharpness probe at the top index"), ("unit-root e*_{v}", None)),
+        base_p=True,
+    ),
+    # the digit-sum-gated sharp rates: delta_p(n(p-1)) = p-1, or delta_p(k) = p-1
+    ("E", "n"): Theorem(
+        _ladder_targets, (("e_{v}", None),), base_p=True, sharp=True,
+        gate=lambda n, p: _digit_sum_gate("n(p-1)", n * (p - 1), p),
+    ),
+    ("E", "k"): Theorem(
+        _vratio_targets, (("V(E_{v})/E_{v}", None),), sharp=True,
+        gate=lambda k, p: _digit_sum_gate("k", k, p),
+    ),
+    # the complementary family gate delta_p(s) < p-1
+    ("F", "s"): Theorem(
+        _family_targets,
+        (("V(g)/g for the family member at s={v} mod {p}^{pprec}", None),),
+        sharp=True, gate=lambda s, p: _digit_sum_gate("s", s, p, below=True),
+    ),
+}
 
 
 def cmd_verify_theorem(
@@ -379,180 +426,57 @@ def cmd_verify_theorem(
 ) -> RunReport:
     """Certify one theorem-shaped overconvergence statement up to max_index.
 
-    theorem selects the target and the claimed rates:
-      "A"  V(g)/g for the weight-0 Eisenstein family member at s (default 1),
-           computed mod p^pprec; rates (1/(p+1), 1) and ((2/3)/(p+1), 0).
-      "B"  V(E_k)/E_k for classical weight k (requires --k, (p-1) | k);
-           same rates, plus a sharp offsetless witness and, for p in
-           {5, 7, 13}, the hauptmodul valuation floor as a second witness.
-      "C"  e_n and its unit-root counterpart (requires --n); rates
-           (p/(p+1), 1) and ((2p/3)/(p+1), 0), plus a sharp witness on e_n.
-      "E"  the digit-sum-gated sharp rates: --n needs delta_p(n(p-1)) = p-1
-           and claims (p/(p+1), 0) on e_n; --k needs delta_p(k) = p-1 and
-           claims (1/(p+1), 0) on V(E_k)/E_k.
-      "F"  the complementary family gate: --s needs delta_p(s) < p-1 and
-           claims (1/(p+1), 0) on V(g)/g mod p^pprec.
+    theorem picks its row of THEOREMS by the parameter given (s for A and F,
+    k for B, n for C, exactly one of n or k for E); A and F work mod
+    p^pprec, the others exactly.
     """
     started = time.perf_counter()
     theorem = theorem.upper()
-    if not is_prime(p) or p < 5:
-        raise UnsupportedPrime("need a prime p >= 5, got %r" % (p,))
+    _require_prime(p)
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
-    results = []
-    qprec = None
-    pprec_out = "inf"
-    parameters = {"theorem": theorem, "prime": p, "max_index": max_index}
+    rows = {param: row for (thm, param), row in THEOREMS.items() if thm == theorem}
+    if not rows:
+        raise ValueError("unknown theorem %r" % (theorem,))
+    given = {"s": s, "k": k, "n": n}
+    usable = [q for q, row in rows.items() if given[q] is not None or row.default is not None]
+    if len(usable) != 1:
+        raise ValueError("theorem %s needs exactly one of %s" % (theorem, " or ".join(rows)))
+    (param,) = usable
+    row = rows[param]
+    value = row.default if given[param] is None else given[param]
+    if row.gate is not None:
+        row.gate(value, p)
 
-    if theorem == "A":
-        s = 1 if s is None else s
-        parameters["s"] = s
+    parameters = {"theorem": theorem, "prime": p, "max_index": max_index, param: value}
+    qprec, work_pprec, series = row.build(value, p, max_index, pprec)
+    if work_pprec != INF:
         parameters["pprec"] = pprec
-        ke, qprec, _member = _family_ratio(s, p, max_index, pprec)
-        pprec_out = str(pprec)
-        label = "V(g)/g for the weight-0 family member at s=%d mod %d^%d" % (s, p, pprec)
-        for rho, c in ((QQ(1, p + 1), 1), (QQ(2, 3 * (p + 1)), 0)):
-            results.append(
-                certificate_entry(
-                    label + ", " + _rate_label(rho, c),
-                    "claim", ke, certify_rate(ke, rho, c),
-                )
-            )
-    elif theorem == "B":
-        if k is None:
-            raise ValueError("theorem B needs a classical weight k")
-        if k < 4 or k % (p - 1) != 0:
-            raise InvalidWeight("theorem B needs k >= 4 divisible by %d" % (p - 1))
-        parameters["k"] = k
-        qprec = qprec_for_split(p, max_index)
-        f = _vratio(eisenstein_series(k, qprec), p)
-        ke = _split_exact(f, p, max_index)
-        label = "V(E_%d)/E_%d" % (k, k)
-        for rho, c in ((QQ(1, p + 1), 1), (QQ(2, 3 * (p + 1)), 0)):
-            results.append(
-                certificate_entry(
-                    label + ", " + _rate_label(rho, c),
-                    "claim", ke, certify_rate(ke, rho, c),
-                )
-            )
-        results.append(
-            certificate_entry(
-                label + ", sharp " + _rate_label(QQ(1, p + 1), 0),
-                "witness", ke, certify_rate(ke, QQ(1, p + 1), 0),
-                note="sharpness probe; a failure here does not touch the claims",
-            )
-        )
-        if p in (5, 7, 13):
+    base = QQ(p if row.base_p else 1, p + 1)
+    rates = ((base, 0),) if row.sharp else ((base, 1), (base * QQ(2, 3), 0))
+    results = []
+    # zip stops at the targets the row names: E with n splits e_n alone
+    for (name, witness), f in zip(row.targets, series):
+        name = name.format(v=value, p=p, pprec=pprec)
+        ke = katz_split_function(f, p, max_index, pprec=work_pprec)
+        prefix = name + (", sharp " if row.sharp else ", ")
+        results += [_rate_entry(prefix, "claim", ke, rho, c) for rho, c in rates]
+        if witness is not None:
+            results.append(_rate_entry(name + ", sharp ", "witness", ke, base, 0, note=witness))
+        if row.hauptmodul and p in (5, 7, 13):
             terms = 2 * max_index // (p + 1) + 1
             t_vals = hauptmodul_valuations(f, p, terms)
-            floor = [rational_to_str(QQ(j, 2)) for j in range(terms)]
-            bad = [
-                j
-                for j, v in enumerate(t_vals)
-                if v != INF and QQ(v) < QQ(j, 2)
-            ]
-            results.append(
-                {
-                    "kind": "hauptmodul",
-                    "label": label + " in the hauptmodul coordinate",
-                    "role": "witness",
-                    "valuations": [_val_str(v) for v in t_vals],
-                    "floor_at_sharp_rate": floor,
-                    "first_floor_violation": bad[0] if bad else None,
-                    "note": (
-                        "membership at rate 1/%d would force the floor on "
-                        "every listed coefficient" % (p + 1)
-                    ),
-                }
-            )
-    elif theorem == "C":
-        if n is None:
-            raise ValueError("theorem C needs an index n")
-        parameters["n"] = n
-        qprec = max(qprec_for_split(p, max_index), qprec_for_split(p, n))
-        e_n, estar_n = eis_ratio(n, p, qprec)
-        targets = (
-            (e_n, "e_%d" % n, True),
-            (estar_n, "unit-root e*_%d" % n, False),
-        )
-        for g, name, with_witness in targets:
-            ke = _split_exact(g, p, max_index)
-            for rho, c in ((QQ(p, p + 1), 1), (QQ(2 * p, 3 * (p + 1)), 0)):
-                results.append(
-                    certificate_entry(
-                        name + ", " + _rate_label(rho, c),
-                        "claim", ke, certify_rate(ke, rho, c),
-                    )
-                )
-            if with_witness:
-                results.append(
-                    certificate_entry(
-                        name + ", sharp " + _rate_label(QQ(p, p + 1), 0),
-                        "witness", ke, certify_rate(ke, QQ(p, p + 1), 0),
-                        note="sharpness probe at the top index",
-                    )
-                )
-    elif theorem == "E":
-        if (n is None) == (k is None):
-            raise ValueError("theorem E needs exactly one of n or k")
-        if n is not None:
-            gate = delta_p(n * (p - 1), p)
-            if gate != p - 1:
-                raise InvalidWeight(
-                    "digit sum of n(p-1) is %d, need %d" % (gate, p - 1)
-                )
-            parameters["n"] = n
-            qprec = max(qprec_for_split(p, max_index), qprec_for_split(p, n))
-            e_n, _ = eis_ratio(n, p, qprec)
-            ke = _split_exact(e_n, p, max_index)
-            results.append(
-                certificate_entry(
-                    "e_%d, sharp " % n + _rate_label(QQ(p, p + 1), 0),
-                    "claim", ke, certify_rate(ke, QQ(p, p + 1), 0),
-                )
-            )
-        else:
-            if k < 4 or k % (p - 1) != 0:
-                raise InvalidWeight(
-                    "theorem E needs k >= 4 divisible by %d" % (p - 1)
-                )
-            gate = delta_p(k, p)
-            if gate != p - 1:
-                raise InvalidWeight("digit sum of k is %d, need %d" % (gate, p - 1))
-            parameters["k"] = k
-            qprec = qprec_for_split(p, max_index)
-            f = _vratio(eisenstein_series(k, qprec), p)
-            ke = _split_exact(f, p, max_index)
-            results.append(
-                certificate_entry(
-                    "V(E_%d)/E_%d, sharp " % (k, k) + _rate_label(QQ(1, p + 1), 0),
-                    "claim", ke, certify_rate(ke, QQ(1, p + 1), 0),
-                )
-            )
-    elif theorem == "F":
-        if s is None:
-            raise ValueError("theorem F needs a family parameter s")
-        gate = delta_p(s, p)
-        if gate >= p - 1:
-            raise InvalidWeight(
-                "digit sum of s is %d, need it below %d" % (gate, p - 1)
-            )
-        parameters["s"] = s
-        parameters["pprec"] = pprec
-        ke, qprec, _member = _family_ratio(s, p, max_index, pprec)
-        pprec_out = str(pprec)
-        results.append(
-            certificate_entry(
-                "V(g)/g for the family member at s=%d mod %d^%d, sharp "
-                % (s, p, pprec) + _rate_label(QQ(1, p + 1), 0),
-                "claim", ke, certify_rate(ke, QQ(1, p + 1), 0),
-            )
-        )
-    else:
-        raise ValueError("unknown theorem %r" % (theorem,))
+            note = "membership at rate 1/%d would force the floor on every listed coefficient"
+            results.append(_hauptmodul_entry(
+                name, t_vals, note % (p + 1),
+                floor_at_sharp_rate=[rational_to_str(QQ(j, 2)) for j in range(terms)],
+                first_floor_violation=_floor_violation(t_vals),
+            ))
 
-    provenance = {"qprec": qprec, "pprec": pprec_out, "max_index": max_index}
-    return _finish("verify-theorem", parameters, results, provenance, started)
+    return _finish(
+        "verify-theorem", parameters, results, started,
+        qprec=qprec, max_index=max_index, pprec=_val_str(work_pprec),
+    )
 
 
 # -- raw splits and hauptmodul vectors --------------------------------------
@@ -561,23 +485,18 @@ def cmd_verify_theorem(
 def cmd_katz(f, p, max_index, *, rho=None, c=0) -> RunReport:
     """Split a weight-0 q-series and certify one rate (default p/(p+1))."""
     started = time.perf_counter()
+    _require_prime(p)
     if rho is None:
         rho = QQ(p, p + 1)
     ke = katz_split_function(f, p, max_index)
-    cert = certify_rate(ke, rho, c)
-    results = [
-        certificate_entry(
-            "input series, " + _rate_label(rho, c), "claim", ke, cert
-        )
-    ]
-    provenance = {"qprec": f.prec, "pprec": "inf", "max_index": max_index}
+    results = [_rate_entry("input series, ", "claim", ke, rho, c)]
     parameters = {
         "prime": p,
         "max_index": max_index,
         "rho": rational_to_str(rho),
         "c": rational_to_str(c),
     }
-    return _finish("katz", parameters, results, provenance, started)
+    return _finish("katz", parameters, results, started, qprec=f.prec, max_index=max_index)
 
 
 def cmd_hauptmodul(p, k, terms) -> RunReport:
@@ -589,17 +508,13 @@ def cmd_hauptmodul(p, k, terms) -> RunReport:
     f = _vratio(eisenstein_series(k, N), p)
     t_vals = hauptmodul_valuations(f, p, terms)
     results = [
-        {
-            "kind": "hauptmodul",
-            "label": "V(E_%d)/E_%d in the hauptmodul coordinate" % (k, k),
-            "role": "witness",
-            "valuations": [_val_str(v) for v in t_vals],
-            "first_floor_violation": None,
-            "note": "raw valuation vector; no rate claim attached",
-        }
+        _hauptmodul_entry(
+            "V(E_%d)/E_%d" % (k, k), t_vals,
+            "raw valuation vector; no rate claim attached",
+            first_floor_violation=None,
+        )
     ]
-    provenance = {"qprec": N, "pprec": "inf", "max_index": terms - 1}
     return _finish(
-        "hauptmodul", {"prime": p, "weight": k, "terms": terms},
-        results, provenance, started,
+        "hauptmodul", {"prime": p, "weight": k, "terms": terms}, results, started,
+        qprec=N, max_index=terms - 1,
     )

@@ -8,9 +8,9 @@ Valuations are p-adic and exact, so coefficients are rationals, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str, val
+from ._rational import INF, QQ, rational_from_str, rational_to_str, val
 from .errors import ZeroConstantTerm
 
 _ZERO = QQ(0)
@@ -20,7 +20,6 @@ _ONE = QQ(1)
 @dataclass(frozen=True)
 class QSeries:
     coeffs: tuple
-    weight_tag: int | None = field(default=None, compare=False)
 
     @property
     def prec(self):
@@ -36,7 +35,7 @@ class QSeries:
         return qs_sub(self, other)
 
     def __neg__(self):
-        return QSeries(tuple(-c for c in self.coeffs), self.weight_tag)
+        return QSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -54,39 +53,31 @@ class QSeries:
         return f"QSeries([{shown}{tail}], prec={self.prec})"
 
 
-def qs_from_list(coeffs, weight_tag=None):
-    return QSeries(tuple(QQ(c) for c in coeffs), weight_tag)
+def qs_from_list(coeffs):
+    return QSeries(tuple(QQ(c) for c in coeffs))
 
 
-def qs_zero(N, weight_tag=None):
-    return QSeries((_ZERO,) * N, weight_tag)
+def qs_zero(N):
+    return QSeries((_ZERO,) * N)
 
 
-def qs_one(N, weight_tag=None):
-    return QSeries((_ONE,) + (_ZERO,) * (N - 1), weight_tag)
-
-
-def qs_const(c, N, weight_tag=None):
-    return QSeries((QQ(c),) + (_ZERO,) * (N - 1), weight_tag)
-
-
-def _merge_tags(a, b):
-    return a.weight_tag if a.weight_tag == b.weight_tag else None
+def qs_one(N):
+    return QSeries((_ONE,) + (_ZERO,) * (N - 1))
 
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
     N = min(a.prec, b.prec)
-    return QSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(N)), _merge_tags(a, b))
+    return QSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(N)))
 
 
 def qs_sub(a: QSeries, b: QSeries) -> QSeries:
     N = min(a.prec, b.prec)
-    return QSeries(tuple(a.coeffs[i] - b.coeffs[i] for i in range(N)), _merge_tags(a, b))
+    return QSeries(tuple(a.coeffs[i] - b.coeffs[i] for i in range(N)))
 
 
 def qs_scalar_mul(c, a: QSeries) -> QSeries:
     c = QQ(c)
-    return QSeries(tuple(c * x for x in a.coeffs), a.weight_tag)
+    return QSeries(tuple(c * x for x in a.coeffs))
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -102,10 +93,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
             bj = bc[j]
             if bj != 0:
                 out[i + j] += ai * bj
-    tag = None
-    if a.weight_tag is not None and b.weight_tag is not None:
-        tag = a.weight_tag + b.weight_tag
-    return QSeries(tuple(out), tag)
+    return QSeries(tuple(out))
 
 
 def qs_inv(a: QSeries) -> QSeries:
@@ -127,16 +115,14 @@ def qs_inv(a: QSeries) -> QSeries:
             if ac[k] != 0:
                 s += ac[k] * out[n - k]
         out[n] = -inv0 * s
-    tag = -a.weight_tag if a.weight_tag is not None else None
-    return QSeries(tuple(out), tag)
+    return QSeries(tuple(out))
 
 
 def qs_pow(a: QSeries, n: int) -> QSeries:
     """a**n by repeated squaring; negative n inverts first."""
     if n < 0:
         return qs_pow(qs_inv(a), -n)
-    tag = a.weight_tag * n if a.weight_tag is not None else None
-    result = qs_one(a.prec, tag)
+    result = qs_one(a.prec)
     base = a
     e = n
     while e:
@@ -145,7 +131,7 @@ def qs_pow(a: QSeries, n: int) -> QSeries:
         e >>= 1
         if e:
             base = qs_mul(base, base)
-    return QSeries(result.coeffs, tag)
+    return result
 
 
 def qs_div(a: QSeries, b: QSeries) -> QSeries:
@@ -162,13 +148,13 @@ def apply_V(f: QSeries, p: int) -> QSeries:
     out = [_ZERO] * N
     for n in range(0, N, p):
         out[n] = f.coeffs[n // p]
-    return QSeries(tuple(out), f.weight_tag)
+    return QSeries(tuple(out))
 
 
 def apply_U(f: QSeries, p: int) -> QSeries:
     """Atkin's operator on coefficients: a_n <- a_{pn}; precision floor(N/p)."""
     M = f.prec // p
-    return QSeries(tuple(f.coeffs[p * n] for n in range(M)), f.weight_tag)
+    return QSeries(tuple(f.coeffs[p * n] for n in range(M)))
 
 
 def qs_val(f: QSeries, p: int):
@@ -185,19 +171,7 @@ def qs_val(f: QSeries, p: int):
 def qs_truncate(f: QSeries, N: int) -> QSeries:
     if N >= f.prec:
         return f
-    return QSeries(f.coeffs[:N], f.weight_tag)
-
-
-def qs_order(f: QSeries):
-    """Index of the first nonzero known coefficient; +inf for the zero series."""
-    for i, c in enumerate(f.coeffs):
-        if c != 0:
-            return i
-    return INF
-
-
-def qs_is_p_integral(f: QSeries, p: int) -> bool:
-    return all(c.denominator % p != 0 for c in f.coeffs)
+    return QSeries(f.coeffs[:N])
 
 
 def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
@@ -213,30 +187,18 @@ def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
         if den != 1:
             num = num * pow(den, -1, modulus) % modulus
         out.append(QQ(num))
-    return QSeries(tuple(out), f.weight_tag)
+    return QSeries(tuple(out))
 
 
 def qs_to_json(f: QSeries) -> dict:
     return {"prec": f.prec, "coeffs": [rational_to_str(c) for c in f.coeffs]}
 
 
-def qs_from_json(d: dict, weight_tag=None) -> QSeries:
+def qs_from_json(d: dict) -> QSeries:
+    """Inverse of qs_to_json; malformed input raises ValueError."""
+    if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
+        raise ValueError("a series needs a JSON object with a coeffs list")
     coeffs = tuple(rational_from_str(s) for s in d["coeffs"])
     if d.get("prec") is not None and int(d["prec"]) != len(coeffs):
         raise ValueError("prec field disagrees with coefficient count")
-    return QSeries(coeffs, weight_tag)
-
-
-@dataclass(frozen=True)
-class PadicContext:
-    p: int
-    qprec: int
-    pprec: float = INF
-
-    def __post_init__(self):
-        if self.p < 5 or not is_prime(self.p):
-            raise ValueError(f"p must be a prime >= 5, got {self.p}")
-        if self.qprec < 1:
-            raise ValueError("qprec must be >= 1")
-        if self.pprec != INF and self.pprec < 1:
-            raise ValueError("pprec must be >= 1 (or infinite)")
+    return QSeries(coeffs)

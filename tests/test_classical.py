@@ -83,7 +83,6 @@ def test_eisenstein_small_coefficients():
     assert list(e6.coeffs) == [1, -504, -16632]
     e14 = eisenstein_series(14, 2)
     assert e14.coeffs[1] == -24
-    assert e4.weight_tag == 4
 
 
 def test_eisenstein_multiplicative_coefficient():
@@ -104,7 +103,6 @@ def test_delta_matches_eta_product():
     shifted = qs_from_list([QQ(0)] + list(eta24.coeffs[: N - 1]))
     d = delta_series(N)
     assert d.coeffs == shifted.coeffs
-    assert d.weight_tag == 12
 
 
 def test_delta_first_coefficients():
@@ -133,7 +131,6 @@ def test_miller_basis_unit_upper_triangular(k):
             assert g.coeffs[i] == 0
         assert g.coeffs[j] == 1
         assert all(c.denominator == 1 for c in g.coeffs)
-        assert g.weight_tag == k
 
 
 def test_miller_form_is_product_of_generators():

@@ -216,7 +216,7 @@ def test_cross_construction_mismatch_raises(monkeypatch):
     good = estar_family_teichmuller(1, 5, 20, 2)
     bad_coeffs = list(good.series.coeffs)
     bad_coeffs[3] = (bad_coeffs[3] + 1) % 25
-    bad = FamilyMember(1, 5, QSeries(tuple(bad_coeffs), 0), 2, "teichmuller-direct")
+    bad = FamilyMember(1, 5, QSeries(tuple(bad_coeffs)), 2, "teichmuller-direct")
     monkeypatch.setattr(family, "estar_family_teichmuller", lambda *a, **k: bad)
     with pytest.raises(CrossCheckMismatch):
         estar_family(1, 5, 20, 2, max_escalations=1)

@@ -41,15 +41,15 @@ from katzexp.series import (
 from katzexp._rational import val
 
 
-def const_one(N, tag=0):
-    return QSeries((QQ(1),) + (QQ(0),) * (N - 1), tag)
+def const_one(N):
+    return QSeries((QQ(1),) + (QQ(0),) * (N - 1))
 
 
-def rand_series(rng, N, tag=0, den=1):
+def rand_series(rng, N, den=1):
     coeffs = tuple(
         QQ(rng.randrange(-30, 31), rng.randrange(1, den + 1)) for _ in range(N)
     )
-    return QSeries(coeffs, tag)
+    return QSeries(coeffs)
 
 
 def min_val(f, p):
@@ -67,7 +67,7 @@ def min_val(f, p):
 
 def test_T2_on_constant():
     for k in (4, 8, 12):
-        out = hecke_T_ell(const_one(20, tag=k), k, 2)
+        out = hecke_T_ell(const_one(20), k, 2)
         assert out.coeffs[0] == QQ(1 + 2 ** (k - 1))
         assert all(c == 0 for c in out.coeffs[1:])
         assert out.prec == 10
@@ -82,7 +82,7 @@ def test_E4_is_T2_eigenform():
 
 def test_T_ell_divisor_term_uses_rational_scale_below_weight_one():
     # at k = 0 the divisor term carries 1/ell
-    f = QSeries(tuple(QQ(i) for i in range(12)), 0)
+    f = QSeries(tuple(QQ(i) for i in range(12)))
     out = hecke_T_ell(f, 0, 2)
     assert out.coeffs[1] == QQ(2)
     assert out.coeffs[2] == QQ(4) + QQ(1, 2) * QQ(1)
@@ -91,20 +91,20 @@ def test_T_ell_divisor_term_uses_rational_scale_below_weight_one():
 
 def test_T_ell_commutes_with_U():
     rng = random.Random(4)
-    f = rand_series(rng, 210, tag=4)
+    f = rand_series(rng, 210)
     a = hecke_T_ell(apply_U(f, 5), 4, 2)
     b = apply_U(hecke_T_ell(f, 4, 2), 5)
     assert a.coeffs == b.coeffs
 
 
 def test_T_ell_rejects_bad_indices():
-    f = const_one(20, tag=4)
+    f = const_one(20)
     with pytest.raises(InvalidWeight):
         hecke_T_ell(f, 4, 6)
     with pytest.raises(EllEqualsP):
         hecke_T_ell(f, 4, 5, p=5)
     with pytest.raises(PrecisionTooLow):
-        hecke_T_ell(QSeries((QQ(1),), 4), 4, 2)
+        hecke_T_ell(QSeries((QQ(1),)), 4, 2)
 
 
 # ---------------------------------------------------------------- twists
@@ -277,7 +277,7 @@ def test_stock_projectors():
 def test_apply_hpoly_matches_twisted_fast_path():
     rng = random.Random(7)
     h = parse_hpoly("11*U*(U+5)")
-    f = rand_series(rng, 360, tag=8, den=4)
+    f = rand_series(rng, 360, den=4)
     E = eisenstein_series(12, 360)
     slow = apply_hpoly(h, qs_mul(f, E), 12, 13)
     slow = qs_mul(slow, qs_pow(qs_truncate(E, slow.prec), -1))

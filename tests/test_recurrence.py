@@ -18,6 +18,8 @@ import pytest
 from katzexp import QQ
 from katzexp.errors import InsufficientLength
 from katzexp.recurrence import (
+    _pack,
+    _unpack,
     BivarPolyModP,
     SymPolyQ,
     bp_add,
@@ -169,6 +171,21 @@ def test_extended_y_satisfies_its_defining_recurrence():
 def test_sym_poly_serialization():
     f = sp_add(sp_scale(QQ(1, 2), SymPolyQ.gen(2)), SymPolyQ.const(3))
     assert f.to_json() == [[[], "3"], [[0, 1], "1/2"]]
+
+
+def test_pack_keeps_every_exponent_inside_its_lane():
+    assert _unpack(_pack((3, 0, 65535))) == (3, 0, 65535)
+    assert _unpack(_pack((2, 0, 0))) == (2,)
+    for bad in [(-1,), (1 << 16,), (0, 70000)]:
+        with pytest.raises(ValueError):
+            _pack(bad)
+    # 40000 + 40000 would carry into the next lane: refused, not wrapped
+    big = SymPolyQ.from_dict({(40000,): QQ(1)})
+    with pytest.raises(ValueError):
+        sp_mul(big, big)
+    y1, y2 = SymPolyQ.gen(1), SymPolyQ.gen(2)
+    square = sp_mul(sp_add(y1, y2), sp_add(y1, sp_scale(-1, y2)))
+    assert square.to_json() == [[[0, 2], "-1"], [[2], "1"]]
 
 
 # ---------------------------------------------------------------- scaling map

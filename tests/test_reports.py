@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import copy
 import json
+import multiprocessing
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,6 +154,18 @@ def test_check_condition_rejects_bad_prime():
 def test_check_condition_budget():
     with pytest.raises(ResourceBudgetExceeded):
         cmd_check_condition(13, budget_seconds=1e-9)
+    with pytest.raises(ResourceBudgetExceeded):
+        cmd_check_condition_extended(13, budget_seconds=1e-9)
+
+
+def test_check_condition_parallel_budget_does_not_wait_for_the_sweep():
+    """A parallel overrun raises as the first entry arrives and stops the
+    workers; the whole p = 23 sweep takes tens of seconds."""
+    started = time.perf_counter()
+    with pytest.raises(ResourceBudgetExceeded):
+        cmd_check_condition(23, jobs=2, budget_seconds=1e-9)
+    assert time.perf_counter() - started < 5
+    assert multiprocessing.active_children() == []
 
 
 def test_check_condition_extended_small_range():
@@ -430,6 +444,28 @@ def test_cli_usage_error_exits_3():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "certified"
+
+
+@pytest.mark.parametrize(
+    "content, extra",
+    [
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "1/0"]),
+        ({"prec": 2, "coeffs": ["1", "2/0"]}, []),
+        ({"prec": 2}, []),
+        (["1", "2"], []),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--prime", "9"]),
+    ],
+    ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
+         "prime-9"],
+)
+def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra):
+    series_file = tmp_path / "f.json"
+    series_file.write_text(json.dumps(content))
+    args = ["katz", "--input", str(series_file), "--prime", "5", "--max-index", "1"]
+    code, _, err = run_cli(args + extra, capsys)
+    assert code == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_cli_missing_input_file(capsys):

@@ -9,8 +9,6 @@ import pytest
 from katzexp import (
     INF,
     QQ,
-    PadicContext,
-    QSeries,
     apply_U,
     apply_V,
     qs_from_json,
@@ -175,25 +173,7 @@ def test_json_prec_mismatch_rejected():
         qs_from_json({"prec": 3, "coeffs": ["1", "2"]})
 
 
-def test_context_validation():
-    PadicContext(5, 10)
-    with pytest.raises(ValueError):
-        PadicContext(4, 10)
-    with pytest.raises(ValueError):
-        PadicContext(9, 10)
-    with pytest.raises(ValueError):
-        PadicContext(7, 0)
-
-
 def test_truncate():
     f = qs_from_list([1, 2, 3, 4, 5])
     assert qs_truncate(f, 3).coeffs == (QQ(1), QQ(2), QQ(3))
     assert qs_truncate(f, 9).coeffs == f.coeffs
-
-
-def test_weight_tags_propagate():
-    a = QSeries((QQ(1), QQ(2)), weight_tag=4)
-    b = QSeries((QQ(1), QQ(0)), weight_tag=6)
-    assert qs_mul(a, b).weight_tag == 10
-    assert qs_pow(a, 3).weight_tag == 12
-    assert qs_inv(b).weight_tag == -6
