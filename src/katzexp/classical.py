@@ -1,13 +1,12 @@
 """Classical level-1 modular forms: Eisenstein series, Delta, Miller bases.
 
-Everything is exact: Bernoulli numbers from the defining recurrence, divisor
-sums by direct enumeration, eta-quotient hauptmoduls by sparse products of
-(1 - q^m)^(+-e) factors.
+Everything is exact: Bernoulli numbers from the integer tangent numbers,
+divisor sums by direct enumeration, eta-quotient hauptmoduls by sparse
+products of (1 - q^m)^(+-e) factors.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from ._rational import QQ, ZZ
@@ -19,31 +18,40 @@ _ZERO = QQ(0)
 # B_0, B_2, B_4, ...; odd-index Bernoulli numbers vanish past B_1 = -1/2,
 # so the table keeps even indices only.
 _bernoulli_even = [QQ(1)]
-_bernoulli_lock = threading.Lock()
+
+
+def _tangent_numbers(n: int) -> list:
+    """[0, T_1, ..., T_n] with T_m = tan^(2m-1)(0), in Python ints.
+
+    Brent and Harvey, "Fast computation of Bernoulli, tangent and secant
+    numbers" (2011): O(n^2) additions and multiplications by small ints.
+    """
+    T = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        T[j] = (j - 1) * T[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            T[j] = (j - i) * T[j - 1] + (j - i + 2) * T[j]
+    return T
 
 
 def bernoulli(k: int):
     """Exact Bernoulli number B_k for even k >= 0.
 
-    Uses the defining recurrence sum_{j<=m} C(m+1,j) B_j = 0, restricted to
-    even j (plus the lone B_1 term), memoized across calls.
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent numbers T_m.
+    The even-index table is memoized; a miss rebuilds it to at least twice
+    its length, so ascending requests cost O(K^2) big-int steps in total.
     """
     if k < 0 or k % 2 != 0:
         raise InvalidWeight(f"B_k implemented for even k >= 0, got {k}")
     half = k // 2
-    if half < len(_bernoulli_even):
-        return _bernoulli_even[half]
-    with _bernoulli_lock:
-        while len(_bernoulli_even) <= half:
-            m = 2 * len(_bernoulli_even)
-            # sum over even j < m, with the j=0 and j=1 terms folded in:
-            # B_m = -(1/(m+1)) * (1 - (m+1)/2 + sum_{j=2,4,..,m-2} C(m+1,j) B_j)
-            acc = QQ(2 - (m + 1), 2)
-            binom = ZZ(1)
-            for j in range(0, m - 2, 2):
-                binom = binom * ((m + 1 - j) * (m - j)) // ((j + 1) * (j + 2))
-                acc += binom * _bernoulli_even[j // 2 + 1]
-            _bernoulli_even.append(-acc / (m + 1))
+    if half >= len(_bernoulli_even):
+        n = max(half, 2 * len(_bernoulli_even))
+        T = _tangent_numbers(n)
+        for m in range(len(_bernoulli_even), n + 1):
+            four_m = 4**m
+            b = QQ(2 * m * T[m], four_m * (four_m - 1))
+            _bernoulli_even.append(b if m % 2 else -b)
     return _bernoulli_even[half]
 
 
@@ -110,7 +118,6 @@ class MillerBasis:
 
 # caches for form construction; keyed by precision so truncations never mix
 _pow_cache: dict = {}
-_pow_lock = threading.Lock()
 
 
 def _base_series(name: str, N: int) -> QSeries:
@@ -123,8 +130,7 @@ def _base_series(name: str, N: int) -> QSeries:
             got = eisenstein_series(6, N)
         else:
             got = delta_series(N)
-        with _pow_lock:
-            _pow_cache[key] = got
+        _pow_cache[key] = got
     return got
 
 
@@ -140,8 +146,7 @@ def _cached_pow(name: str, e: int, N: int) -> QSeries:
     if got is None:
         h = e // 2
         got = qs_mul(_cached_pow(name, h, N), _cached_pow(name, e - h, N))
-        with _pow_lock:
-            _pow_cache[key] = got
+        _pow_cache[key] = got
     return got
 
 

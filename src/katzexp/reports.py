@@ -19,7 +19,7 @@ from typing import Callable
 
 from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str
 from .classical import dim_weight, eisenstein_series
-from .errors import InvalidWeight, ResourceBudgetExceeded, UnsupportedPrime
+from .errors import InvalidWeight, PrecisionTooLow, ResourceBudgetExceeded, UnsupportedPrime
 from .family import eis_ratio, estar_family
 from .katz import (
     certify_rate,
@@ -504,6 +504,8 @@ def cmd_hauptmodul(p, k, terms) -> RunReport:
     started = time.perf_counter()
     if k < 4 or k % 2 != 0:
         raise InvalidWeight("need an even weight k >= 4")
+    if terms < 1:
+        raise PrecisionTooLow("hauptmodul needs --terms >= 1, got %d" % terms)
     N = terms + 8
     f = _vratio(eisenstein_series(k, N), p)
     t_vals = hauptmodul_valuations(f, p, terms)

@@ -8,10 +8,11 @@ Valuations are p-adic and exact, so coefficients are rationals, never floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._rational import INF, QQ, rational_from_str, rational_to_str, val
-from .errors import ZeroConstantTerm
+from .errors import NotAUnit, ZeroConstantTerm
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -80,19 +81,69 @@ def qs_scalar_mul(c, a: QSeries) -> QSeries:
     return QSeries(tuple(c * x for x in a.coeffs))
 
 
+def _over_common_denominator(coeffs):
+    """Integer numerators of coeffs over the lcm L of their denominators.
+
+    Also returns, per index j, the lcm L_j of the denominators up to j and
+    the cofactor L // L_j. Built from the running lcm, so a denominator
+    chain d, d^2, d^3, ... costs no big division.
+    """
+    lcm = 1
+    part, grow, prefix = [], [], []  # L_j // d_j, L_j // L_(j-1), L_j
+    for c in coeffs:
+        d = int(c.denominator)
+        q, r = divmod(lcm, d)
+        if r:
+            g = math.gcd(lcm, d)
+            q, f = lcm // g, d // g
+            lcm *= f
+        else:
+            f = 1
+        part.append(q)
+        grow.append(f)
+        prefix.append(lcm)
+    nums = [0] * len(coeffs)
+    tails = [1] * len(coeffs)
+    tail = 1
+    for j in range(len(coeffs) - 1, -1, -1):
+        tails[j] = tail
+        nums[j] = int(coeffs[j].numerator) * part[j] * tail
+        tail *= grow[j]
+    return nums, prefix, tails
+
+
+def _pack(nums, w):
+    """The integer sum of nums[i] * 2^(8 w i), for |nums[i]| < 2^(8 w)."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(w, "little") for x in nums)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(w, "little") for x in nums)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Convolution product, truncated to the smaller input precision."""
+    """Product truncated to the smaller input precision N, by Kronecker
+    substitution: each operand becomes integer numerators over one common
+    denominator, packed into one int in lanes of w bytes, and a single
+    big-int product yields the convolution lane by lane.
+    """
     N = min(a.prec, b.prec)
-    ac, bc = a.coeffs, b.coeffs
-    out = [_ZERO] * N
-    for i in range(N):
-        ai = ac[i]
-        if ai == 0:
-            continue
-        for j in range(N - i):
-            bj = bc[j]
-            if bj != 0:
-                out[i + j] += ai * bj
+    if N == 0:
+        return QSeries(())
+    an, la, ta = _over_common_denominator(a.coeffs[:N])
+    bn, lb, tb = _over_common_denominator(b.coeffs[:N])
+    # |c_k| <= N max|a_i| max|b_j|, plus one bit for the sign
+    bits = max(map(abs, an)).bit_length() + max(map(abs, bn)).bit_length() + N.bit_length() + 1
+    w = (bits + 7) // 8
+    # the low N lanes by mask: % on a power of two is a full long division
+    low = (_pack(an, w) * _pack(bn, w)) & ((1 << (8 * w * N)) - 1)
+    lanes = memoryview(low.to_bytes(w * N, "little"))
+    out = []
+    borrow = 0
+    for k in range(N):
+        lane = int.from_bytes(lanes[k * w:(k + 1) * w], "little", signed=True)
+        # every term of c_k has i, j <= k, so c_k is a multiple of both
+        # cofactors at k and its denominator divides la[k] * lb[k]
+        out.append(QQ((lane + borrow) // (ta[k] * tb[k]), la[k] * lb[k]))
+        borrow = lane < 0
     return QSeries(tuple(out))
 
 
@@ -178,14 +229,17 @@ def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
     """Reduce p-integral coefficients to standard residues in [0, modulus).
 
     Rational coefficients are allowed as long as their denominators are
-    invertible mod the modulus.
+    invertible mod the modulus; any other denominator raises NotAUnit.
     """
     out = []
-    for c in f.coeffs:
+    for n, c in enumerate(f.coeffs):
         num = int(c.numerator) % modulus
         den = int(c.denominator) % modulus
         if den != 1:
-            num = num * pow(den, -1, modulus) % modulus
+            try:
+                num = num * pow(den, -1, modulus) % modulus
+            except ValueError:
+                raise NotAUnit(f"denominator of q^{n} is not a unit mod {modulus}") from None
         out.append(QQ(num))
     return QSeries(tuple(out))
 
@@ -199,6 +253,12 @@ def qs_from_json(d: dict) -> QSeries:
     if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
         raise ValueError("a series needs a JSON object with a coeffs list")
     coeffs = tuple(rational_from_str(s) for s in d["coeffs"])
-    if d.get("prec") is not None and int(d["prec"]) != len(coeffs):
-        raise ValueError("prec field disagrees with coefficient count")
+    prec = d.get("prec")
+    if prec is not None:
+        try:
+            prec = int(prec)
+        except TypeError:
+            raise ValueError("prec must be an integer, got %r" % (prec,)) from None
+        if prec != len(coeffs):
+            raise ValueError("prec field disagrees with coefficient count")
     return QSeries(coeffs)

@@ -46,7 +46,8 @@ def eta_quotient_pentagonal(N):
     return qs_from_list(coeffs)
 
 
-@pytest.mark.parametrize("k", range(0, 102, 2))
+# 1090 and 1876: the classical-limit weights of theorems F (p=11) and A
+@pytest.mark.parametrize("k", [*range(0, 102, 2), 1090, 1876])
 def test_bernoulli_matches_sympy(k):
     num, den = sympy.bernoulli(k).as_numer_denom()
     assert bernoulli(k) == QQ(int(num), int(den))

@@ -1,0 +1,129 @@
+"""The integer kernels against their slow reference oracles, and their time
+budgets.
+
+qs_mul (Kronecker substitution) is compared with the schoolbook convolution
+and bernoulli (tangent numbers) with the Fraction recurrence; see oracles.py.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from katzexp import QQ, bernoulli, eisenstein_series, qs_from_list, qs_mul
+from katzexp import classical
+from oracles import bernoulli_even_recurrence, schoolbook_mul
+
+# -- qs_mul ---------------------------------------------------------------
+
+_small = st.integers(-60, 60)
+# numerators above 2^2000 make each lane wider than 8 bytes
+_huge = st.builds(lambda sign, m: sign * m, st.sampled_from((-1, 1)), st.integers(2**2000, 2**2010))
+_dens = st.one_of(st.just(1), st.sampled_from((2, 3, 5, 7, 25, 35, 125, 3125)), st.integers(1, 10**9))
+_coeff = st.one_of(st.just(QQ(0)), st.builds(QQ, st.one_of(_small, _huge), _dens))
+_series = st.lists(_coeff, max_size=60).map(qs_from_list)
+
+
+def check_against_oracle(a, b):
+    got = qs_mul(a, b)
+    assert got.prec == min(a.prec, b.prec)
+    assert got.coeffs == schoolbook_mul(a.coeffs, b.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series, _series)
+def test_qs_mul_matches_schoolbook(a, b):
+    check_against_oracle(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0), _small, _huge), min_size=1, max_size=40),
+    st.lists(st.one_of(st.just(0), _small), min_size=1, max_size=40),
+    st.sampled_from((5, 12, 7**3)),
+)
+def test_qs_mul_denominators_growing_with_the_index(nums, other, d):
+    # the shape of qs_inv output: the j-th denominator is d^j
+    a = qs_from_list([QQ(n, d**j) for j, n in enumerate(nums)])
+    b = qs_from_list([QQ(n, d) for n in other])
+    check_against_oracle(a, b)
+    check_against_oracle(b, a)
+    check_against_oracle(a, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_qs_mul_borrow_runs_through_every_lane(n):
+    # -1 times all ones: every output lane is -1, so a borrow carries into each
+    a = qs_from_list([-1] + [0] * (n - 1))
+    b = qs_from_list([1] * n)
+    assert qs_mul(a, b).coeffs == (QQ(-1),) * n
+    check_against_oracle(a, b)
+
+
+@pytest.mark.parametrize("na, nb", [(0, 0), (0, 5), (5, 0), (7, 7), (7, 3)])
+def test_qs_mul_zero_operands(na, nb):
+    zero = qs_from_list([0] * na)
+    other = qs_from_list([QQ(i - 3, 5) for i in range(nb)])
+    got = qs_mul(zero, other)
+    assert got.coeffs == (QQ(0),) * min(na, nb)
+    assert qs_mul(other, zero).coeffs == got.coeffs
+
+
+def test_qs_mul_e4_squared_is_e8():
+    assert qs_mul(eisenstein_series(4, 200), eisenstein_series(4, 200)).coeffs == eisenstein_series(8, 200).coeffs
+
+
+# -- bernoulli ------------------------------------------------------------
+
+_ORACLE_K = 600
+
+
+@pytest.fixture(scope="module")
+def oracle_table():
+    return bernoulli_even_recurrence(_ORACLE_K)
+
+
+def test_bernoulli_matches_recurrence_ascending(monkeypatch, oracle_table):
+    # a fresh table grown one miss at a time, as check-condition asks
+    monkeypatch.setattr(classical, "_bernoulli_even", [QQ(1)])
+    for k in range(0, _ORACLE_K + 1, 2):
+        assert bernoulli(k) == oracle_table[k // 2], k
+
+
+def test_bernoulli_matches_recurrence_in_one_call(monkeypatch, oracle_table):
+    monkeypatch.setattr(classical, "_bernoulli_even", [QQ(1)])
+    assert bernoulli(_ORACLE_K) == oracle_table[-1]
+    assert [bernoulli(k) for k in range(0, _ORACLE_K + 1, 2)] == oracle_table
+
+
+# -- time budgets ---------------------------------------------------------
+# About three times the time measured on a 2-CPU x86-64 VM with Python 3.11
+# and the Fraction backend; CHANGES.md records both numbers.
+
+QS_MUL_E4_BUDGET_S = 0.15  # measured 0.04 s
+BERNOULLI_1876_BUDGET_S = 2.2  # measured 0.73 s
+
+
+def test_qs_mul_e4_squared_at_3750_within_budget():
+    e4 = eisenstein_series(4, 3750)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        qs_mul(e4, e4)
+        best = min(best, time.perf_counter() - t0)
+    assert best < QS_MUL_E4_BUDGET_S
+
+
+def test_bernoulli_1876_within_budget():
+    # a fresh interpreter, so the memoized table starts empty
+    code = (
+        "import time; from katzexp import bernoulli; t0 = time.perf_counter(); "
+        "bernoulli(1876); print(time.perf_counter() - t0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert float(proc.stdout) < BERNOULLI_1876_BUDGET_S

@@ -454,9 +454,10 @@ def test_cli_usage_error_exits_3():
         ({"prec": 2}, []),
         (["1", "2"], []),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--prime", "9"]),
+        ({"prec": [1], "coeffs": ["1"]}, []),
     ],
     ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
-         "prime-9"],
+         "prime-9", "prec-list"],
 )
 def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra):
     series_file = tmp_path / "f.json"
@@ -464,6 +465,17 @@ def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra):
     args = ["katz", "--input", str(series_file), "--prime", "5", "--max-index", "1"]
     code, _, err = run_cli(args + extra, capsys)
     assert code == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("terms", ["-20", "0"])
+def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
+    code, out, err = run_cli(
+        ["hauptmodul", "--prime", "5", "--weight", "24", "--terms", terms], capsys
+    )
+    assert code == 3
+    assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
 

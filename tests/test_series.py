@@ -17,12 +17,13 @@ from katzexp import (
     qs_mul,
     qs_one,
     qs_pow,
+    qs_reduce_mod,
     qs_to_json,
     qs_val,
     qs_zero,
 )
 from katzexp.series import qs_truncate
-from katzexp.errors import ZeroConstantTerm
+from katzexp.errors import NotAUnit, ZeroConstantTerm
 
 
 def rand_series(rng, N, p=5, integral=True):
@@ -177,3 +178,8 @@ def test_truncate():
     f = qs_from_list([1, 2, 3, 4, 5])
     assert qs_truncate(f, 3).coeffs == (QQ(1), QQ(2), QQ(3))
     assert qs_truncate(f, 9).coeffs == f.coeffs
+
+
+def test_reduce_mod_rejects_a_denominator_that_is_not_a_unit():
+    with pytest.raises(NotAUnit, match="q\\^1"):
+        qs_reduce_mod(qs_from_list([1, QQ(1, 10), 2]), 25)
