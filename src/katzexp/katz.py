@@ -285,9 +285,14 @@ def rate_verdict(val_i, threshold, effective_pprec, structural_zero=False):
 
 
 def certify_rate(ke: KatzExpansion, rho, c) -> RateCertificate:
-    """Check v_p(b_i) >= rho*i - c for every computed index."""
+    """Check v_p(b_i) >= rho*i - c for every computed index; the rate needs
+    0 <= rho <= 1 and c >= 0 (ValueError otherwise)."""
     rho = QQ(rho)
     c = QQ(c)
+    if not 0 <= rho <= 1:
+        raise ValueError(f"rate rho = {rational_to_str(rho)} outside [0, 1]")
+    if c < 0:
+        raise ValueError(f"offset c = {rational_to_str(c)} is negative")
     verdicts = []
     first_failure = None
     for t in ke.terms:

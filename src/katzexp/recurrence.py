@@ -5,13 +5,19 @@ Two polynomial representations live here. BivarPolyModP is a sparse
 bivariate polynomial over F_p. SymPolyQ is a sparse rational polynomial in
 the variables y_1..y_{p+1} (or t_1..t_{p+1} after applying the scaling
 map); exponent vectors are stored with trailing zeros trimmed.
+
+The Newton chain behind newton_chain and phi_image is built on ints: each
+chain polynomial is a dict of integer numerators over one positive integer
+denominator, and becomes a SymPolyQ only when it is returned.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 
-from ._rational import QQ, ZZ, int_val
+from ._rational import QQ, int_val
 from .errors import InsufficientLength
 
 
@@ -206,10 +212,14 @@ def sp_eval(a: SymPolyQ, values) -> QQ:
 # exponent vectors, so internally each vector is packed into one integer
 # with 16-bit lanes: vector addition becomes a single integer addition.
 # _pack refuses an exponent a lane cannot hold, and sp_mul refuses a product
-# whose exponent sums would carry into the next lane.
+# whose exponent sums would carry into the next lane. The packed dicts are
+# generic in their values: SymPolyQ keeps rationals in them, while a chain
+# polynomial is a pair (numerators, den) of a dict of ints and one int
+# den > 0 in lowest terms (gcd(den, every numerator) == 1), so the chain
+# never builds a rational until _chain_poly converts it.
 
 _LANE = 16
-_chain_cache: dict = {}
+_chain_cache: dict = {}  # p -> (x_0..x_{p+1}, y_0..y_n), y_0 None
 
 
 def _pack(exps):
@@ -222,79 +232,96 @@ def _pack(exps):
 
 
 def _unpack(k):
-    out = []
-    while k:
-        out.append(k & ((1 << _LANE) - 1))
-        k >>= _LANE
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    # one unsigned 16-bit ("H") lane per exponent; the top lane is nonzero,
+    # so the tuple has no trailing zeros
+    n = (k.bit_length() + _LANE - 1) // _LANE
+    return struct.unpack(f"<{n}H", k.to_bytes(2 * n, "little"))
 
 
 def _packed(a: SymPolyQ):
     return {_pack(e): c for e, c in a.terms}
 
 
-def _packed_mul(a, b):
-    out = {}
+def _packed_mul(a, b, out=None):
+    """The product a*b of packed dicts, or out += a*b when out is given."""
+    out = {} if out is None else out
+    get = out.get
     items_b = list(b.items())
     for ka, ca in a.items():
         for kb, cb in items_b:
             k = ka + kb
-            c = ca * cb
-            cur = out.get(k)
-            if cur is None:
-                out[k] = c
-            else:
-                cur = cur + c
-                if cur == 0:
-                    del out[k]
-                else:
-                    out[k] = cur
-    return out
+            out[k] = get(k, 0) + ca * cb
+    return _drop_zeros(out)
 
 
-def _packed_add(a, b, scale=None):
+def _packed_add(a, b):
+    """a += b for packed dicts."""
+    get = a.get
     for k, c in b.items():
-        if scale is not None:
-            c = c * scale
-        cur = a.get(k)
-        if cur is None:
-            a[k] = c
-        else:
-            cur = cur + c
-            if cur == 0:
-                del a[k]
-            else:
-                a[k] = cur
+        a[k] = get(k, 0) + c
+    return _drop_zeros(a)
+
+
+def _drop_zeros(d):
+    for k in [k for k, c in d.items() if c == 0]:
+        del d[k]
+    return d
+
+
+def _newton_step(pairs, n):
+    """(1/n) sum_i (-1)^(i-1) a_i b_i for the i-th pair (a_i, b_i) of chain
+    polynomials, a_i the one with few terms.
+
+    Both factors of every product are brought over L = lcm_i den(a_i) den(b_i)
+    by scaling the terms of a_i, so the products and the sum run on ints."""
+    L = math.lcm(*(da * db for (_, da), (_, db) in pairs))
+    acc = {}
+    for i, ((a, da), (b, db)) in enumerate(pairs):
+        s = L // (da * db)
+        if i % 2:
+            s = -s
+        _packed_mul({k: c * s for k, c in a.items()}, b, acc)
+    den = L * n
+    g = math.gcd(den, *acc.values())
+    if g > 1:
+        acc = {k: c // g for k, c in acc.items()}
+        den //= g
+    return acc, den
 
 
 def _chain_dicts(p: int, n_max: int):
-    """x_0..x_{p+1} and y_1..y_{n_max} as packed dicts, cached per p."""
+    """x_0..x_{p+1} and y_1..y_{n_max} as (numerators, den) pairs, cached per p."""
     xs, ys = _chain_cache.get(p, (None, None))
     if xs is None:
-        gens = [{1 << (_LANE * i): QQ(1)} for i in range(p + 1)]
-        xs = [{0: QQ(1)}]
+        gens = [({1 << (_LANE * i): 1}, 1) for i in range(p + 1)]
+        xs = [({0: 1}, 1)]
         for n in range(1, p + 2):
-            acc = {}
-            for i in range(1, n + 1):
-                sign = QQ(1 if i % 2 == 1 else -1, n)
-                _packed_add(acc, _packed_mul(xs[n - i], gens[i - 1]), sign)
-            xs.append(acc)
+            xs.append(_newton_step([(gens[i - 1], xs[n - i]) for i in range(1, n + 1)], n))
         ys = [None] + gens
     while len(ys) <= n_max:
         n = len(ys)
-        acc = {}
-        for i in range(1, p + 2):
-            sign = QQ(1) if i % 2 == 1 else QQ(-1)
-            _packed_add(acc, _packed_mul(xs[i], ys[n - i]), sign)
-        ys.append(acc)
+        ys.append(_newton_step([(xs[i], ys[n - i]) for i in range(1, p + 2)], 1))
     _chain_cache[p] = (xs, ys)
     return xs, ys
 
 
 def _unpacked(d):
     return {_unpack(k): c for k, c in d.items()}
+
+
+def _chain_poly(poly, p=None) -> SymPolyQ:
+    """A (numerators, den) chain polynomial as a SymPolyQ. With p, apply
+    the scaling map: variable i <= p picks up one factor of p per power;
+    variable p+1 is left alone. Monomials keep their exponents."""
+    nums, den = poly
+    terms = []
+    for k, c in nums.items():
+        exps = _unpack(k)
+        if p:
+            c *= p ** sum(exps[:p])
+        terms.append((exps, QQ(c, den)))
+    terms.sort()
+    return SymPolyQ(tuple(terms))
 
 
 def newton_chain(p: int, n_max: int):
@@ -306,19 +333,7 @@ def newton_chain(p: int, n_max: int):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     xs, ys = _chain_dicts(p, max(n_max, p + 1))
-    x_out = tuple(SymPolyQ.from_dict(_unpacked(d)) for d in xs)
-    y_out = tuple(SymPolyQ.from_dict(_unpacked(ys[n])) for n in range(1, n_max + 1))
-    return x_out, y_out
-
-
-def _phi_scale_dict(d, p):
-    """Apply the scaling map: variable i <= p picks up one factor of p per
-    power; variable p+1 is left alone. Monomials keep their exponents."""
-    out = {}
-    for exps, c in d.items():
-        shift = sum(exps[: p])
-        out[exps] = c * QQ(ZZ(p) ** shift) if shift else c
-    return out
+    return tuple(map(_chain_poly, xs)), tuple(map(_chain_poly, ys[1 : n_max + 1]))
 
 
 def phi_image(n: int, p: int) -> SymPolyQ:
@@ -326,7 +341,7 @@ def phi_image(n: int, p: int) -> SymPolyQ:
     if n < 1:
         raise ValueError("n must be >= 1")
     _, ys = _chain_dicts(p, max(n, p + 1))
-    return SymPolyQ.from_dict(_phi_scale_dict(_unpacked(ys[n]), p))
+    return _chain_poly(ys[n], p)
 
 
 def phi_image_x(n: int, p: int) -> SymPolyQ:
@@ -334,7 +349,7 @@ def phi_image_x(n: int, p: int) -> SymPolyQ:
     if not 0 <= n <= p + 1:
         raise ValueError(f"x_n exists for 0 <= n <= {p + 1}")
     xs, _ = _chain_dicts(p, p + 1)
-    return SymPolyQ.from_dict(_phi_scale_dict(_unpacked(xs[n]), p))
+    return _chain_poly(xs[n], p)
 
 
 def sp_to_bivar_mod_p(a: SymPolyQ, p: int) -> BivarPolyModP:

@@ -7,6 +7,7 @@ fast kernel replaced; the differential tests compare the two.
 from __future__ import annotations
 
 from katzexp import QQ
+from katzexp.recurrence import _LANE
 
 
 def schoolbook_mul(ac, bc):
@@ -39,3 +40,39 @@ def bernoulli_even_recurrence(k):
             acc += binom * table[j // 2 + 1]
         table.append(-acc / (m + 1))
     return table
+
+
+def newton_chain_fractions(p, n_max):
+    """x_0..x_{p+1} and y_0..y_{n_max} (y_0 None) of the Newton-identity
+    chain, as dicts from packed exponent vectors (_LANE bits per variable)
+    to nonzero rationals.
+
+    x_n = (1/n) sum_{i=1}^{n} (-1)^(i-1) x_{n-i} y_i for n <= p+1, and
+    y_n = sum_{i=1}^{p+1} (-1)^(i-1) x_i y_{n-i} for n >= p+2.
+    """
+
+    def add_product(acc, scale, a, b):
+        for ka, ca in a.items():
+            ca = scale * ca
+            for kb, cb in b.items():
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + ca * cb
+
+    def nonzero(acc):
+        return {k: c for k, c in acc.items() if c != 0}
+
+    gens = [{1 << (_LANE * i): QQ(1)} for i in range(p + 1)]
+    xs = [{0: QQ(1)}]
+    for n in range(1, p + 2):
+        acc = {}
+        for i in range(1, n + 1):
+            add_product(acc, QQ((-1) ** (i - 1), n), xs[n - i], gens[i - 1])
+        xs.append(nonzero(acc))
+    ys = [None] + gens
+    while len(ys) <= n_max:
+        n = len(ys)
+        acc = {}
+        for i in range(1, p + 2):
+            add_product(acc, QQ((-1) ** (i - 1)), xs[i], ys[n - i])
+        ys.append(nonzero(acc))
+    return xs, ys

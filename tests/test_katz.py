@@ -206,7 +206,7 @@ def test_certify_zero_expansion_passes_everything():
     N = 10
     zero = qs_from_list([QQ(0)] * N)
     ke = katz_split_function(zero, 5, 6)
-    for rho, c in [(QQ(1), QQ(0)), (QQ(5, 6), QQ(0)), (QQ(1, 6), QQ(2))]:
+    for rho, c in [(QQ(1), QQ(0)), (QQ(5, 6), QQ(0)), (QQ(1, 6), QQ(2)), (QQ(0), QQ(0))]:
         assert certify_rate(ke, rho, c).all_pass
 
 

@@ -1,12 +1,15 @@
 """The integer kernels against their slow reference oracles, and their time
 budgets.
 
-qs_mul (Kronecker substitution) is compared with the schoolbook convolution
-and bernoulli (tangent numbers) with the Fraction recurrence; see oracles.py.
+qs_mul (Kronecker substitution) is compared with the schoolbook convolution,
+bernoulli (tangent numbers) with the Fraction recurrence, and the Newton
+chain (int numerators over one denominator) with the Fraction chain; see
+oracles.py.
 """
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 import time
@@ -16,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katzexp import QQ, bernoulli, eisenstein_series, qs_from_list, qs_mul
-from katzexp import classical
-from oracles import bernoulli_even_recurrence, schoolbook_mul
+from katzexp import classical, recurrence
+from oracles import bernoulli_even_recurrence, newton_chain_fractions, schoolbook_mul
 
 # -- qs_mul ---------------------------------------------------------------
 
@@ -101,12 +104,29 @@ def test_bernoulli_matches_recurrence_in_one_call(monkeypatch, oracle_table):
     assert [bernoulli(k) for k in range(0, _ORACLE_K + 1, 2)] == oracle_table
 
 
+# -- the Newton chain -----------------------------------------------------
+
+
+@pytest.mark.parametrize("p, n_max", [(5, 40), (7, 30), (11, 25)])
+def test_chain_matches_fraction_oracle(monkeypatch, p, n_max):
+    monkeypatch.setattr(recurrence, "_chain_cache", {})
+    xs, ys = recurrence._chain_dicts(p, n_max)
+    want_xs, want_ys = newton_chain_fractions(p, n_max)
+    assert len(xs) == len(want_xs) == p + 2
+    assert len(ys) == len(want_ys) == max(n_max, p + 1) + 1
+    for (nums, den), want in zip(xs + ys[1:], want_xs + want_ys[1:]):
+        assert den > 0
+        assert math.gcd(den, *nums.values()) == 1
+        assert {k: QQ(c, den) for k, c in nums.items()} == want
+
+
 # -- time budgets ---------------------------------------------------------
 # About three times the time measured on a 2-CPU x86-64 VM with Python 3.11
 # and the Fraction backend; CHANGES.md records both numbers.
 
 QS_MUL_E4_BUDGET_S = 0.15  # measured 0.04 s
 BERNOULLI_1876_BUDGET_S = 2.2  # measured 0.73 s
+NEWTON_CHAIN_7_30_BUDGET_S = 0.32  # measured 0.105 s
 
 
 def test_qs_mul_e4_squared_at_3750_within_budget():
@@ -127,3 +147,13 @@ def test_bernoulli_1876_within_budget():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
     assert float(proc.stdout) < BERNOULLI_1876_BUDGET_S
+
+
+def test_newton_chain_7_30_within_budget():
+    # a fresh interpreter, so the chain cache starts empty
+    code = (
+        "import time; from katzexp import newton_chain; t0 = time.perf_counter(); "
+        "newton_chain(7, 30); print(time.perf_counter() - t0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert float(proc.stdout) < NEWTON_CHAIN_7_30_BUDGET_S

@@ -455,9 +455,12 @@ def test_cli_usage_error_exits_3():
         (["1", "2"], []),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--prime", "9"]),
         ({"prec": [1], "coeffs": ["1"]}, []),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "3/2"]),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho=-1/6"]),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--offset", "-1"]),
     ],
     ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
-         "prime-9", "prec-list"],
+         "prime-9", "prec-list", "rho-above-1", "rho-negative", "offset-negative"],
 )
 def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra):
     series_file = tmp_path / "f.json"
