@@ -26,6 +26,7 @@ from .recurrence import delta_p
 from .series import (
     QSeries,
     apply_V,
+    qs_inv,
     qs_mul,
     qs_pow,
     qs_reduce_mod,
@@ -86,27 +87,19 @@ def gen_bernoulli_tau(s: int, p: int, M: int, *, guard: int = 2) -> QQ:
         )
     big = ZZ(p) ** (M + guard)
     # t/(e^{pt}-1) = (1/p) * 1/(1 + h) with h = sum_{j>=1} (pt)^j/(j+1)!
-    h = [QQ(0)] + [QQ(ZZ(p) ** j, math.factorial(j + 1)) for j in range(1, s + 1)]
-    inv = [QQ(0)] * (s + 1)
-    inv[0] = QQ(1)
-    for n in range(1, s + 1):
-        acc = QQ(0)
-        for j in range(1, n + 1):
-            acc += h[j] * inv[n - j]
-        inv[n] = -acc
-    total = [QQ(0)] * (s + 1)
+    one_plus_h = (QQ(1),) + tuple(QQ(ZZ(p) ** j, math.factorial(j + 1)) for j in range(1, s + 1))
+    inv = qs_inv(QSeries(one_plus_h)).coeffs
+    total = QQ(0)
     for a in range(1, p):
         chi = QQ(pow(teichmuller(a, p, M + guard), -s, big))
-        apow = QQ(1)
         # chi(a) * e^{at} * (above), coefficient of t^s
-        for n in range(s + 1):
-            coeff = QQ(0)
-            ap = QQ(1)
-            for j in range(n + 1):
-                coeff += ap / math.factorial(j) * inv[n - j]
-                ap = ap * a
-            total[n] += chi * coeff
-    return total[s] * math.factorial(s) / p
+        coeff = QQ(0)
+        ap = QQ(1)
+        for j in range(s + 1):
+            coeff += ap / math.factorial(j) * inv[s - j]
+            ap = ap * a
+        total += chi * coeff
+    return total * math.factorial(s) / p
 
 
 @dataclass(frozen=True)

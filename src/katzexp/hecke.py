@@ -3,7 +3,9 @@ iteration of projector polynomials in U and T_ell.
 
 Operators here act purely on truncated q-expansions. Each application of U
 or T_ell divides the usable precision, so drivers should budget input
-precision backward from the length they need out.
+precision backward from the length they need out. Every weight-0 twist
+f -> op(f * E_{p-1}^n) / E_{p-1}^n goes through one helper, and all products
+are the series core's qs_mul.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from .series import (
     apply_V,
     qs_add,
     qs_mul,
+    qs_one,
     qs_pow,
     qs_scalar_mul,
     qs_truncate,
 )
-
-_ZERO = QQ(0)
 
 
 def hecke_T_ell(f: QSeries, k: int, ell: int, *, p: int | None = None) -> QSeries:
@@ -53,16 +54,19 @@ def hecke_T_ell(f: QSeries, k: int, ell: int, *, p: int | None = None) -> QSerie
     return QSeries(tuple(out))
 
 
+def _twisted(op, f: QSeries, n: int, p: int) -> QSeries:
+    """op(f * E^n) / E^n with E = E_{p-1}: an operator at weight n(p-1)
+    carried into weight 0. The quotient has op's output precision."""
+    E = eisenstein_series(p - 1, f.prec)
+    g = op(qs_mul(f, qs_pow(E, n)))
+    return qs_mul(g, qs_pow(qs_truncate(E, g.prec), -n))
+
+
 def twisted_U(f: QSeries, n: int, p: int) -> QSeries:
     """U twisted into weight 0 by E_{p-1}^n: U(f * E^n) / E^n."""
-    N = f.prec
-    if N < p:
-        raise PrecisionTooLow(f"prec {N} leaves no coefficients after U")
-    if n == 0:
-        return apply_U(f, p)
-    E = eisenstein_series(p - 1, N)
-    g = apply_U(qs_mul(f, qs_pow(E, n)), p)
-    return qs_mul(g, qs_pow(qs_truncate(E, g.prec), -n))
+    if f.prec < p:
+        raise PrecisionTooLow(f"prec {f.prec} leaves no coefficients after U")
+    return _twisted(lambda g: apply_U(g, p), f, n, p)
 
 
 def twisted_T_ell(f: QSeries, ell: int, n: int, p: int) -> QSeries:
@@ -71,10 +75,7 @@ def twisted_T_ell(f: QSeries, ell: int, n: int, p: int) -> QSeries:
         raise EllEqualsP(f"T_{ell} coincides with the working prime; use U")
     if n < 1:
         raise InvalidWeight("twisted T_ell is defined for n >= 1")
-    N = f.prec
-    E = eisenstein_series(p - 1, N)
-    g = hecke_T_ell(qs_mul(f, qs_pow(E, n)), n * (p - 1), ell)
-    return qs_mul(g, qs_pow(qs_truncate(E, g.prec), -n))
+    return _twisted(lambda g: hecke_T_ell(g, n * (p - 1), ell), f, n, p)
 
 
 def t_p_n_one(n: int, p: int, N: int) -> QSeries:
@@ -86,13 +87,13 @@ def t_p_n_one(n: int, p: int, N: int) -> QSeries:
         raise InvalidWeight("defined for n >= 1")
     if N < p:
         raise PrecisionTooLow(f"prec {N} leaves no coefficients after U")
-    E = eisenstein_series(p - 1, N)
-    En = qs_pow(E, n)
-    top = apply_U(En, p)
-    M = top.prec
     scale = QQ(ZZ(p) ** (n * (p - 1) - 1))
-    top = qs_add(top, qs_scalar_mul(scale, qs_truncate(apply_V(En, p), M)))
-    return qs_mul(top, qs_pow(qs_truncate(E, M), -n))
+
+    def t_p(g):
+        top = apply_U(g, p)
+        return qs_add(top, qs_scalar_mul(scale, qs_truncate(apply_V(g, p), top.prec)))
+
+    return _twisted(t_p, qs_one(N), n, p)
 
 
 @dataclass(frozen=True)
@@ -265,55 +266,10 @@ def apply_hpoly(h: HPolynomial, f: QSeries, k: int, p: int) -> QSeries:
     return acc
 
 
-def _u_power_of_product(f: QSeries, g: QSeries, p: int, u: int) -> QSeries:
-    """U^u(f*g) without materializing the full product.
-
-    Only every p^u-th coefficient of f*g survives, so the convolution is
-    evaluated at those strides directly.
-    """
-    stride = p ** u
-    N = min(f.prec, g.prec)
-    M = N // stride
-    if M < 1:
-        raise PrecisionTooLow(f"prec {N} exhausted by U^{u}")
-    fc, gc = f.coeffs, g.coeffs
-    out = []
-    for m in range(M):
-        t = stride * m
-        acc = _ZERO
-        for j in range(t + 1):
-            a = fc[j]
-            if a:
-                b = gc[t - j]
-                if b:
-                    acc = acc + a * b
-        out.append(acc)
-    return QSeries(tuple(out))
-
-
 def apply_hpoly_twisted(h: HPolynomial, f: QSeries, n: int, p: int) -> QSeries:
-    """One step of the twisted projector: H(f * E^n) / E^n.
-
-    U powers are taken through the product directly so the full-precision
-    multiplication f * E^n never happens; T_ell factors act on the short
-    series that comes out.
-    """
-    h.check_p_integral(p)
-    N = f.prec
-    out_prec = N // h.max_divisor(p)
-    if out_prec < 1:
-        raise PrecisionTooLow(f"prec {N} exhausted by {h}")
-    E = eisenstein_series(p - 1, N)
-    En = qs_truncate(qs_pow(E, n), N)
-    acc = None
-    for (u_exp, tells), coeff in h.terms:
-        g = _u_power_of_product(f, En, p, u_exp)
-        for ell, e in tells:
-            for _ in range(e):
-                g = hecke_T_ell(g, n * (p - 1), ell, p=p)
-        g = qs_scalar_mul(coeff, qs_truncate(g, out_prec))
-        acc = g if acc is None else qs_add(acc, g)
-    return qs_mul(acc, qs_pow(qs_truncate(E, acc.prec), -n))
+    """One step of the twisted projector: H(f * E^n) / E^n, with H applied
+    at weight n(p-1). Its T_ell factors commute with U (ell != p)."""
+    return _twisted(lambda g: apply_hpoly(h, g, n * (p - 1), p), f, n, p)
 
 
 def iterate_H(h: HPolynomial, n: int, p: int, iters: int, N: int):
@@ -328,7 +284,7 @@ def iterate_H(h: HPolynomial, n: int, p: int, iters: int, N: int):
     if N < D ** iters:
         raise PrecisionTooLow(f"need N >= {D ** iters} for {iters} steps, got {N}")
     out = []
-    cur = QSeries((QQ(1),) + (_ZERO,) * (N - 1))
+    cur = qs_one(N)
     for _ in range(iters):
         cur = apply_hpoly_twisted(h, cur, n, p)
         out.append(cur)

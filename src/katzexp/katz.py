@@ -21,6 +21,7 @@ from .series import (
     qs_reduce_mod,
     qs_scalar_mul,
     qs_sub,
+    qs_truncate,
     qs_val,
 )
 
@@ -64,16 +65,6 @@ def _window_forms(i, p, N):
     lo, hi = window_bounds(i, p)
     k = i * (p - 1)
     return [miller_form(k, j, N) for j in range(lo, hi)]
-
-
-def _conv_at(a: QSeries, b_coeffs: list, n: int):
-    # coefficient of q^n in a * b, with b given as a plain list
-    s = _ZERO
-    for m in range(n + 1):
-        am = a.coeffs[m]
-        if am != 0 and b_coeffs[n - m] != 0:
-            s += am * b_coeffs[n - m]
-    return s
 
 
 def _combine(forms, coords, N):
@@ -143,26 +134,20 @@ def katz_split_classical(f: QSeries, n: int, p: int, *, window_basis=None) -> Ka
     if N < d_top:
         raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
     E = eisenstein_series(p - 1, N)
+    # window starts grow with the level, so the top level's start serves all
+    invE = qs_inv(qs_truncate(E, window_bounds(n, p)[0]))
     terms = {}
     cur = f
     for i in range(n, 0, -1):
         lo, hi = window_bounds(i, p)
         k_prev = (i - 1) * (p - 1)
+        prev_basis = [miller_form(k_prev, j, N) for j in range(lo)]
         override = window_basis(i, p, N) if window_basis is not None else None
         if override is None:
-            # fast path: B_i elements have q-order >= lo, so split in two steps
-            prev_coeffs = [_ZERO] * N
-            lower = []
-            for j in range(lo):
-                c = cur.coeffs[j] - _conv_at(E, prev_coeffs, j)
-                lower.append(c)
-                if c != 0:
-                    g = miller_form(k_prev, j, N)
-                    for m in range(N):
-                        gm = g.coeffs[m]
-                        if gm != 0:
-                            prev_coeffs[m] += c * gm
-            f_prev = QSeries(tuple(prev_coeffs))
+            # fast path: B_i elements have q-order >= lo, so E * f_prev = cur
+            # mod q^lo fixes f_prev, and b is what remains
+            lower = _match_window(qs_mul(qs_truncate(cur, lo), invE), prev_basis, 0)
+            f_prev = _combine(prev_basis, lower, N)
             b = qs_sub(cur, qs_mul(E, f_prev))
             forms = _window_forms(i, p, N)
             coords = _match_window(b, forms, lo)
@@ -172,7 +157,6 @@ def katz_split_classical(f: QSeries, n: int, p: int, *, window_basis=None) -> Ka
             forms = override
             if len(forms) != hi - lo:
                 raise NotAModularForm("alternative complement has wrong rank")
-            prev_basis = [miller_form(k_prev, j, N) for j in range(lo)]
             cols = [qs_mul(E, g) for g in prev_basis] + list(forms)
             mat = [[col.coeffs[m] for col in cols] for m in range(hi)]
             sol = _gauss_solve(mat, [cur.coeffs[m] for m in range(hi)])

@@ -194,6 +194,11 @@ def _require_prime(p):
         raise UnsupportedPrime("need a prime p >= 5, got %r" % (p,))
 
 
+def _require_max_index(max_index):
+    if max_index < 0:
+        raise ValueError("max_index must be >= 0, got %r" % (max_index,))
+
+
 def _condition_entry(args):
     n, p, label = args
     N = qprec_for_split(p, n)
@@ -433,8 +438,7 @@ def cmd_verify_theorem(
     started = time.perf_counter()
     theorem = theorem.upper()
     _require_prime(p)
-    if max_index < 0:
-        raise ValueError("max_index must be >= 0")
+    _require_max_index(max_index)
     rows = {param: row for (thm, param), row in THEOREMS.items() if thm == theorem}
     if not rows:
         raise ValueError("unknown theorem %r" % (theorem,))
@@ -486,6 +490,7 @@ def cmd_katz(f, p, max_index, *, rho=None, c=0) -> RunReport:
     """Split a weight-0 q-series and certify one rate (default p/(p+1))."""
     started = time.perf_counter()
     _require_prime(p)
+    _require_max_index(max_index)
     if rho is None:
         rho = QQ(p, p + 1)
     ke = katz_split_function(f, p, max_index)

@@ -1,13 +1,16 @@
 """Slow reference oracles for the integer kernels in katzexp.
 
 Each function is the plain textbook algorithm, in exact rationals, that a
-fast kernel replaced; the differential tests compare the two.
+fast kernel or a rerouted product replaced; the differential tests compare
+the two.
 """
 
 from __future__ import annotations
 
 from katzexp import QQ
+from katzexp.errors import PrecisionTooLow
 from katzexp.recurrence import _LANE
+from katzexp.series import QSeries
 
 
 def schoolbook_mul(ac, bc):
@@ -23,6 +26,32 @@ def schoolbook_mul(ac, bc):
             if bj != 0:
                 out[i + j] += ai * bj
     return tuple(out)
+
+
+def strided_u_product(f: QSeries, g: QSeries, p: int, u: int) -> QSeries:
+    """U^u(f*g) without materializing the full product.
+
+    Only every p^u-th coefficient of f*g survives, so the convolution is
+    evaluated at those strides directly.
+    """
+    stride = p ** u
+    N = min(f.prec, g.prec)
+    M = N // stride
+    if M < 1:
+        raise PrecisionTooLow(f"prec {N} exhausted by U^{u}")
+    fc, gc = f.coeffs, g.coeffs
+    out = []
+    for m in range(M):
+        t = stride * m
+        acc = QQ(0)
+        for j in range(t + 1):
+            a = fc[j]
+            if a:
+                b = gc[t - j]
+                if b:
+                    acc = acc + a * b
+        out.append(acc)
+    return QSeries(tuple(out))
 
 
 def bernoulli_even_recurrence(k):

@@ -1,0 +1,43 @@
+"""The BENCH snapshot tool's parser, on canned perfbench output (perfbench
+itself is never run here)."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_snapshot.py")
+_spec = importlib.util.spec_from_file_location("bench_snapshot", _PATH)
+bench_snapshot = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_snapshot)
+
+META = {"backend": "fractions", "commit": "abc123", "nproc": 2, "python": "3.11.7", "src_lines": 2583}
+FINAL = {
+    "correct": True,
+    "attempted": 42,
+    "failed": 0,
+    "metrics": {
+        "family.run_s": {"value": 0.61, "unit": "s"},
+        "condition.peak_rss_mb": {"value": 22.5, "unit": "MB"},
+    },
+}
+
+
+def test_parse_run_output_reads_meta_and_final_line():
+    text = "meta %s\n%s\n" % (json.dumps(META, sort_keys=True), json.dumps(FINAL))
+    got = bench_snapshot.parse_run_output(text)
+    assert got == dict(
+        META,
+        correct=True,
+        attempted=42,
+        failed=0,
+        metrics={"condition.peak_rss_mb": 22.5, "family.run_s": 0.61},
+    )
+
+
+def test_parse_run_output_rejects_output_without_meta():
+    with pytest.raises(ValueError):
+        bench_snapshot.parse_run_output(json.dumps(FINAL) + "\n")

@@ -17,7 +17,6 @@ from katzexp.family import eis_ratio
 from katzexp.hecke import (
     HPolynomial,
     U_POLY,
-    apply_hpoly,
     apply_hpoly_twisted,
     hecke_T_ell,
     iterate_H,
@@ -39,6 +38,7 @@ from katzexp.series import (
     qs_scalar_mul,
 )
 from katzexp._rational import val
+from oracles import strided_u_product
 
 
 def const_one(N):
@@ -274,15 +274,29 @@ def test_stock_projectors():
 # ---------------------------------------------------------------- iteration
 
 
+def strided_twisted(h, f, n, p):
+    """H(f * E^n) / E^n by the oracle: U^u through the product first, then
+    the T_ell factors, the reverse of apply_hpoly's order."""
+    N = f.prec
+    E = eisenstein_series(p - 1, N)
+    out_prec = N // h.max_divisor(p)
+    acc = None
+    for (u_exp, tells), coeff in h.terms:
+        g = strided_u_product(f, qs_pow(E, n), p, u_exp)
+        for ell, e in tells:
+            for _ in range(e):
+                g = hecke_T_ell(g, n * (p - 1), ell, p=p)
+        g = qs_scalar_mul(coeff, qs_truncate(g, out_prec))
+        acc = g if acc is None else qs_add(acc, g)
+    return qs_mul(acc, qs_pow(qs_truncate(E, out_prec), -n))
+
+
 def test_apply_hpoly_matches_twisted_fast_path():
     rng = random.Random(7)
-    h = parse_hpoly("11*U*(U+5)")
-    f = rand_series(rng, 360, den=4)
-    E = eisenstein_series(12, 360)
-    slow = apply_hpoly(h, qs_mul(f, E), 12, 13)
-    slow = qs_mul(slow, qs_pow(qs_truncate(E, slow.prec), -1))
-    fast = apply_hpoly_twisted(h, f, 1, 13)
-    assert slow.coeffs == fast.coeffs
+    for text, n, p, N in [("11*U*(U+5)", 1, 13, 360), ("U*T2", 2, 5, 200), ("U*(U+3*T2)", 1, 7, 300)]:
+        h = parse_hpoly(text)
+        f = rand_series(rng, N, den=4)
+        assert apply_hpoly_twisted(h, f, n, p).coeffs == strided_twisted(h, f, n, p).coeffs, text
 
 
 def test_iterate_H_matches_composed_twisted_U():

@@ -23,6 +23,7 @@ from katzexp import (
 from katzexp.errors import NotAModularForm, PrecisionTooLow
 from katzexp.katz import (
     KatzExpansion,
+    _window_forms,
     certify_rate,
     expand_in_hauptmodul,
     hauptmodul_valuations,
@@ -32,6 +33,7 @@ from katzexp.katz import (
     reconstruct,
     window_bounds,
 )
+from katzexp.reports import qprec_for_split
 from katzexp.series import apply_V, qs_div, qs_scalar_mul
 
 C1 = QQ(-340364160000, 236364091)
@@ -190,6 +192,17 @@ def test_alternative_complement_gives_same_certificate():
         assert ca.first_failure == cs.first_failure
     e6 = qs_pow(eisenstein_series(4, 12), 6)
     assert qs_mul(reconstruct(ke_alt, 12), e6).coeffs == f.coeffs
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_split_fast_path_matches_dense_solve(p):
+    # the stock forms given as window_basis force the dense joint solve at
+    # every level, the reference for the triangular fast path
+    for n in range(1, p + 1):
+        f = eisenstein_series(n * (p - 1), qprec_for_split(p, n))
+        assert katz_split_classical(f, n, p) == katz_split_classical(
+            f, n, p, window_basis=_window_forms
+        ), n
 
 
 def test_certify_e6_function_examples():

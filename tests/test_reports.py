@@ -447,28 +447,31 @@ def test_cli_usage_error_exits_3():
 
 
 @pytest.mark.parametrize(
-    "content, extra",
+    "content, extra, message",
     [
-        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "1/0"]),
-        ({"prec": 2, "coeffs": ["1", "2/0"]}, []),
-        ({"prec": 2}, []),
-        (["1", "2"], []),
-        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--prime", "9"]),
-        ({"prec": [1], "coeffs": ["1"]}, []),
-        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "3/2"]),
-        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho=-1/6"]),
-        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--offset", "-1"]),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "1/0"], "error:"),
+        ({"prec": 2, "coeffs": ["1", "2/0"]}, [], "error:"),
+        ({"prec": 2}, [], "error:"),
+        (["1", "2"], [], "error:"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--prime", "9"], "error:"),
+        ({"prec": [1], "coeffs": ["1"]}, [], "error:"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "3/2"], "error:"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho=-1/6"], "error:"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--offset", "-1"], "error:"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--max-index=-1"],
+         "error: max_index must be >= 0, got -1"),
     ],
     ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
-         "prime-9", "prec-list", "rho-above-1", "rho-negative", "offset-negative"],
+         "prime-9", "prec-list", "rho-above-1", "rho-negative", "offset-negative",
+         "max-index-negative"],
 )
-def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra):
+def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra, message):
     series_file = tmp_path / "f.json"
     series_file.write_text(json.dumps(content))
     args = ["katz", "--input", str(series_file), "--prime", "5", "--max-index", "1"]
     code, _, err = run_cli(args + extra, capsys)
     assert code == 3
-    assert err.startswith("error:")
+    assert err.startswith(message)
     assert "Traceback" not in err
 
 

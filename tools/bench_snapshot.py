@@ -1,0 +1,66 @@
+"""Write one BENCH_<pr>.json: the end-to-end perfbench metrics of every
+workload, with the machine and the source they were measured on.
+
+Run from the root of a checkout, on a committed tree so that the recorded
+commit is the code that was measured:
+
+    python3 tools/bench_snapshot.py --pr 6 --seed 1
+
+It runs `python3 perfbench/run.py --workload all --seed S --seconds T`, with
+T the `run_seconds` of BENCHMARK.json, and reads two lines of its output:
+the `meta` line (backend, Python version, CPU count, commit, src/ lines) and
+the final JSON line (the `<workload>.<metric>` values).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+
+def parse_run_output(text: str) -> dict:
+    """The snapshot fields from perfbench/run.py's output: its `meta` line
+    and, from its last line, the request counts and each metric's value."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    metas = [line for line in lines if line.startswith("meta ")]
+    if not metas or not lines[-1].startswith("{"):
+        raise ValueError("perfbench output lacks its meta line or final JSON line")
+    final = json.loads(lines[-1])
+    snapshot = json.loads(metas[0][len("meta "):])
+    snapshot.update(
+        correct=final["correct"],
+        attempted=final["attempted"],
+        failed=final["failed"],
+        metrics={name: m["value"] for name, m in final["metrics"].items()},
+    )
+    return snapshot
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", type=int, required=True, help="names the file BENCH_<pr>.json")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    with open("BENCHMARK.json", encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
+           "--seed", str(args.seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        return proc.returncode
+    snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
+    path = os.path.join(os.getcwd(), "BENCH_%d.json" % args.pr)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(snapshot, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("wrote %s" % path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
