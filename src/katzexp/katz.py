@@ -2,7 +2,11 @@
 
 A weight-0 function f decomposes as f = sum_i b_i / E_{p-1}^i where b_i lives
 in a fixed complement B_i of the E_{p-1}-multiples inside the weight-i(p-1)
-space. The coefficient valuations v_p(b_i) quantify overconvergence; a
+space. One greedy loop computes every split: b_i is read off the window
+[d_{(i-1)(p-1)}, d_{i(p-1)}) of the running remainder by triangular
+elimination against the Miller forms, and what is left is multiplied up by
+E_{p-1} (Lauder, "Computations with classical and p-adic modular forms",
+2011). The coefficient valuations v_p(b_i) quantify overconvergence; a
 RateCertificate records the exact per-index comparison v_p(b_i) >= rho*i - c.
 """
 
@@ -18,10 +22,10 @@ from .series import (
     qs_inv,
     qs_mul,
     qs_one,
+    qs_pow,
     qs_reduce_mod,
     qs_scalar_mul,
     qs_sub,
-    qs_truncate,
     qs_val,
 )
 
@@ -95,96 +99,53 @@ def _match_window(cur: QSeries, forms, lo: int):
     return tuple(coords)
 
 
-def _gauss_solve(mat, rhs):
-    n = len(rhs)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise NotAModularForm("singular window system; not a complement basis")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / QQ(m[col][col])
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
+def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
+    """The greedy split loop. At each level i = 0..I, b_i is read off the
+    window [lo_i, hi_i) of the running remainder r_i and subtracted, and the
+    rest is multiplied up by E (reduced mod modulus, if given) to give
+    r_{i+1}. Returns the terms 0..I and the final remainder r_I - b_I."""
+    N = r.prec
+    terms = []
+    for i in range(I + 1):
+        if i:
+            r = qs_mul(r, E)
+            if modulus is not None:
+                r = qs_reduce_mod(r, modulus)
+        lo, hi = window_bounds(i, p)
+        forms = _window_forms(i, p, N)
+        coords = _match_window(r, forms, lo)
+        b = _combine(forms, coords, N)
+        terms.append(KatzTerm(i, b, coords, qs_val(b, p), (lo, hi), hi == lo))
+        r = qs_sub(r, b)
+    return tuple(terms), r
 
 
-def _make_term(i, p, b: QSeries, coords, lo, hi):
-    return KatzTerm(i, b, tuple(coords), qs_val(b, p), (lo, hi), hi == lo)
-
-
-def katz_split_classical(f: QSeries, n: int, p: int, *, window_basis=None) -> KatzExpansion:
+def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
     """Finite decomposition of a genuine weight-n(p-1) form.
 
-    Works down from the top weight: at each level the E_{p-1}-multiple is
-    peeled off by triangular elimination against the next Miller basis down,
-    and the remainder is the B_i component. Raises NotAModularForm when the
-    input does not actually lie in the weight-n(p-1) space.
-
-    window_basis, if given, is a callable (i, p, N) -> list of forms spanning
-    an alternative complement at level i, or None to keep the default forms
-    there; overridden levels use a dense solve.
+    The terms are those of the greedy split of f / E_{p-1}^n through index
+    n. Its final remainder is f - sum_i b_i E_{p-1}^(n-i) mod q^N, which
+    vanishes exactly when f lies in the weight-n(p-1) span; otherwise
+    NotAModularForm is raised.
     """
-    k_top = n * (p - 1)
-    d_top = dim_weight(k_top)[0]
+    d_top = dim_weight(n * (p - 1))[0]
     N = f.prec
     if N < d_top:
         raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
     E = eisenstein_series(p - 1, N)
-    # window starts grow with the level, so the top level's start serves all
-    invE = qs_inv(qs_truncate(E, window_bounds(n, p)[0]))
-    terms = {}
-    cur = f
-    for i in range(n, 0, -1):
-        lo, hi = window_bounds(i, p)
-        k_prev = (i - 1) * (p - 1)
-        prev_basis = [miller_form(k_prev, j, N) for j in range(lo)]
-        override = window_basis(i, p, N) if window_basis is not None else None
-        if override is None:
-            # fast path: B_i elements have q-order >= lo, so E * f_prev = cur
-            # mod q^lo fixes f_prev, and b is what remains
-            lower = _match_window(qs_mul(qs_truncate(cur, lo), invE), prev_basis, 0)
-            f_prev = _combine(prev_basis, lower, N)
-            b = qs_sub(cur, qs_mul(E, f_prev))
-            forms = _window_forms(i, p, N)
-            coords = _match_window(b, forms, lo)
-            residual = qs_sub(b, _combine(forms, coords, N))
-        else:
-            # joint solve: alternative complements need not sit above q^lo
-            forms = override
-            if len(forms) != hi - lo:
-                raise NotAModularForm("alternative complement has wrong rank")
-            cols = [qs_mul(E, g) for g in prev_basis] + list(forms)
-            mat = [[col.coeffs[m] for col in cols] for m in range(hi)]
-            sol = _gauss_solve(mat, [cur.coeffs[m] for m in range(hi)])
-            lower, coords = sol[:lo], sol[lo:]
-            f_prev = _combine(prev_basis, lower, N)
-            b = _combine(forms, coords, N)
-            residual = qs_sub(qs_sub(cur, qs_mul(E, f_prev)), b)
-        if any(x != 0 for x in residual.coeffs):
-            raise NotAModularForm(
-                f"residue outside the weight-{i * (p - 1)} basis span at level {i}"
-            )
-        terms[i] = _make_term(i, p, b, coords, lo, hi)
-        cur = f_prev
-    if any(x != 0 for x in cur.coeffs[1:]):
-        raise NotAModularForm("weight-0 remainder is not constant")
-    c0 = cur.coeffs[0]
-    b0 = QSeries((c0,) + (_ZERO,) * (N - 1))
-    terms[0] = _make_term(0, p, b0, (c0,), 0, 1)
-    ordered = tuple(terms[i] for i in range(n + 1))
-    return KatzExpansion(p, n, ordered, n, INF)
+    terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, n, None)
+    if any(x != 0 for x in rest.coeffs):
+        raise NotAModularForm(f"input is not in the weight-{n * (p - 1)} span mod q^{N}")
+    return KatzExpansion(p, n, terms, n, INF)
 
 
 def katz_split_function(f: QSeries, p: int, I: int, *, pprec=INF) -> KatzExpansion:
     """Greedy decomposition of a weight-0 function through index I.
 
     b_i is read off from the coefficient window [d_{(i-1)(p-1)}, d_{i(p-1)})
-    of the running remainder, which is then multiplied back up by E_{p-1}.
-    The reconstruction sum b_i / E_{p-1}^i matches f on q^0..q^(d_{I(p-1)}-1).
+    of the running remainder, which is then multiplied back up by E_{p-1};
+    katz_split_classical runs the same loop. The reconstruction sum
+    b_i / E_{p-1}^i matches f on q^0..q^(d_{I(p-1)}-1).
 
     pprec: p-adic working precision of the input coefficients (integers mod
     p^pprec); recorded as effective_pprec so downstream certificates know
@@ -196,19 +157,8 @@ def katz_split_function(f: QSeries, p: int, I: int, *, pprec=INF) -> KatzExpansi
         raise PrecisionTooLow(f"max index {I} needs {d_need} coefficients, got {N}")
     E = eisenstein_series(p - 1, N)
     modulus = None if pprec == INF else p ** int(pprec)
-    r = f
-    terms = []
-    for i in range(I + 1):
-        lo, hi = window_bounds(i, p)
-        forms = _window_forms(i, p, N)
-        coords = _match_window(r, forms, lo)
-        b = _combine(forms, coords, N)
-        terms.append(_make_term(i, p, b, coords, lo, hi))
-        if i < I:
-            r = qs_mul(qs_sub(r, b), E)
-            if modulus is not None:
-                r = qs_reduce_mod(r, modulus)
-    return KatzExpansion(p, 0, tuple(terms), I, pprec)
+    terms, _ = _peel(f, E, p, I, modulus)
+    return KatzExpansion(p, 0, terms, I, pprec)
 
 
 def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:

@@ -216,6 +216,8 @@ def _condition_sweep(targets, jobs, budget_seconds, started):
     and the pool is terminated, dropping targets still pending or running, so
     a sweep is either complete or absent, never truncated.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1, got %r" % (jobs,))
     pool = multiprocessing.get_context("spawn").Pool(jobs) if jobs > 1 else None
     entries = (pool.imap if pool else map)(_condition_entry, targets)
     results = []
@@ -342,6 +344,8 @@ def cmd_reproduce_examples() -> RunReport:
 
 def _family_targets(s, p, max_index, pprec):
     """V(g)/g mod p^pprec for the weight-0 family member g at s."""
+    if pprec < 1:
+        raise PrecisionTooLow("pprec must be >= 1, got %r" % (pprec,))
     N = max(50, qprec_for_split(p, max_index))
     g = estar_family(s, p, N, pprec).series
     return N, pprec, [qs_reduce_mod(_vratio(g, p), p ** pprec)]
@@ -362,7 +366,9 @@ def _ladder_targets(n, p, max_index, pprec):
 
 
 def _digit_sum_gate(what, m, p, *, below=False):
-    """delta_p(m) must equal p-1, or stay below it."""
+    """m >= 1, and delta_p(m) must equal p-1, or stay below it."""
+    if m < 1:
+        raise InvalidWeight("%s must be >= 1, got %d" % (what, m))
     gate = delta_p(m, p)
     if (gate < p - 1) if below else (gate == p - 1):
         return

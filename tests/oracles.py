@@ -1,16 +1,23 @@
 """Slow reference oracles for the integer kernels in katzexp.
 
 Each function is the plain textbook algorithm, in exact rationals, that a
-fast kernel or a rerouted product replaced; the differential tests compare
-the two.
+fast kernel, a rerouted product or the greedy Katz split replaced; the
+differential tests compare the two.
 """
 
 from __future__ import annotations
 
-from katzexp import QQ
-from katzexp.errors import PrecisionTooLow
+from katzexp import QQ, dim_weight, eisenstein_series, miller_form
+from katzexp.errors import NotAModularForm, PrecisionTooLow
+from katzexp.katz import (
+    KatzExpansion,
+    KatzTerm,
+    _combine,
+    _window_forms,
+    window_bounds,
+)
 from katzexp.recurrence import _LANE
-from katzexp.series import QSeries
+from katzexp.series import QSeries, qs_mul, qs_sub, qs_val
 
 
 def schoolbook_mul(ac, bc):
@@ -105,3 +112,63 @@ def newton_chain_fractions(p, n_max):
             add_product(acc, QQ((-1) ** (i - 1)), xs[i], ys[n - i])
         ys.append(nonzero(acc))
     return xs, ys
+
+
+def _gauss_solve(mat, rhs):
+    n = len(rhs)
+    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise NotAModularForm("singular window system; not a complement basis")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / QQ(m[col][col])
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return tuple(m[r][n] for r in range(n))
+
+
+def split_dense(f: QSeries, n: int, p: int, window_basis=_window_forms) -> KatzExpansion:
+    """Top-down split of a weight-n(p-1) form by one dense solve per level.
+
+    At level i = n..1 the remainder cur (weight i(p-1)) is solved jointly as
+    E_{p-1} * f_prev + b, with f_prev in the Miller basis of weight
+    (i-1)(p-1) and b in the span of window_basis(i, p, N); a callable that
+    returns None at a level keeps the Miller window forms there. Any
+    residual, or a nonconstant weight-0 remainder, raises NotAModularForm.
+    """
+    N = f.prec
+    d_top = dim_weight(n * (p - 1))[0]
+    if N < d_top:
+        raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
+    E = eisenstein_series(p - 1, N)
+    terms = {}
+    cur = f
+    for i in range(n, 0, -1):
+        lo, hi = window_bounds(i, p)
+        prev_basis = [miller_form((i - 1) * (p - 1), j, N) for j in range(lo)]
+        forms = window_basis(i, p, N)
+        if forms is None:
+            forms = _window_forms(i, p, N)
+        if len(forms) != hi - lo:
+            raise NotAModularForm("alternative complement has wrong rank")
+        cols = [qs_mul(E, g) for g in prev_basis] + list(forms)
+        mat = [[col.coeffs[m] for col in cols] for m in range(hi)]
+        sol = _gauss_solve(mat, [cur.coeffs[m] for m in range(hi)])
+        lower, coords = sol[:lo], sol[lo:]
+        f_prev = _combine(prev_basis, lower, N)
+        b = _combine(forms, coords, N)
+        residual = qs_sub(qs_sub(cur, qs_mul(E, f_prev)), b)
+        if any(x != 0 for x in residual.coeffs):
+            raise NotAModularForm(f"residue outside the weight-{i * (p - 1)} span at level {i}")
+        terms[i] = KatzTerm(i, b, coords, qs_val(b, p), (lo, hi), hi == lo)
+        cur = f_prev
+    if any(x != 0 for x in cur.coeffs[1:]):
+        raise NotAModularForm("weight-0 remainder is not constant")
+    c0 = cur.coeffs[0]
+    b0 = QSeries((c0,) + (QQ(0),) * (N - 1))
+    terms[0] = KatzTerm(0, b0, (c0,), qs_val(b0, p), (0, 1), False)
+    return KatzExpansion(p, n, tuple(terms[i] for i in range(n + 1)), n)

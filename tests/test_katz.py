@@ -14,6 +14,7 @@ from katzexp import (
     QQ,
     delta_series,
     eisenstein_series,
+    miller_form,
     qs_from_list,
     qs_mul,
     qs_pow,
@@ -21,9 +22,9 @@ from katzexp import (
     qs_val,
 )
 from katzexp.errors import NotAModularForm, PrecisionTooLow
+from katzexp import katz
 from katzexp.katz import (
     KatzExpansion,
-    _window_forms,
     certify_rate,
     expand_in_hauptmodul,
     hauptmodul_valuations,
@@ -35,6 +36,7 @@ from katzexp.katz import (
 )
 from katzexp.reports import qprec_for_split
 from katzexp.series import apply_V, qs_div, qs_scalar_mul
+from oracles import split_dense
 
 C1 = QQ(-340364160000, 236364091)
 C2 = QQ(30710845440000, 236364091)
@@ -109,10 +111,28 @@ def test_greedy_reconstruct_on_warranted_prefix():
 
 
 def test_not_a_modular_form():
-    f = eisenstein_series(24, 8)
-    bad = qs_from_list([c + (1 if i == 5 else 0) for i, c in enumerate(f.coeffs)])
-    with pytest.raises(NotAModularForm):
-        katz_split_classical(bad, 6, 5)
+    # a change to any one coefficient, inside or above the windows, leaves
+    # the weight-k span
+    for k, n, p, N in [(24, 6, 5, 10), (48, 3, 17, 8)]:
+        f = eisenstein_series(k, N)
+        for m in range(N):
+            bad = qs_from_list([c + (1 if i == m else 0) for i, c in enumerate(f.coeffs)])
+            with pytest.raises(NotAModularForm):
+                katz_split_classical(bad, n, p)
+
+
+def test_split_builds_each_miller_form_once(monkeypatch):
+    calls = []
+
+    def counted(k, j, N):
+        calls.append((k, j, N))
+        return miller_form(k, j, N)
+
+    monkeypatch.setattr(katz, "miller_form", counted)
+    for n in range(1, 14):
+        calls.clear()
+        katz_split_classical(eisenstein_series(12 * n, qprec_for_split(13, n)), n, 13)
+        assert calls and len(calls) == len(set(calls)), n
 
 
 def test_split_precision_too_low():
@@ -181,7 +201,7 @@ def test_alternative_complement_gives_same_certificate():
 
     f = eisenstein_series(24, 12)
     ke_std = katz_split_classical(f, 6, 5)
-    ke_alt = katz_split_classical(f, 6, 5, window_basis=alt_basis)
+    ke_alt = split_dense(f, 6, 5, window_basis=alt_basis)
     assert ke_alt.valuations() == ke_std.valuations()
     assert ke_alt.term(3).miller_coords == ke_std.term(3).miller_coords
     assert ke_alt.term(6).miller_coords == ke_std.term(6).miller_coords
@@ -195,14 +215,11 @@ def test_alternative_complement_gives_same_certificate():
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_split_fast_path_matches_dense_solve(p):
-    # the stock forms given as window_basis force the dense joint solve at
-    # every level, the reference for the triangular fast path
+def test_greedy_split_matches_dense_solve(p):
+    # the top-down dense joint solve is the reference for the greedy peel
     for n in range(1, p + 1):
         f = eisenstein_series(n * (p - 1), qprec_for_split(p, n))
-        assert katz_split_classical(f, n, p) == katz_split_classical(
-            f, n, p, window_basis=_window_forms
-        ), n
+        assert katz_split_classical(f, n, p) == split_dense(f, n, p), n
 
 
 def test_certify_e6_function_examples():

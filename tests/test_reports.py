@@ -486,6 +486,40 @@ def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--id", "A", "--pprec", "0"], "error: pprec must be >= 1, got 0"),
+        (["--id", "A", "--pprec", "-2"], "error: pprec must be >= 1, got -2"),
+        (["--id", "F", "--s", "1", "--pprec", "0"], "error: pprec must be >= 1, got 0"),
+        (["--id", "F", "--s", "-1"], "error: s must be >= 1, got -1"),
+        (["--id", "F", "--s", "0"], "error: s must be >= 1, got 0"),
+    ],
+    ids=["A-pprec-0", "A-pprec-negative", "F-pprec-0", "F-s-negative", "F-s-0"],
+)
+def test_cli_bad_theorem_input_exits_3(capsys, extra, message):
+    code, out, err = run_cli(
+        ["verify-theorem", "--prime", "5", "--max-index", "3"] + extra, capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--prime", "5", "--jobs", "0"], ["--prime", "5", "--jobs", "-3"],
+     ["--extended", "--prime", "7", "--jobs", "0"]],
+    ids=["jobs-0", "jobs-negative", "extended-jobs-0"],
+)
+def test_cli_check_condition_rejects_jobs_below_one(capsys, extra):
+    code, out, err = run_cli(["check-condition"] + extra, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: jobs must be >= 1, got %s" % extra[-1])
+
+
 def test_cli_missing_input_file(capsys):
     code, _, err = run_cli(
         ["katz", "--input", "/nonexistent/f.json", "--prime", "5",
