@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 
@@ -34,6 +35,11 @@ EXIT_CODES = {STATUS_CERTIFIED: 0, STATUS_FAILED: 1, STATUS_INCONCLUSIVE: 2}
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage, which collides with "inconclusive"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1/6 is a negative rational, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

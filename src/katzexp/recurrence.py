@@ -1,14 +1,12 @@
 """Digit sums, the mod-p two-term recurrence in A and B, deep-recurrence
 lifting, and the Newton-identity chain with its scaling homomorphism.
 
-Two polynomial representations live here. BivarPolyModP is a sparse
-bivariate polynomial over F_p. SymPolyQ is a sparse rational polynomial in
-the variables y_1..y_{p+1} (or t_1..t_{p+1} after applying the scaling
-map); exponent vectors are stored with trailing zeros trimmed.
-
-The Newton chain behind newton_chain and phi_image is built on ints: each
-chain polynomial is a dict of integer numerators over one positive integer
-denominator, and becomes a SymPolyQ only when it is returned.
+There is one rational polynomial type, SymPolyQ, plus the F_p target ring
+BivarPolyModP, a sparse bivariate polynomial over F_p. A SymPolyQ is a
+polynomial in y_1..y_{p+1} (or t_1..t_{p+1} after the scaling map) stored
+as int numerators over one int denominator, keyed by packed exponent
+vectors; the Newton chain builds, caches and returns SymPolyQs directly, so
+its products and sums run on ints.
 """
 
 from __future__ import annotations
@@ -16,8 +14,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from ._rational import QQ, int_val
+from ._rational import int_val
 from .errors import InsufficientLength
 
 
@@ -136,87 +135,11 @@ def deep_recurrence_verify(p, r, coeffs, seq, t) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sparse rational polynomials in y_1..y_{p+1}
+# sparse rational polynomials: the Newton chain and the diagonal scaling map
 
-
-@dataclass(frozen=True)
-class SymPolyQ:
-    terms: tuple  # sorted (exponent tuple, QQ), trailing zeros trimmed
-
-    @classmethod
-    def from_dict(cls, d):
-        clean = []
-        for exps, c in d.items():
-            if c == 0:
-                continue
-            while exps and exps[-1] == 0:
-                exps = exps[:-1]
-            clean.append((exps, c))
-        return cls(tuple(sorted(clean)))
-
-    @classmethod
-    def const(cls, c):
-        return cls.from_dict({(): QQ(c)})
-
-    @classmethod
-    def gen(cls, i):
-        """The variable with 1-based index i."""
-        e = (0,) * (i - 1) + (1,)
-        return cls.from_dict({e: QQ(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def to_json(self):
-        return [[list(e), str(c)] for e, c in self.terms]
-
-    def min_coeff_val(self, p):
-        vals = [int_val(c.numerator, p) - int_val(c.denominator, p) for _, c in self.terms]
-        return min(vals) if vals else None
-
-
-def sp_add(a: SymPolyQ, b: SymPolyQ) -> SymPolyQ:
-    d = _packed(a)
-    _packed_add(d, _packed(b))
-    return SymPolyQ.from_dict(_unpacked(d))
-
-
-def sp_scale(c, a: SymPolyQ) -> SymPolyQ:
-    c = QQ(c)
-    return SymPolyQ.from_dict({e: c * v for e, v in a.terms})
-
-
-def sp_mul(a: SymPolyQ, b: SymPolyQ) -> SymPolyQ:
-    top = sum(max((max(e, default=0) for e, _ in x.terms), default=0) for x in (a, b))
-    if top >= 1 << _LANE:
-        raise ValueError(f"exponent sum {top} overflows a {_LANE}-bit lane")
-    return SymPolyQ.from_dict(_unpacked(_packed_mul(_packed(a), _packed(b))))
-
-
-def sp_eval(a: SymPolyQ, values) -> QQ:
-    """Evaluate at rational values for the 1-based variables."""
-    total = QQ(0)
-    for exps, c in a.terms:
-        term = c
-        for i, e in enumerate(exps):
-            if e:
-                term = term * values[i] ** e
-        total = total + term
-    return total
-
-
-# ---------------------------------------------------------------------------
-# the Newton-identity chain and the diagonal scaling map
-
-# Chain polynomials, and SymPolyQ products and sums, multiply by adding
-# exponent vectors, so internally each vector is packed into one integer
-# with 16-bit lanes: vector addition becomes a single integer addition.
-# _pack refuses an exponent a lane cannot hold, and sp_mul refuses a product
-# whose exponent sums would carry into the next lane. The packed dicts are
-# generic in their values: SymPolyQ keeps rationals in them, while a chain
-# polynomial is a pair (numerators, den) of a dict of ints and one int
-# den > 0 in lowest terms (gcd(den, every numerator) == 1), so the chain
-# never builds a rational until _chain_poly converts it.
+# Chain polynomials multiply by adding exponent vectors, so each vector is
+# packed into one integer with 16-bit lanes: vector addition becomes a
+# single integer addition. _pack refuses an exponent a lane cannot hold.
 
 _LANE = 16
 _chain_cache: dict = {}  # p -> (x_0..x_{p+1}, y_0..y_n), y_0 None
@@ -238,63 +161,67 @@ def _unpack(k):
     return struct.unpack(f"<{n}H", k.to_bytes(2 * n, "little"))
 
 
-def _packed(a: SymPolyQ):
-    return {_pack(e): c for e, c in a.terms}
+@dataclass(frozen=True)
+class SymPolyQ:
+    """sum_k terms[k] / den * y^_unpack(k) in y_1..y_{p+1} (t_1..t_{p+1}
+    after the scaling map), with terms a read-only map from packed exponent
+    vectors to nonzero int numerators.
+
+    Kept in lowest terms: den > 0 and gcd(den, every numerator) == 1, so p
+    divides den exactly when some coefficient is not p-integral.
+    """
+
+    terms: MappingProxyType
+    den: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.terms, MappingProxyType):
+            object.__setattr__(self, "terms", MappingProxyType(self.terms))
+
+    def min_coeff_val(self, p):
+        if not self.terms:
+            return None
+        return min(int_val(c, p) for c in self.terms.values()) - int_val(self.den, p)
 
 
-def _packed_mul(a, b, out=None):
-    """The product a*b of packed dicts, or out += a*b when out is given."""
-    out = {} if out is None else out
-    get = out.get
-    items_b = list(b.items())
-    for ka, ca in a.items():
-        for kb, cb in items_b:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return _drop_zeros(out)
+def _lowest(nums, den) -> SymPolyQ:
+    """nums/den as a SymPolyQ: zero numerators dropped, one gcd divided out."""
+    nums = {k: c for k, c in nums.items() if c}
+    g = math.gcd(den, *nums.values())
+    if g > 1:
+        nums = {k: c // g for k, c in nums.items()}
+        den //= g
+    return SymPolyQ(nums, den)
 
 
-def _packed_add(a, b):
-    """a += b for packed dicts."""
-    get = a.get
-    for k, c in b.items():
-        a[k] = get(k, 0) + c
-    return _drop_zeros(a)
-
-
-def _drop_zeros(d):
-    for k in [k for k, c in d.items() if c == 0]:
-        del d[k]
-    return d
-
-
-def _newton_step(pairs, n):
+def _newton_step(pairs, n) -> SymPolyQ:
     """(1/n) sum_i (-1)^(i-1) a_i b_i for the i-th pair (a_i, b_i) of chain
     polynomials, a_i the one with few terms.
 
     Both factors of every product are brought over L = lcm_i den(a_i) den(b_i)
     by scaling the terms of a_i, so the products and the sum run on ints."""
-    L = math.lcm(*(da * db for (_, da), (_, db) in pairs))
+    L = math.lcm(*(a.den * b.den for a, b in pairs))
     acc = {}
-    for i, ((a, da), (b, db)) in enumerate(pairs):
-        s = L // (da * db)
+    get = acc.get
+    for i, (a, b) in enumerate(pairs):
+        s = L // (a.den * b.den)
         if i % 2:
             s = -s
-        _packed_mul({k: c * s for k, c in a.items()}, b, acc)
-    den = L * n
-    g = math.gcd(den, *acc.values())
-    if g > 1:
-        acc = {k: c // g for k, c in acc.items()}
-        den //= g
-    return acc, den
+        items_b = list(b.terms.items())
+        for ka, ca in a.terms.items():
+            ca *= s
+            for kb, cb in items_b:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    return _lowest(acc, L * n)
 
 
-def _chain_dicts(p: int, n_max: int):
-    """x_0..x_{p+1} and y_1..y_{n_max} as (numerators, den) pairs, cached per p."""
+def _chain(p: int, n_max: int):
+    """x_0..x_{p+1} and y_0..y_{n_max} (y_0 None) as SymPolyQs, cached per p."""
     xs, ys = _chain_cache.get(p, (None, None))
     if xs is None:
-        gens = [({1 << (_LANE * i): 1}, 1) for i in range(p + 1)]
-        xs = [({0: 1}, 1)]
+        gens = [SymPolyQ({1 << (_LANE * i): 1}) for i in range(p + 1)]
+        xs = [SymPolyQ({0: 1})]
         for n in range(1, p + 2):
             xs.append(_newton_step([(gens[i - 1], xs[n - i]) for i in range(1, n + 1)], n))
         ys = [None] + gens
@@ -305,25 +232,6 @@ def _chain_dicts(p: int, n_max: int):
     return xs, ys
 
 
-def _unpacked(d):
-    return {_unpack(k): c for k, c in d.items()}
-
-
-def _chain_poly(poly, p=None) -> SymPolyQ:
-    """A (numerators, den) chain polynomial as a SymPolyQ. With p, apply
-    the scaling map: variable i <= p picks up one factor of p per power;
-    variable p+1 is left alone. Monomials keep their exponents."""
-    nums, den = poly
-    terms = []
-    for k, c in nums.items():
-        exps = _unpack(k)
-        if p:
-            c *= p ** sum(exps[:p])
-        terms.append((exps, QQ(c, den)))
-    terms.sort()
-    return SymPolyQ(tuple(terms))
-
-
 def newton_chain(p: int, n_max: int):
     """Return (x_0..x_{p+1}, y_1..y_{n_max}) as SymPolyQ tuples.
 
@@ -332,42 +240,47 @@ def newton_chain(p: int, n_max: int):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    xs, ys = _chain_dicts(p, max(n_max, p + 1))
-    return tuple(map(_chain_poly, xs)), tuple(map(_chain_poly, ys[1 : n_max + 1]))
+    xs, ys = _chain(p, max(n_max, p + 1))
+    return tuple(xs), tuple(ys[1 : n_max + 1])
+
+
+def _scaled(a: SymPolyQ, p) -> SymPolyQ:
+    """The scaling map: variable i <= p picks up one factor of p per power;
+    variable p+1 is left alone. Monomials keep their exponents."""
+    return _lowest({k: c * p ** sum(_unpack(k)[:p]) for k, c in a.terms.items()}, a.den)
 
 
 def phi_image(n: int, p: int) -> SymPolyQ:
     """Image of y_n under the scaling map, as a polynomial in t_1..t_{p+1}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, ys = _chain_dicts(p, max(n, p + 1))
-    return _chain_poly(ys[n], p)
+    _, ys = _chain(p, max(n, p + 1))
+    return _scaled(ys[n], p)
 
 
 def phi_image_x(n: int, p: int) -> SymPolyQ:
     """Image of x_n under the scaling map."""
     if not 0 <= n <= p + 1:
         raise ValueError(f"x_n exists for 0 <= n <= {p + 1}")
-    xs, _ = _chain_dicts(p, p + 1)
-    return _chain_poly(xs[n], p)
+    xs, _ = _chain(p, p + 1)
+    return _scaled(xs[n], p)
 
 
 def sp_to_bivar_mod_p(a: SymPolyQ, p: int) -> BivarPolyModP:
     """Reduce mod p and read off a polynomial in the last two variables
     (t_p and t_{p+1}); any surviving term in an earlier variable is an
     error. Coefficients must be p-integral."""
+    if a.den % p == 0:
+        raise ValueError(f"denominator {a.den} is divisible by {p}: not {p}-integral")
+    inv = pow(a.den, -1, p)
     d = {}
-    for exps, c in a.terms:
-        num, den = c.numerator, c.denominator
-        if den % p == 0:
-            raise ValueError(f"coefficient {c} is not {p}-integral")
-        res = (num % p) * pow(den % p, -1, p) % p
+    for k, c in a.terms.items():
+        res = c * inv % p
         if res == 0:
             continue
-        if any(e != 0 for e in exps[: p - 1]):
+        exps = _unpack(k)
+        if any(exps[: p - 1]):
             raise ValueError(f"term {exps} survives mod {p} outside (t_p, t_{p+1})")
-        da = exps[p - 1] if len(exps) >= p else 0
-        db = exps[p] if len(exps) >= p + 1 else 0
-        k = (da, db)
-        d[k] = (d.get(k, 0) + res) % p
+        key = (exps + (0,) * (p + 1))[p - 1 : p + 1]
+        d[key] = d.get(key, 0) + res
     return BivarPolyModP.from_dict(p, d)

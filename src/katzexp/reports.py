@@ -218,6 +218,8 @@ def _condition_sweep(targets, jobs, budget_seconds, started):
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % (jobs,))
+    if budget_seconds is not None and not budget_seconds > 0:
+        raise ValueError("budget_seconds must be > 0, got %g" % budget_seconds)
     pool = multiprocessing.get_context("spawn").Pool(jobs) if jobs > 1 else None
     entries = (pool.imap if pool else map)(_condition_entry, targets)
     results = []
@@ -361,6 +363,8 @@ def _vratio_targets(k, p, max_index, pprec):
 
 def _ladder_targets(n, p, max_index, pprec):
     """e_n and its unit-root counterpart e*_n, exact."""
+    if n < 1:
+        raise InvalidWeight("n must be >= 1, got %d" % n)
     N = max(qprec_for_split(p, max_index), qprec_for_split(p, n))
     return N, INF, list(eis_ratio(n, p, N))
 

@@ -110,14 +110,14 @@ def test_bernoulli_matches_recurrence_in_one_call(monkeypatch, oracle_table):
 @pytest.mark.parametrize("p, n_max", [(5, 40), (7, 30), (11, 25)])
 def test_chain_matches_fraction_oracle(monkeypatch, p, n_max):
     monkeypatch.setattr(recurrence, "_chain_cache", {})
-    xs, ys = recurrence._chain_dicts(p, n_max)
+    xs, ys = recurrence._chain(p, n_max)
     want_xs, want_ys = newton_chain_fractions(p, n_max)
     assert len(xs) == len(want_xs) == p + 2
     assert len(ys) == len(want_ys) == max(n_max, p + 1) + 1
-    for (nums, den), want in zip(xs + ys[1:], want_xs + want_ys[1:]):
-        assert den > 0
-        assert math.gcd(den, *nums.values()) == 1
-        assert {k: QQ(c, den) for k, c in nums.items()} == want
+    for poly, want in zip(xs + ys[1:], want_xs + want_ys[1:]):
+        assert poly.den > 0
+        assert math.gcd(poly.den, *poly.terms.values()) == 1
+        assert {k: QQ(c, poly.den) for k, c in poly.terms.items()} == want
 
 
 # -- time budgets ---------------------------------------------------------

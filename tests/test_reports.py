@@ -37,7 +37,7 @@ from katzexp.errors import (
     UnsupportedPrime,
 )
 from katzexp.reports import aggregate_status
-from katzexp import cli
+from katzexp import cli, reports
 
 T_VALS_24 = ["0", "1", "1", "3", "3", "4", "4", "5", "5", "6", "4"]
 
@@ -458,12 +458,16 @@ def test_cli_usage_error_exits_3():
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "3/2"], "error:"),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho=-1/6"], "error:"),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--offset", "-1"], "error:"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "-1/6"],
+         "error: rate rho = -1/6 outside [0, 1]"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--offset", "-1/2"],
+         "error: offset c = -1/2 is negative"),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--max-index=-1"],
          "error: max_index must be >= 0, got -1"),
     ],
     ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
          "prime-9", "prec-list", "rho-above-1", "rho-negative", "offset-negative",
-         "max-index-negative"],
+         "rho-negative-fraction", "offset-negative-fraction", "max-index-negative"],
 )
 def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra, message):
     series_file = tmp_path / "f.json"
@@ -494,8 +498,10 @@ def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
         (["--id", "F", "--s", "1", "--pprec", "0"], "error: pprec must be >= 1, got 0"),
         (["--id", "F", "--s", "-1"], "error: s must be >= 1, got -1"),
         (["--id", "F", "--s", "0"], "error: s must be >= 1, got 0"),
+        (["--id", "C", "--n", "-3"], "error: n must be >= 1, got -3"),
     ],
-    ids=["A-pprec-0", "A-pprec-negative", "F-pprec-0", "F-s-negative", "F-s-0"],
+    ids=["A-pprec-0", "A-pprec-negative", "F-pprec-0", "F-s-negative", "F-s-0",
+         "C-n-negative"],
 )
 def test_cli_bad_theorem_input_exits_3(capsys, extra, message):
     code, out, err = run_cli(
@@ -518,6 +524,21 @@ def test_cli_check_condition_rejects_jobs_below_one(capsys, extra):
     assert code == 3
     assert out == ""
     assert err.startswith("error: jobs must be >= 1, got %s" % extra[-1])
+
+
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_cli_check_condition_rejects_budget_at_or_below_zero(monkeypatch, capsys, budget):
+    def no_split(args):
+        raise AssertionError("split computed for %r" % (args,))
+
+    # refused before the first split is computed
+    monkeypatch.setattr(reports, "_condition_entry", no_split)
+    code, out, err = run_cli(
+        ["check-condition", "--prime", "5", "--budget-seconds", budget], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: budget_seconds must be > 0, got %s" % budget)
 
 
 def test_cli_missing_input_file(capsys):
