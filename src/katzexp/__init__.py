@@ -3,13 +3,11 @@ for p-adic modular functions of tame level 1."""
 
 from ._rational import INF, QQ, ZZ, val
 from .classical import (
-    MillerBasis,
     bernoulli,
     delta_series,
     dim_weight,
     eisenstein_series,
     hauptmodul_series,
-    miller_basis,
     miller_form,
     sigma_k,
 )

@@ -7,13 +7,9 @@ products of (1 - q^m)^(+-e) factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._rational import QQ, ZZ
-from .errors import InvalidWeight, PrecisionTooLow, UnsupportedPrime
-from .series import QSeries, qs_mul, qs_pow, qs_scalar_mul, qs_sub
-
-_ZERO = QQ(0)
+from .errors import InvalidWeight, UnsupportedPrime
+from .series import QSeries, qs_from_nums, qs_mul, qs_pow, qs_scalar_mul, qs_sub
 
 # B_0, B_2, B_4, ...; odd-index Bernoulli numbers vanish past B_1 = -1/2,
 # so the table keeps even indices only.
@@ -76,17 +72,16 @@ def eisenstein_series(k: int, N: int) -> QSeries:
     if k < 4 or k % 2 != 0:
         raise InvalidWeight(f"E_k needs even k >= 4, got {k}")
     factor = QQ(2 * k) / bernoulli(k)
-    coeffs = [_ZERO] * N
-    coeffs[0] = QQ(1)
+    a, b = int(factor.numerator), int(factor.denominator)
     # accumulate d^(k-1) into every multiple of d: one big power per divisor
-    sums = [ZZ(0)] * N
+    sums = [0] * N
     for d in range(1, N):
-        pw = ZZ(d) ** (k - 1)
+        pw = d ** (k - 1)
         for m in range(d, N, d):
             sums[m] += pw
-    for n in range(1, N):
-        coeffs[n] = -factor * sums[n]
-    return QSeries(tuple(coeffs))
+    nums = [-a * x for x in sums]
+    nums[0] = b
+    return qs_from_nums(nums, b)
 
 
 def delta_series(N: int) -> QSeries:
@@ -107,13 +102,6 @@ def dim_weight(k: int):
     d = k // 12 + (0 if k % 12 == 2 else 1)
     eps = 0 if k % 4 == 0 else 1
     return d, eps
-
-
-@dataclass(frozen=True)
-class MillerBasis:
-    weight: int
-    forms: tuple
-    dims: tuple  # (d_k, eps(k))
 
 
 # caches for form construction; keyed by precision so truncations never mix
@@ -164,14 +152,6 @@ def miller_form(k: int, j: int, N: int) -> QSeries:
     return g
 
 
-def miller_basis(k: int, N: int) -> MillerBasis:
-    """All d_k basis forms of weight k, ordered by leading q-exponent."""
-    d, eps = dim_weight(k)
-    if N < d:
-        raise PrecisionTooLow(f"weight {k} needs at least {d} coefficients, got {N}")
-    return MillerBasis(k, tuple(miller_form(k, j, N) for j in range(d)), (d, eps))
-
-
 def _sparse_mul_in_place(c: list, m: int, reps: int):
     # multiply by (1 - q^m)^reps
     N = len(c)
@@ -196,11 +176,11 @@ def hauptmodul_series(p: int, N: int) -> QSeries:
     if N < 1:
         raise ValueError("need N >= 1")
     e = 24 // (p - 1)
-    c = [ZZ(0)] * N
+    c = [0] * N
     if N >= 2:
-        c[1] = ZZ(1)
+        c[1] = 1
         for m in range(1, N - 1):
             _sparse_div_in_place(c, m, e)
         for m in range(1, (N - 1) // p + 1):
             _sparse_mul_in_place(c, p * m, e)
-    return QSeries(tuple(QQ(x) for x in c))
+    return qs_from_nums(c)

@@ -160,8 +160,12 @@ def main(argv=None) -> int:
         return 4
     payload = report.dumps()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:  # a directory, a missing parent, no permission
+            print("error: %s" % exc, file=sys.stderr)
+            return 3
         print("%s (report written to %s)" % (report.status, args.out))
     else:
         print(payload)

@@ -26,6 +26,7 @@ from .recurrence import delta_p
 from .series import (
     QSeries,
     apply_V,
+    qs_from_nums,
     qs_inv,
     qs_mul,
     qs_pow,
@@ -185,7 +186,7 @@ def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> FamilyMember:
             coeffs[n] = (coeffs[n] + term) % int(big)
     for n in range(1, N):
         coeffs[n] = (factor_mod * coeffs[n]) % pm
-    series = QSeries(tuple(QQ(c) for c in coeffs))
+    series = qs_from_nums(coeffs)
     return FamilyMember(s, p, series, M, "teichmuller-direct")
 
 
@@ -200,7 +201,7 @@ def estar_family(s: int, p: int, N: int, M: int, *, max_escalations: int = 3) ->
     escalations = []
     for extra in range(max_escalations + 1):
         classical = estar_family_classical(s, p, N, M, extra=extra)
-        if classical.series.coeffs == direct.series.coeffs:
+        if classical.series == direct.series:
             return FamilyMember(
                 s,
                 p,

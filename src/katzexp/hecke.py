@@ -21,6 +21,7 @@ from .series import (
     apply_U,
     apply_V,
     qs_add,
+    qs_from_nums,
     qs_mul,
     qs_one,
     qs_pow,
@@ -44,14 +45,11 @@ def hecke_T_ell(f: QSeries, k: int, ell: int, *, p: int | None = None) -> QSerie
     M = N // ell
     if M < 1:
         raise PrecisionTooLow(f"prec {N} leaves no coefficients after T_{ell}")
-    scale = QQ(ZZ(ell) ** (k - 1)) if k >= 1 else QQ(1, ZZ(ell) ** (1 - k))
-    out = []
-    for n in range(M):
-        c = f.coeffs[ell * n]
-        if n % ell == 0 and n // ell < N:
-            c = c + scale * f.coeffs[n // ell]
-        out.append(c)
-    return QSeries(tuple(out))
+    # ell^(k-1) as s / t in ints: t = 1 unless k < 1
+    s, t = (ell ** (k - 1), 1) if k >= 1 else (1, ell ** (1 - k))
+    nums = f.nums
+    out = [nums[ell * n] * t + (s * nums[n // ell] if n % ell == 0 else 0) for n in range(M)]
+    return qs_from_nums(out, f.den * t)
 
 
 def _twisted(op, f: QSeries, n: int, p: int) -> QSeries:

@@ -4,9 +4,9 @@ A weight-0 function f decomposes as f = sum_i b_i / E_{p-1}^i where b_i lives
 in a fixed complement B_i of the E_{p-1}-multiples inside the weight-i(p-1)
 space. One greedy loop computes every split: b_i is read off the window
 [d_{(i-1)(p-1)}, d_{i(p-1)}) of the running remainder by triangular
-elimination against the Miller forms, and what is left is multiplied up by
-E_{p-1} (Lauder, "Computations with classical and p-adic modular forms",
-2011). The coefficient valuations v_p(b_i) quantify overconvergence; a
+elimination against the Miller forms, on its integer numerators, and what is
+left is multiplied up by E_{p-1} (Lauder, "Computations with classical and
+p-adic modular forms", 2011). The coefficient valuations v_p(b_i) quantify overconvergence; a
 RateCertificate records the exact per-index comparison v_p(b_i) >= rho*i - c.
 """
 
@@ -19,6 +19,7 @@ from .classical import dim_weight, eisenstein_series, hauptmodul_series, miller_
 from .errors import NotAModularForm, PrecisionTooLow
 from .series import (
     QSeries,
+    qs_from_nums,
     qs_inv,
     qs_mul,
     qs_one,
@@ -28,8 +29,6 @@ from .series import (
     qs_sub,
     qs_val,
 )
-
-_ZERO = QQ(0)
 
 
 def window_bounds(i: int, p: int):
@@ -71,39 +70,15 @@ def _window_forms(i, p, N):
     return [miller_form(k, j, N) for j in range(lo, hi)]
 
 
-def _combine(forms, coords, N):
-    acc = [_ZERO] * N
-    for c, f in zip(coords, forms):
-        if c != 0:
-            fc = f.coeffs
-            for m in range(N):
-                if fc[m] != 0:
-                    acc[m] += c * fc[m]
-    return QSeries(tuple(acc))
-
-
-def _match_window(cur: QSeries, forms, lo: int):
-    """Coordinates matching cur on the window exponents; forms are Miller
-    forms with unit leading coefficients q^lo, q^(lo+1), ..."""
-    coords = []
-    rem = list(cur.coeffs)
-    N = len(rem)
-    for idx, f in enumerate(forms):
-        c = rem[lo + idx]
-        coords.append(c)
-        if c != 0:
-            fc = f.coeffs
-            for m in range(lo + idx, N):
-                if fc[m] != 0:
-                    rem[m] -= c * fc[m]
-    return tuple(coords)
-
-
 def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
     """The greedy split loop. At each level i = 0..I, b_i is read off the
     window [lo_i, hi_i) of the running remainder r_i and subtracted, and the
     rest is multiplied up by E (reduced mod modulus, if given) to give
-    r_{i+1}. Returns the terms 0..I and the final remainder r_I - b_I."""
+    r_{i+1}. Returns the terms 0..I and the final remainder r_I - b_I.
+
+    The Miller forms are integral with leading coefficient 1 at q^lo, q^(lo+1),
+    ..., so one integer elimination on the numerators of r gives both the
+    coordinates c / den and the numerators of r - b_i."""
     N = r.prec
     terms = []
     for i in range(I + 1):
@@ -112,11 +87,19 @@ def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
             if modulus is not None:
                 r = qs_reduce_mod(r, modulus)
         lo, hi = window_bounds(i, p)
-        forms = _window_forms(i, p, N)
-        coords = _match_window(r, forms, lo)
-        b = _combine(forms, coords, N)
-        terms.append(KatzTerm(i, b, coords, qs_val(b, p), (lo, hi), hi == lo))
-        r = qs_sub(r, b)
+        rest = list(r.nums)
+        coords = []
+        for j, form in zip(range(lo, hi), _window_forms(i, p, N)):
+            c = rest[j]
+            coords.append(QQ(c, r.den))
+            if c:
+                fn = form.nums
+                for m in range(j, N):
+                    if fn[m]:
+                        rest[m] -= c * fn[m]
+        b = qs_from_nums([x - y for x, y in zip(r.nums, rest)], r.den)
+        terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, p), (lo, hi), hi == lo))
+        r = qs_from_nums(rest, r.den)
     return tuple(terms), r
 
 
@@ -134,7 +117,7 @@ def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
         raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
     E = eisenstein_series(p - 1, N)
     terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, n, None)
-    if any(x != 0 for x in rest.coeffs):
+    if any(rest.nums):
         raise NotAModularForm(f"input is not in the weight-{n * (p - 1)} span mod q^{N}")
     return KatzExpansion(p, n, terms, n, INF)
 
@@ -248,7 +231,7 @@ def expand_in_hauptmodul(f: QSeries, p: int, terms: int):
     r = f
     tpow = qs_one(N)
     for i in range(terms):
-        a = r.coeffs[i]
+        a = QQ(r.nums[i], r.den)
         out.append(a)
         if i + 1 < terms:
             if a != 0:

@@ -4,27 +4,46 @@ A QSeries holds the coefficients of q^0 .. q^(N-1); N is the q-adic precision.
 Arithmetic never extends precision: every result knows exactly as many
 coefficients as its inputs warrant (the minimum of the input precisions).
 Valuations are p-adic and exact, so coefficients are rationals, never floats.
+
+The coefficients are stored as int numerators `nums` over one int
+denominator `den` > 0, in lowest terms: gcd(den, *nums) == 1, so equal series
+have equal fields. Every operation works on the ints and takes one gcd per
+result; `coeffs` is a cached view as rationals for callers at the edge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from ._rational import INF, QQ, rational_from_str, rational_to_str, val
+from ._rational import INF, QQ, int_val, rational_from_str, rational_to_str
 from .errors import NotAUnit, ZeroConstantTerm
 
-_ZERO = QQ(0)
-_ONE = QQ(1)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QSeries:
-    coeffs: tuple
+    """QSeries(coeffs) from rationals; qs_from_nums(nums, den) from ints."""
+
+    nums: tuple
+    den: int
+
+    def __init__(self, coeffs):
+        coeffs = tuple(QQ(c) for c in coeffs)
+        den = math.lcm(*(int(c.denominator) for c in coeffs))
+        # over the lcm of reduced denominators, gcd(den, *nums) is already 1
+        nums = tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        self.__dict__["coeffs"] = coeffs
+
+    @cached_property
+    def coeffs(self):
+        return tuple(QQ(x, self.den) for x in self.nums)
 
     @property
     def prec(self):
-        return len(self.coeffs)
+        return len(self.nums)
 
     def __getitem__(self, n):
         return self.coeffs[n]
@@ -36,7 +55,7 @@ class QSeries:
         return qs_sub(self, other)
 
     def __neg__(self):
-        return QSeries(tuple(-c for c in self.coeffs))
+        return qs_from_nums([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -49,67 +68,56 @@ class QSeries:
         return qs_pow(self, n)
 
     def __repr__(self):
-        shown = ", ".join(rational_to_str(c) for c in self.coeffs[:6])
+        shown = ", ".join(rational_to_str(QQ(x, self.den)) for x in self.nums[:6])
         tail = ", ..." if self.prec > 6 else ""
         return f"QSeries([{shown}{tail}], prec={self.prec})"
 
 
+def qs_from_nums(nums, den=1) -> QSeries:
+    """The series nums[n]/den (ints, den > 0), brought to lowest terms by one gcd."""
+    # the high coefficients carry the largest denominators (an inverse's
+    # grow with the index), so starting there cuts the running gcd down first
+    g = math.gcd(den, *reversed(nums))
+    f = QSeries.__new__(QSeries)
+    object.__setattr__(f, "nums", tuple(x // g for x in nums) if g != 1 else tuple(nums))
+    object.__setattr__(f, "den", den // g)
+    return f
+
+
 def qs_from_list(coeffs):
-    return QSeries(tuple(QQ(c) for c in coeffs))
+    return QSeries(coeffs)
 
 
 def qs_zero(N):
-    return QSeries((_ZERO,) * N)
+    return qs_from_nums((0,) * N)
 
 
 def qs_one(N):
-    return QSeries((_ONE,) + (_ZERO,) * (N - 1))
+    return qs_from_nums((1,) + (0,) * (N - 1))
+
+
+def _common(a: QSeries, b: QSeries):
+    """The first min(prec) numerators of a and b over one common denominator."""
+    N = min(a.prec, b.prec)
+    g = math.gcd(a.den, b.den)
+    ca, cb = b.den // g, a.den // g
+    return [x * ca for x in a.nums[:N]], [y * cb for y in b.nums[:N]], a.den * ca
 
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    N = min(a.prec, b.prec)
-    return QSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(N)))
+    an, bn, den = _common(a, b)
+    return qs_from_nums([x + y for x, y in zip(an, bn)], den)
 
 
 def qs_sub(a: QSeries, b: QSeries) -> QSeries:
-    N = min(a.prec, b.prec)
-    return QSeries(tuple(a.coeffs[i] - b.coeffs[i] for i in range(N)))
+    an, bn, den = _common(a, b)
+    return qs_from_nums([x - y for x, y in zip(an, bn)], den)
 
 
 def qs_scalar_mul(c, a: QSeries) -> QSeries:
     c = QQ(c)
-    return QSeries(tuple(c * x for x in a.coeffs))
-
-
-def _over_common_denominator(coeffs):
-    """Integer numerators of coeffs over the lcm L of their denominators.
-
-    Also returns, per index j, the lcm L_j of the denominators up to j and
-    the cofactor L // L_j. Built from the running lcm, so a denominator
-    chain d, d^2, d^3, ... costs no big division.
-    """
-    lcm = 1
-    part, grow, prefix = [], [], []  # L_j // d_j, L_j // L_(j-1), L_j
-    for c in coeffs:
-        d = int(c.denominator)
-        q, r = divmod(lcm, d)
-        if r:
-            g = math.gcd(lcm, d)
-            q, f = lcm // g, d // g
-            lcm *= f
-        else:
-            f = 1
-        part.append(q)
-        grow.append(f)
-        prefix.append(lcm)
-    nums = [0] * len(coeffs)
-    tails = [1] * len(coeffs)
-    tail = 1
-    for j in range(len(coeffs) - 1, -1, -1):
-        tails[j] = tail
-        nums[j] = int(coeffs[j].numerator) * part[j] * tail
-        tail *= grow[j]
-    return nums, prefix, tails
+    num = int(c.numerator)
+    return qs_from_nums([num * x for x in a.nums], a.den * int(c.denominator))
 
 
 def _pack(nums, w):
@@ -121,15 +129,14 @@ def _pack(nums, w):
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Product truncated to the smaller input precision N, by Kronecker
-    substitution: each operand becomes integer numerators over one common
-    denominator, packed into one int in lanes of w bytes, and a single
-    big-int product yields the convolution lane by lane.
+    substitution: the numerators of each operand are packed into one int in
+    lanes of w bytes, a single big-int product yields the convolution lane
+    by lane, and the denominator is den_a * den_b.
     """
     N = min(a.prec, b.prec)
     if N == 0:
-        return QSeries(())
-    an, la, ta = _over_common_denominator(a.coeffs[:N])
-    bn, lb, tb = _over_common_denominator(b.coeffs[:N])
+        return qs_from_nums(())
+    an, bn = a.nums[:N], b.nums[:N]
     # |c_k| <= N max|a_i| max|b_j|, plus one bit for the sign
     bits = max(map(abs, an)).bit_length() + max(map(abs, bn)).bit_length() + N.bit_length() + 1
     w = (bits + 7) // 8
@@ -140,33 +147,48 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     borrow = 0
     for k in range(N):
         lane = int.from_bytes(lanes[k * w:(k + 1) * w], "little", signed=True)
-        # every term of c_k has i, j <= k, so c_k is a multiple of both
-        # cofactors at k and its denominator divides la[k] * lb[k]
-        out.append(QQ((lane + borrow) // (ta[k] * tb[k]), la[k] * lb[k]))
+        out.append(lane + borrow)
         borrow = lane < 0
-    return QSeries(tuple(out))
+    return qs_from_nums(out, a.den * b.den)
 
 
 def qs_inv(a: QSeries) -> QSeries:
     """Multiplicative inverse; requires an invertible constant term.
 
+    With a = A/D (A the numerators), 1/A = sum B_n q^n / A_0^(n+1) where
+    B_0 = 1 and B_n = -sum_{k=1..n} A_k A_0^(k-1) B_(n-k), all in ints; so
+    coefficient n of 1/a is D B_n A_0^(N-1-n) / A_0^N, reduced once at the end.
     If a has constant term 1 and p-integral coefficients the inverse does
     too (1-unit arithmetic).
     """
-    if a.prec == 0 or a.coeffs[0] == 0:
+    A = a.nums
+    N = len(A)
+    if N == 0 or A[0] == 0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    N = a.prec
-    ac = a.coeffs
-    inv0 = 1 / QQ(a.coeffs[0])
-    out = [_ZERO] * N
-    out[0] = inv0
+    a0 = A[0]
+    weights = []  # (k, A_k A_0^(k-1)) for the nonzero A_k
+    scale = 1
+    for k in range(1, N):
+        if A[k]:
+            weights.append((k, A[k] * scale))
+        scale *= a0
+    B = [1] * N
     for n in range(1, N):
-        s = _ZERO
-        for k in range(1, n + 1):
-            if ac[k] != 0:
-                s += ac[k] * out[n - k]
-        out[n] = -inv0 * s
-    return QSeries(tuple(out))
+        s = 0
+        for k, wk in weights:
+            if k > n:
+                break
+            s += wk * B[n - k]
+        B[n] = -s
+    out = [0] * N
+    scale = a.den
+    for n in range(N - 1, -1, -1):
+        out[n] = B[n] * scale
+        scale *= a0
+    den = a0**N
+    if den < 0:
+        out, den = [-x for x in out], -den
+    return qs_from_nums(out, den)
 
 
 def qs_pow(a: QSeries, n: int) -> QSeries:
@@ -196,33 +218,26 @@ def apply_V(f: QSeries, p: int) -> QSeries:
     are simply truncated away.
     """
     N = f.prec
-    out = [_ZERO] * N
-    for n in range(0, N, p):
-        out[n] = f.coeffs[n // p]
-    return QSeries(tuple(out))
+    out = [0] * N
+    out[::p] = f.nums[:len(range(0, N, p))]
+    return qs_from_nums(out, f.den)
 
 
 def apply_U(f: QSeries, p: int) -> QSeries:
     """Atkin's operator on coefficients: a_n <- a_{pn}; precision floor(N/p)."""
-    M = f.prec // p
-    return QSeries(tuple(f.coeffs[p * n] for n in range(M)))
+    return qs_from_nums(f.nums[:p * (f.prec // p):p], f.den)
 
 
 def qs_val(f: QSeries, p: int):
     """Minimum p-adic valuation over all known coefficients; +inf if none is nonzero."""
-    best = INF
-    for c in f.coeffs:
-        if c != 0:
-            v = val(c, p)
-            if v < best:
-                best = v
-    return best
+    vals = [int_val(x, p) for x in f.nums if x]
+    return min(vals) - int_val(f.den, p) if vals else INF
 
 
 def qs_truncate(f: QSeries, N: int) -> QSeries:
     if N >= f.prec:
         return f
-    return QSeries(f.coeffs[:N])
+    return qs_from_nums(f.nums[:N], f.den)
 
 
 def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
@@ -231,17 +246,14 @@ def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
     Rational coefficients are allowed as long as their denominators are
     invertible mod the modulus; any other denominator raises NotAUnit.
     """
-    out = []
-    for n, c in enumerate(f.coeffs):
-        num = int(c.numerator) % modulus
-        den = int(c.denominator) % modulus
-        if den != 1:
-            try:
-                num = num * pow(den, -1, modulus) % modulus
-            except ValueError:
-                raise NotAUnit(f"denominator of q^{n} is not a unit mod {modulus}") from None
-        out.append(QQ(num))
-    return QSeries(tuple(out))
+    modulus = int(modulus)
+    try:
+        inv = pow(f.den, -1, modulus)
+    except ValueError:
+        # the first coefficient whose reduced denominator den/gcd(x, den) is not a unit
+        n = next(n for n, x in enumerate(f.nums) if math.gcd(f.den // math.gcd(x, f.den), modulus) != 1)
+        raise NotAUnit(f"denominator of q^{n} is not a unit mod {modulus}") from None
+    return qs_from_nums([x * inv % modulus for x in f.nums])
 
 
 def qs_to_json(f: QSeries) -> dict:
@@ -255,10 +267,9 @@ def qs_from_json(d: dict) -> QSeries:
     coeffs = tuple(rational_from_str(s) for s in d["coeffs"])
     prec = d.get("prec")
     if prec is not None:
-        try:
-            prec = int(prec)
-        except TypeError:
-            raise ValueError("prec must be an integer, got %r" % (prec,)) from None
+        # a JSON integer only: int() would truncate 1.5 and read true as 1
+        if type(prec) is not int:
+            raise ValueError("prec must be an integer, got %r" % (prec,))
         if prec != len(coeffs):
             raise ValueError("prec field disagrees with coefficient count")
     return QSeries(coeffs)

@@ -9,13 +9,7 @@ from __future__ import annotations
 
 from katzexp import QQ, dim_weight, eisenstein_series, miller_form
 from katzexp.errors import NotAModularForm, PrecisionTooLow
-from katzexp.katz import (
-    KatzExpansion,
-    KatzTerm,
-    _combine,
-    _window_forms,
-    window_bounds,
-)
+from katzexp.katz import KatzExpansion, KatzTerm, _window_forms, window_bounds
 from katzexp.recurrence import _LANE
 from katzexp.series import QSeries, qs_mul, qs_sub, qs_val
 
@@ -32,6 +26,22 @@ def schoolbook_mul(ac, bc):
             bj = bc[j]
             if bj != 0:
                 out[i + j] += ai * bj
+    return tuple(out)
+
+
+def schoolbook_inv(ac):
+    """1/a for a coefficient sequence with a_0 != 0, in rationals:
+    c_0 = 1/a_0 and c_n = -(1/a_0) sum_{k=1..n} a_k c_(n-k)."""
+    N = len(ac)
+    inv0 = 1 / QQ(ac[0])
+    out = [QQ(0)] * N
+    out[0] = inv0
+    for n in range(1, N):
+        s = QQ(0)
+        for k in range(1, n + 1):
+            if ac[k] != 0:
+                s += ac[k] * out[n - k]
+        out[n] = -inv0 * s
     return tuple(out)
 
 
@@ -112,6 +122,16 @@ def newton_chain_fractions(p, n_max):
             add_product(acc, QQ((-1) ** (i - 1)), xs[i], ys[n - i])
         ys.append(nonzero(acc))
     return xs, ys
+
+
+def _combine(forms, coords, N):
+    """sum_j coords[j] * forms[j] mod q^N, coefficient by coefficient."""
+    acc = [QQ(0)] * N
+    for c, f in zip(coords, forms):
+        if c != 0:
+            for m in range(N):
+                acc[m] += c * f.coeffs[m]
+    return QSeries(tuple(acc))
 
 
 def _gauss_solve(mat, rhs):

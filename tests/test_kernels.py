@@ -2,6 +2,7 @@
 budgets.
 
 qs_mul (Kronecker substitution) is compared with the schoolbook convolution,
+qs_inv (the integer recurrence) with the rational schoolbook inverse,
 bernoulli (tangent numbers) with the Fraction recurrence, and the Newton
 chain (int numerators over one denominator) with the Fraction chain; see
 oracles.py.
@@ -18,11 +19,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katzexp import QQ, bernoulli, eisenstein_series, qs_from_list, qs_mul
+from katzexp import (
+    QQ,
+    QSeries,
+    bernoulli,
+    eisenstein_series,
+    qs_add,
+    qs_from_list,
+    qs_inv,
+    qs_mul,
+    qs_sub,
+)
 from katzexp import classical, recurrence
-from oracles import bernoulli_even_recurrence, newton_chain_fractions, schoolbook_mul
+from katzexp.series import qs_from_nums
+from oracles import bernoulli_even_recurrence, newton_chain_fractions, schoolbook_inv, schoolbook_mul
 
-# -- qs_mul ---------------------------------------------------------------
+# -- the representation ---------------------------------------------------
 
 _small = st.integers(-60, 60)
 # numerators above 2^2000 make each lane wider than 8 bytes
@@ -32,10 +44,42 @@ _coeff = st.one_of(st.just(QQ(0)), st.builds(QQ, st.one_of(_small, _huge), _dens
 _series = st.lists(_coeff, max_size=60).map(qs_from_list)
 
 
+def check_lowest_terms(f):
+    assert f.den > 0
+    assert math.gcd(f.den, *f.nums) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_coeff, max_size=40))
+def test_series_from_rationals_is_in_lowest_terms(coeffs):
+    f = QSeries(tuple(coeffs))
+    assert f.coeffs == tuple(coeffs)
+    assert [f[n] for n in range(f.prec)] == coeffs
+    check_lowest_terms(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_coeff, _coeff), max_size=40), st.integers(2, 10**6))
+def test_equal_series_from_other_denominators_compare_and_hash_equal(pairs, scale):
+    a = qs_from_list([x for x, _ in pairs])
+    b = qs_from_list([y for _, y in pairs])
+    scaled = qs_from_nums([scale * x for x in a.nums], scale * a.den)
+    assert (scaled.nums, scaled.den) == (a.nums, a.den)
+    round_trip = qs_sub(qs_add(a, b), b)
+    assert round_trip == a == scaled
+    assert hash(round_trip) == hash(a) == hash(scaled)
+    for f in (round_trip, qs_mul(a, b)):
+        check_lowest_terms(f)
+
+
+# -- qs_mul ---------------------------------------------------------------
+
+
 def check_against_oracle(a, b):
     got = qs_mul(a, b)
     assert got.prec == min(a.prec, b.prec)
     assert got.coeffs == schoolbook_mul(a.coeffs, b.coeffs)
+    check_lowest_terms(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -79,6 +123,41 @@ def test_qs_mul_zero_operands(na, nb):
 
 def test_qs_mul_e4_squared_is_e8():
     assert qs_mul(eisenstein_series(4, 200), eisenstein_series(4, 200)).coeffs == eisenstein_series(8, 200).coeffs
+
+
+# -- qs_inv ---------------------------------------------------------------
+
+_unit0 = st.builds(QQ, st.one_of(st.integers(-60, -1), st.integers(1, 60), _huge), _dens)
+
+
+def check_inv_against_oracle(a):
+    got = qs_inv(a)
+    assert got.coeffs == schoolbook_inv(a.coeffs)
+    check_lowest_terms(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit0, st.lists(_coeff, max_size=39))
+def test_qs_inv_matches_schoolbook(c0, rest):
+    # constant terms of either sign, integral or not
+    check_inv_against_oracle(qs_from_list([c0] + rest))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(-60, -1), st.integers(1, 60)),
+    st.lists(st.one_of(st.just(0), st.just(0), _small, _huge), max_size=39),
+    st.sampled_from((5, 12, 7**3)),
+)
+def test_qs_inv_denominators_growing_with_the_index(n0, nums, d):
+    # the shape of an inverse: the j-th denominator is d^j, with interior zeros
+    check_inv_against_oracle(qs_from_list([QQ(n, d**j) for j, n in enumerate([n0] + nums)]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 150))
+def test_qs_inv_of_eisenstein_series(half):
+    check_inv_against_oracle(eisenstein_series(2 * half, 30))
 
 
 # -- bernoulli ------------------------------------------------------------
@@ -127,6 +206,7 @@ def test_chain_matches_fraction_oracle(monkeypatch, p, n_max):
 QS_MUL_E4_BUDGET_S = 0.15  # measured 0.04 s
 BERNOULLI_1876_BUDGET_S = 2.2  # measured 0.73 s
 NEWTON_CHAIN_7_30_BUDGET_S = 0.32  # measured 0.105 s
+QS_INV_E1876_BUDGET_S = 6.0  # measured 1.4 s, and 3.2-3.8 s in a slow phase of a shared host
 
 
 def test_qs_mul_e4_squared_at_3750_within_budget():
@@ -157,3 +237,17 @@ def test_newton_chain_7_30_within_budget():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
     assert float(proc.stdout) < NEWTON_CHAIN_7_30_BUDGET_S
+
+
+def test_qs_inv_e1876_within_budget():
+    # a fresh interpreter, as the weight-scheme computation runs; E_1876 =
+    # 1 + (a/b) S with b of 12,746 bits, so q^n of the inverse has b^n below
+    code = (
+        "import time; from katzexp import eisenstein_series, qs_inv, qs_mul, qs_one; "
+        "E = eisenstein_series(1876, 30); t0 = time.perf_counter(); inv = qs_inv(E); "
+        "t = time.perf_counter() - t0; print(qs_mul(E, inv) == qs_one(30), t)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    identity, seconds = proc.stdout.split()
+    assert identity == "True"
+    assert float(seconds) < QS_INV_E1876_BUDGET_S

@@ -368,6 +368,17 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("target", ["", "missing/report.json"], ids=["directory", "missing-parent"])
+def test_cli_unwritable_out_exits_3(tmp_path, capsys, target):
+    out_path = tmp_path / target if target else tmp_path
+    args = ["verify-theorem", "--id", "B", "--prime", "5", "--k", "24", "--max-index", "3"]
+    code, out, err = run_cli(args + ["--out", str(out_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_cli_reproduce_and_out_file(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run_cli(["reproduce-examples", "--out", str(out_file)], capsys)
@@ -455,6 +466,8 @@ def test_cli_usage_error_exits_3():
         (["1", "2"], [], "error:"),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--prime", "9"], "error:"),
         ({"prec": [1], "coeffs": ["1"]}, [], "error:"),
+        ({"prec": 1.5, "coeffs": ["1"]}, [], "error: prec must be an integer, got 1.5"),
+        ({"prec": True, "coeffs": ["1"]}, [], "error: prec must be an integer, got True"),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "3/2"], "error:"),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho=-1/6"], "error:"),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--offset", "-1"], "error:"),
@@ -466,7 +479,7 @@ def test_cli_usage_error_exits_3():
          "error: max_index must be >= 0, got -1"),
     ],
     ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
-         "prime-9", "prec-list", "rho-above-1", "rho-negative", "offset-negative",
+         "prime-9", "prec-list", "prec-float", "prec-bool", "rho-above-1", "rho-negative", "offset-negative",
          "rho-negative-fraction", "offset-negative-fraction", "max-index-negative"],
 )
 def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra, message):
