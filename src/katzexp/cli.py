@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-import traceback
 
 from ._rational import rational_from_str
 from .errors import KatzexpError
@@ -148,6 +148,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # fail before the run, creating and truncating nothing
+        if args.out and os.path.isdir(args.out):
+            raise KatzexpError("cannot write --out %s: it is a directory" % args.out)
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise KatzexpError("cannot write --out %s: its parent is not a directory" % args.out)
         report = _dispatch(args)
     except KatzexpError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -156,6 +161,8 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except Exception:
+        import traceback  # loaded on this path only
+
         traceback.print_exc()
         return 4
     payload = report.dumps()

@@ -12,7 +12,7 @@ somewhere and is raised loudly rather than papered over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._rational import QQ, ZZ, int_val
 from .classical import eisenstein_series
@@ -103,8 +103,7 @@ def gen_bernoulli_tau(s: int, p: int, M: int, *, guard: int = 2) -> QQ:
     return total * math.factorial(s) / p
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     s: int
     p: int
     series: QSeries  # integer coefficients reduced mod p^pprec

@@ -11,7 +11,7 @@ are the series core's qs_mul.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._rational import QQ, ZZ, is_prime
 from .classical import eisenstein_series
@@ -94,20 +94,19 @@ def t_p_n_one(n: int, p: int, N: int) -> QSeries:
     return _twisted(t_p, qs_one(N), n, p)
 
 
-@dataclass(frozen=True)
-class HPolynomial:
+class HPolynomial(namedtuple("HPolynomial", "terms")):
     """Polynomial in U and finitely many T_ell, no constant term.
 
     terms maps a monomial key (u_exp, ((ell, exp), ...)) to its rational
     coefficient. Every monomial must contain U at least once.
     """
 
-    terms: tuple  # of ((u_exp, ((ell, e), ...)), QQ)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms):  # terms: tuple of ((u_exp, ((ell, e), ...)), QQ)
+        if not terms:
             raise ValueError("polynomial must have at least one term")
-        for (u_exp, tells), coeff in self.terms:
+        for (u_exp, tells), coeff in terms:
             if u_exp < 1:
                 raise ValueError("every monomial must contain U")
             if coeff == 0:
@@ -115,6 +114,7 @@ class HPolynomial:
             for ell, e in tells:
                 if not is_prime(ell) or e < 1:
                     raise ValueError(f"bad T index/exponent ({ell}, {e})")
+        return super().__new__(cls, terms)
 
     def check_p_integral(self, p: int):
         for _, coeff in self.terms:

@@ -12,7 +12,7 @@ RateCertificate records the exact per-index comparison v_p(b_i) >= rho*i - c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._rational import INF, QQ, rational_to_str, val
 from .classical import dim_weight, eisenstein_series, hauptmodul_series, miller_form
@@ -39,8 +39,7 @@ def window_bounds(i: int, p: int):
     return lo, hi
 
 
-@dataclass(frozen=True)
-class KatzTerm:
+class KatzTerm(NamedTuple):
     index: int
     b: QSeries
     miller_coords: tuple
@@ -49,8 +48,7 @@ class KatzTerm:
     structural_zero: bool = False
 
 
-@dataclass(frozen=True)
-class KatzExpansion:
+class KatzExpansion(NamedTuple):
     p: int
     n_weight: int
     terms: tuple
@@ -155,8 +153,7 @@ def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:
     return acc
 
 
-@dataclass(frozen=True)
-class RateCertificate:
+class RateCertificate(NamedTuple):
     p: int
     rho: object  # rational in [0, 1]
     c: object  # rational >= 0

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
+from typing import NamedTuple
 
 from ._rational import int_val
 from .errors import InsufficientLength
@@ -35,8 +36,7 @@ def delta_p(n: int, p: int) -> int:
 # sparse bivariate polynomials over F_p
 
 
-@dataclass(frozen=True)
-class BivarPolyModP:
+class BivarPolyModP(NamedTuple):
     p: int
     terms: tuple  # sorted ((deg_A, deg_B), residue) with residue in 1..p-1
 
@@ -161,8 +161,7 @@ def _unpack(k):
     return struct.unpack(f"<{n}H", k.to_bytes(2 * n, "little"))
 
 
-@dataclass(frozen=True)
-class SymPolyQ:
+class SymPolyQ(namedtuple("SymPolyQ", "terms den")):
     """sum_k terms[k] / den * y^_unpack(k) in y_1..y_{p+1} (t_1..t_{p+1}
     after the scaling map), with terms a read-only map from packed exponent
     vectors to nonzero int numerators.
@@ -171,12 +170,15 @@ class SymPolyQ:
     divides den exactly when some coefficient is not p-integral.
     """
 
-    terms: MappingProxyType
-    den: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.terms, MappingProxyType):
-            object.__setattr__(self, "terms", MappingProxyType(self.terms))
+    def __new__(cls, terms, den=1):
+        if not isinstance(terms, MappingProxyType):
+            terms = MappingProxyType(terms)
+        return super().__new__(cls, terms, den)
+
+    def __getnewargs__(self):  # a MappingProxyType does not pickle
+        return dict(self.terms), self.den
 
     def min_coeff_val(self, p):
         if not self.terms:

@@ -12,10 +12,8 @@ re-checked without redoing the modular-form arithmetic (revalidate_report).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
-from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str
 from .classical import dim_weight, eisenstein_series
@@ -49,8 +47,7 @@ def qprec_for_split(p, max_index, margin=8):
     return dim_weight((max_index + 1) * (p - 1))[0] + margin
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     command: str
     parameters: dict
     results: list
@@ -59,7 +56,7 @@ class RunReport:
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -220,6 +217,8 @@ def _condition_sweep(targets, jobs, budget_seconds, started):
         raise ValueError("jobs must be >= 1, got %r" % (jobs,))
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be > 0, got %g" % budget_seconds)
+    if jobs > 1:
+        import multiprocessing  # loaded for a parallel sweep only
     pool = multiprocessing.get_context("spawn").Pool(jobs) if jobs > 1 else None
     entries = (pool.imap if pool else map)(_condition_entry, targets)
     results = []
@@ -380,8 +379,7 @@ def _digit_sum_gate(what, m, p, *, below=False):
     raise InvalidWeight("digit sum of %s is %d, need %s" % (what, gate, need))
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """One theorem-shaped statement as data.
 
     build(value, p, max_index, pprec) -> (qprec, working pprec, series);

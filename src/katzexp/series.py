@@ -14,19 +14,14 @@ result; `coeffs` is a cached view as rationals for callers at the edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._rational import INF, QQ, int_val, rational_from_str, rational_to_str
 from .errors import NotAUnit, ZeroConstantTerm
 
 
-@dataclass(frozen=True, init=False)
 class QSeries:
-    """QSeries(coeffs) from rationals; qs_from_nums(nums, den) from ints."""
-
-    nums: tuple
-    den: int
+    """QSeries(coeffs) from rationals; qs_from_nums(nums, den) from ints. Read-only."""
 
     def __init__(self, coeffs):
         coeffs = tuple(QQ(c) for c in coeffs)
@@ -44,6 +39,17 @@ class QSeries:
     @property
     def prec(self):
         return len(self.nums)
+
+    def __eq__(self, other):
+        return isinstance(other, QSeries) and self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __setattr__(self, name, *_):
+        raise AttributeError("QSeries is read-only: cannot set or delete %r" % name)
+
+    __delattr__ = __setattr__
 
     def __getitem__(self, n):
         return self.coeffs[n]

@@ -1,11 +1,12 @@
-"""The BENCH snapshot tool's parser, on canned perfbench output (perfbench
-itself is never run here)."""
+"""The BENCH snapshot tool: its parser on canned perfbench output (perfbench
+itself is never run here) and its start-up timer."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -41,3 +42,16 @@ def test_parse_run_output_reads_meta_and_final_line():
 def test_parse_run_output_rejects_output_without_meta():
     with pytest.raises(ValueError):
         bench_snapshot.parse_run_output(json.dumps(FINAL) + "\n")
+
+
+def test_median_start_s_times_fresh_processes():
+    assert bench_snapshot.median_start_s("pass", runs=3) > 0
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_snapshot.median_start_s("raise SystemExit(1)", runs=1)
+
+
+def test_startup_times_time_the_bare_interpreter_and_the_package_import(monkeypatch):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
+    times = bench_snapshot.startup_times(runs=1)
+    assert sorted(times) == ["bare_start_s", "import_s"]
+    assert all(t > 0 for t in times.values())

@@ -235,6 +235,8 @@ def test_hpoly_invariants():
         HPolynomial((((1, ()), QQ(0)),))  # zero coefficient
     with pytest.raises(ValueError):
         HPolynomial((((1, ((4, 1),)), QQ(1)),))  # T_4 is not prime
+    with pytest.raises(ValueError):
+        HPolynomial((((1, ((5, 0),)), QQ(1)),))  # T_5^0
 
 
 def test_hpoly_p_integrality_check():

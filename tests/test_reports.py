@@ -379,6 +379,39 @@ def test_cli_unwritable_out_exits_3(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [("", "it is a directory"), ("missing/report.json", "its parent is not a directory"),
+     ("a_file/report.json", "its parent is not a directory")],
+    ids=["directory", "missing-parent", "file-parent"],
+)
+def test_cli_bad_out_fails_before_the_run(tmp_path, capsys, monkeypatch, target, message):
+    runs = []
+    monkeypatch.setattr(cli, "_dispatch", runs.append)
+    (tmp_path / "a_file").write_text("kept")
+    before = sorted(tmp_path.iterdir())
+    out_path = tmp_path / target if target else tmp_path
+    code, out, err = run_cli(["reproduce-examples", "--out", str(out_path)], capsys)
+    assert (code, out, runs) == (3, "", [])
+    assert err == "error: cannot write --out %s: %s\n" % (out_path, message)
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "a_file").read_text() == "kept"
+
+
+def test_cli_out_check_leaves_an_existing_file_alone(tmp_path, capsys, monkeypatch):
+    """A writable --out passes the check untouched: a run that fails keeps it."""
+
+    def failing_run(args):
+        raise KatzexpError("stub failure")
+
+    monkeypatch.setattr(cli, "_dispatch", failing_run)
+    out_file = tmp_path / "report.json"
+    out_file.write_text("previous report")
+    code, _, err = run_cli(["reproduce-examples", "--out", str(out_file)], capsys)
+    assert (code, err) == (3, "error: stub failure\n")
+    assert out_file.read_text() == "previous report"
+
+
 def test_cli_reproduce_and_out_file(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run_cli(["reproduce-examples", "--out", str(out_file)], capsys)

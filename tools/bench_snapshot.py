@@ -9,7 +9,10 @@ commit is the code that was measured:
 It runs `python3 perfbench/run.py --workload all --seed S --seconds T`, with
 T the `run_seconds` of BENCHMARK.json, and reads two lines of its output:
 the `meta` line (backend, Python version, CPU count, commit, src/ lines) and
-the final JSON line (the `<workload>.<metric>` values).
+the final JSON line (the `<workload>.<metric>` values). It also records the
+cold start: `bare_start_s`, the median wall time of 11 fresh `python -c pass`
+processes, and `import_s`, that of `python -c "import katzexp, katzexp.cli"`
+with PYTHONPATH=src.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
 
 
 def parse_run_output(text: str) -> dict:
@@ -39,6 +44,25 @@ def parse_run_output(text: str) -> dict:
     return snapshot
 
 
+def median_start_s(code: str, runs: int = 11, env=None) -> float:
+    """Median wall time of `runs` fresh `python -c code` processes."""
+    times = []
+    for _ in range(runs):
+        started = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        times.append(time.perf_counter() - started)
+    return statistics.median(times)
+
+
+def startup_times(runs: int = 11) -> dict:
+    """The bare interpreter's start-up and that plus the package import."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
+    return {
+        "bare_start_s": median_start_s("pass", runs),
+        "import_s": median_start_s("import katzexp, katzexp.cli", runs, env),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="names the file BENCH_<pr>.json")
@@ -54,6 +78,7 @@ def main(argv=None) -> int:
         sys.stderr.write(proc.stdout + proc.stderr)
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
+    snapshot.update(startup_times())
     path = os.path.join(os.getcwd(), "BENCH_%d.json" % args.pr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
