@@ -18,7 +18,6 @@ from katzexp import (
     agreement_depth,
     eis_ratio,
     iterate_H,
-    parse_hpoly,
     projector_poly,
 )
 
@@ -39,6 +38,3 @@ for h, name in ((raw, "raw"), (normalized, "normalized")):
     orbit = iterate_H(h, 1, 13, 1, N13)
     print("%s orbit depth after one step: %s"
           % (name, agreement_depth(orbit[0], estar_13, 13)))
-
-# polynomials can also come from strings
-assert parse_hpoly("11*U*(U+5)").terms == raw.terms

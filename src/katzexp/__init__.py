@@ -44,7 +44,6 @@ from .hecke import (
     apply_hpoly_twisted,
     hecke_T_ell,
     iterate_H,
-    parse_hpoly,
     projector_poly,
     t_p_n_one,
     twisted_T_ell,
@@ -91,7 +90,6 @@ from .series import (
     qs_add,
     qs_div,
     qs_from_json,
-    qs_from_list,
     qs_inv,
     qs_mul,
     qs_one,
@@ -101,7 +99,6 @@ from .series import (
     qs_to_json,
     qs_truncate,
     qs_val,
-    qs_zero,
 )
 
 __version__ = "0.1.0"

@@ -70,7 +70,7 @@ def teichmuller(d: int, p: int, M: int) -> int:
     return int(x)
 
 
-def gen_bernoulli_tau(s: int, p: int, M: int, *, guard: int = 2) -> QQ:
+def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
     """B_{s, tau^(-s)} as an exact rational, correct mod p^(M+1).
 
     Computed from the generating identity
@@ -78,14 +78,11 @@ def gen_bernoulli_tau(s: int, p: int, M: int, *, guard: int = 2) -> QQ:
     truncated at degree s, with chi = tau^(-s) evaluated mod p^(M+guard).
     The result has valuation -1 when s is not divisible by p-1 in the
     trivial way; callers divide by it, which is why the guard digits exist.
+    The final s!/p costs 1 + v_p(s!) digits, so guard is one more than that.
     """
     if s < 1:
         raise InvalidWeight("s must be >= 1")
-    lost = 1 + int_val(math.factorial(s), p)
-    if lost >= guard:
-        raise PrecisionTooLow(
-            f"guard digits {guard} cannot absorb a loss of {lost}; raise guard"
-        )
+    guard = 2 + int_val(math.factorial(s), p)
     big = ZZ(p) ** (M + guard)
     # t/(e^{pt}-1) = (1/p) * 1/(1 + h) with h = sum_{j>=1} (pt)^j/(j+1)!
     one_plus_h = (QQ(1),) + tuple(QQ(ZZ(p) ** j, math.factorial(j + 1)) for j in range(1, s + 1))
@@ -112,27 +109,16 @@ class FamilyMember(NamedTuple):
     weight_used: int | None = None
     escalations: tuple = ()
 
-    def to_json(self):
-        return {
-            "s": self.s,
-            "p": self.p,
-            "pprec": self.pprec,
-            "construction": self.construction,
-            "weight_used": self.weight_used,
-            "escalations": list(self.escalations),
-            "coeffs": [str(c) for c in self.series.coeffs],
-        }
 
-
-def classical_limit_weight(s: int, p: int, M: int, *, min_k: int = 4) -> int:
-    """Smallest weight k >= min_k with k = 0 mod (p-1) and k = s mod p^M."""
+def classical_limit_weight(s: int, p: int, M: int) -> int:
+    """Smallest weight k >= 4 with k = 0 mod (p-1) and k = s mod p^M."""
     pm = ZZ(p) ** M
     # p = 1 mod (p-1), so p^M = 1 as well; CRT by hand
     inv = pow(pm % (p - 1), -1, p - 1)
     residue = (-s) * inv % (p - 1)
     k = int(s + residue * pm)
     L = int((p - 1) * pm)
-    while k < min_k:
+    while k < 4:
         k += L
     return k
 

@@ -5,12 +5,11 @@ Operators here act purely on truncated q-expansions. Each application of U
 or T_ell divides the usable precision, so drivers should budget input
 precision backward from the length they need out. Every weight-0 twist
 f -> op(f * E_{p-1}^n) / E_{p-1}^n goes through one helper, and all products
-are the series core's qs_mul.
+are the series core's qs_mul. An operator polynomial is written as its terms.
 """
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 
 from ._rational import QQ, ZZ, is_prime
@@ -97,8 +96,9 @@ def t_p_n_one(n: int, p: int, N: int) -> QSeries:
 class HPolynomial(namedtuple("HPolynomial", "terms")):
     """Polynomial in U and finitely many T_ell, no constant term.
 
-    terms maps a monomial key (u_exp, ((ell, exp), ...)) to its rational
-    coefficient. Every monomial must contain U at least once.
+    terms pairs each monomial key (u_exp, ((ell, exp), ...)) with its
+    rational coefficient; 11U(U+5) is (((1, ()), 55), ((2, ()), 11)). Every
+    monomial must contain U at least once.
     """
 
     __slots__ = ()
@@ -115,6 +115,10 @@ class HPolynomial(namedtuple("HPolynomial", "terms")):
                 if not is_prime(ell) or e < 1:
                     raise ValueError(f"bad T index/exponent ({ell}, {e})")
         return super().__new__(cls, terms)
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def check_p_integral(self, p: int):
         for _, coeff in self.terms:
@@ -145,98 +149,10 @@ class HPolynomial(namedtuple("HPolynomial", "terms")):
 U_POLY = HPolynomial((((1, ()), QQ(1)),))
 
 
-def _mono_mul(a, b):
-    (ua, ta), (ub, tb) = a, b
-    merged = dict(ta)
-    for ell, e in tb:
-        merged[ell] = merged.get(ell, 0) + e
-    return (ua + ub, tuple(sorted(merged.items())))
-
-
-def _poly(terms_dict):
-    return {k: v for k, v in terms_dict.items() if v != 0}
-
-
-class _Parser:
-    """Recursive descent for `U`, `T<ell>`, integers, `+`, `*`, parentheses."""
-
-    _TOKEN = re.compile(r"\s*(U|T\d+|\d+|[+*()])")
-
-    def __init__(self, text):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = self._TOKEN.match(text, pos)
-            if not m:
-                raise ValueError(f"bad token at {text[pos:]!r}")
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expr(self):
-        acc = self.term()
-        while self.peek() == "+":
-            self.next()
-            t = self.term()
-            for k, v in t.items():
-                acc[k] = acc.get(k, 0) + v
-            acc = _poly(acc)
-        return acc
-
-    def term(self):
-        acc = self.factor()
-        while self.peek() == "*":
-            self.next()
-            rhs = self.factor()
-            out = {}
-            for ka, va in acc.items():
-                for kb, vb in rhs.items():
-                    k = _mono_mul(ka, kb)
-                    out[k] = out.get(k, 0) + va * vb
-            acc = _poly(out)
-        return acc
-
-    def factor(self):
-        tok = self.next()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok == "(":
-            inner = self.expr()
-            if self.next() != ")":
-                raise ValueError("unbalanced parentheses")
-            return inner
-        if tok == "U":
-            return {(1, ()): QQ(1)}
-        if tok.startswith("T"):
-            ell = int(tok[1:])
-            return {(0, ((ell, 1),)): QQ(1)}
-        if tok.isdigit():
-            return {(0, ()): QQ(int(tok))}
-        raise ValueError(f"unexpected token {tok!r}")
-
-
-def parse_hpoly(text: str) -> HPolynomial:
-    """Parse an operator polynomial, e.g. '11*U*(U+5)' or 'U'."""
-    parser = _Parser(text)
-    terms = parser.expr()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing input at {parser.peek()!r}")
-    ordered = tuple(sorted(terms.items()))
-    return HPolynomial(ordered)
-
-
 def projector_poly(p: int) -> HPolynomial:
-    """The stock projector choice for small primes: U alone, except p=13."""
+    """The stock projector for small primes: U alone, except Serre's 11U(U+5) at p=13."""
     if p == 13:
-        return parse_hpoly("11*U*(U+5)")
+        return HPolynomial((((1, ()), QQ(55)), ((2, ()), QQ(11))))
     if p in (5, 7):
         return U_POLY
     raise InvalidWeight(f"no stock projector for p={p}; supply one explicitly")

@@ -198,6 +198,14 @@ def rate_verdict(val_i, threshold, effective_pprec, structural_zero=False):
     return "pass" if val_i >= threshold else "fail"
 
 
+def rate_verdicts(rows, rho, c, effective_pprec):
+    """(verdicts, first failing index or None) of rows (index, val, structural_zero)
+    against rho*index - c: the one loop that certifies and revalidates."""
+    verdicts = tuple(rate_verdict(v, rho * i - c, effective_pprec, z) for i, v, z in rows)
+    fails = (i for (i, _, _), verdict in zip(rows, verdicts) if verdict == "fail")
+    return verdicts, next(fails, None)
+
+
 def certify_rate(ke: KatzExpansion, rho, c) -> RateCertificate:
     """Check v_p(b_i) >= rho*i - c for every computed index; the rate needs
     0 <= rho <= 1 and c >= 0 (ValueError otherwise)."""
@@ -207,14 +215,9 @@ def certify_rate(ke: KatzExpansion, rho, c) -> RateCertificate:
         raise ValueError(f"rate rho = {rational_to_str(rho)} outside [0, 1]")
     if c < 0:
         raise ValueError(f"offset c = {rational_to_str(c)} is negative")
-    verdicts = []
-    first_failure = None
-    for t in ke.terms:
-        verdict = rate_verdict(t.val, rho * t.index - c, ke.effective_pprec, t.structural_zero)
-        verdicts.append(verdict)
-        if verdict == "fail" and first_failure is None:
-            first_failure = t.index
-    return RateCertificate(ke.p, rho, c, tuple(verdicts), ke.max_index, first_failure)
+    rows = [(t.index, t.val, t.structural_zero) for t in ke.terms]
+    verdicts, first_failure = rate_verdicts(rows, rho, c, ke.effective_pprec)
+    return RateCertificate(ke.p, rho, c, verdicts, ke.max_index, first_failure)
 
 
 def expand_in_hauptmodul(f: QSeries, p: int, terms: int):

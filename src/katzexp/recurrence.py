@@ -64,9 +64,6 @@ class BivarPolyModP(NamedTuple):
     def is_zero(self):
         return not self.terms
 
-    def to_json(self):
-        return [[[da, db], str(r)] for (da, db), r in self.terms]
-
 
 def bp_add(a: BivarPolyModP, b: BivarPolyModP) -> BivarPolyModP:
     d = dict(a.terms)
@@ -176,6 +173,10 @@ class SymPolyQ(namedtuple("SymPolyQ", "terms den")):
         if not isinstance(terms, MappingProxyType):
             terms = MappingProxyType(terms)
         return super().__new__(cls, terms, den)
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def __getnewargs__(self):  # a MappingProxyType does not pickle
         return dict(self.terms), self.den

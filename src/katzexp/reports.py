@@ -24,7 +24,7 @@ from .katz import (
     hauptmodul_valuations,
     katz_split_classical,
     katz_split_function,
-    rate_verdict,
+    rate_verdicts,
 )
 from .recurrence import delta_p
 from .series import apply_V, qs_div, qs_reduce_mod
@@ -42,9 +42,9 @@ def _val_parse(s):
     return INF if s == "inf" else int(s)
 
 
-def qprec_for_split(p, max_index, margin=8):
-    """q-adic precision comfortably past the last coefficient window."""
-    return dim_weight((max_index + 1) * (p - 1))[0] + margin
+def qprec_for_split(p, max_index):
+    """q-adic precision 8 past the last window, at weight (max_index + 1)(p - 1)."""
+    return dim_weight((max_index + 1) * (p - 1))[0] + 8
 
 
 class RunReport(NamedTuple):
@@ -82,10 +82,13 @@ def certificate_entry(label, role, ke, cert, *, expected=None, note=None):
         entry["note"] = note
     if expected is not None:
         entry["expected"] = dict(expected)
-        entry["matches_expected"] = all(
-            entry["certificate"].get(key) == want for key, want in expected.items()
-        )
+        entry["matches_expected"] = _meets(entry["certificate"], expected)
     return entry
+
+
+def _meets(cert, expected):
+    """Whether a certificate's JSON carries every expected key's value."""
+    return all(cert.get(key) == want for key, want in expected.items())
 
 
 def _rate_entry(prefix, role, ke, rho, c, **kwargs):
@@ -142,34 +145,32 @@ def aggregate_status(results) -> str:
 
 
 def revalidate_report(report) -> bool:
-    """Recheck every embedded certificate against its stored valuations.
+    """Recheck every derived field of a report by the rules that wrote it.
 
     Takes a report dict (RunReport.to_json output or a json.load of it) and
-    recomputes each per-index verdict from the stored valuation, threshold
-    rho*i - c, and working precision. True iff everything agrees.
+    recomputes each certificate's verdicts and first failure from the stored
+    valuations, threshold rho*i - c and working precision, each
+    matches_expected from its certificate, each comparison's matches, and
+    the aggregate status. True iff everything agrees.
     """
     if isinstance(report, RunReport):
         report = report.to_json()
     for entry in report["results"]:
+        if entry.get("kind") == "comparison":
+            if entry["matches"] != (entry["computed"] == entry["published"]):
+                return False
         if entry.get("kind") != "certificate":
             continue
         cert = entry["certificate"]
-        rho = rational_from_str(cert["rho"])
-        c = rational_from_str(cert["c"])
-        pprec = _val_parse(entry["pprec"])
-        redone = [
-            rate_verdict(_val_parse(val_s), rho * idx - c, pprec, structural)
-            for idx, val_s, structural in entry["valuations"]
-        ]
-        fails = [idx for (idx, _, _), v in zip(entry["valuations"], redone) if v == "fail"]
-        first_failure = fails[0] if fails else None
-        if redone != cert["verdicts"]:
+        if "expected" in entry and entry["matches_expected"] != _meets(cert, entry["expected"]):
             return False
-        if first_failure != cert["first_failure"]:
+        rows = [(idx, _val_parse(v), structural) for idx, v, structural in entry["valuations"]]
+        rho, c = rational_from_str(cert["rho"]), rational_from_str(cert["c"])
+        verdicts, first_failure = rate_verdicts(rows, rho, c, _val_parse(entry["pprec"]))
+        stored = (cert["verdicts"], cert["first_failure"], cert["max_index"])
+        if (list(verdicts), first_failure, len(verdicts) - 1) != stored:
             return False
-        if len(redone) != cert["max_index"] + 1:
-            return False
-    return True
+    return report["status"] == aggregate_status(report["results"])
 
 
 def _finish(command, parameters, results, started, *, qprec, max_index, pprec="inf"):
@@ -239,17 +240,15 @@ def _condition_sweep(targets, jobs, budget_seconds, started):
     return results
 
 
-def cmd_check_condition(p, max_n=None, *, jobs=1, budget_seconds=None) -> RunReport:
+def cmd_check_condition(p, *, jobs=1, budget_seconds=None) -> RunReport:
     """Certify v_p(b_i) >= pi/(p+1) for the splits of E_{n(p-1)}, n = 1..p."""
     started = time.perf_counter()
     _require_prime(p)
-    if max_n is None:
-        max_n = p
-    targets = [(n, p, "n=%d" % n) for n in range(1, max_n + 1)]
+    targets = [(n, p, "n=%d" % n) for n in range(1, p + 1)]
     results = _condition_sweep(targets, jobs, budget_seconds, started)
     return _finish(
-        "check-condition", {"prime": p, "max_n": max_n}, results, started,
-        qprec=qprec_for_split(p, max_n), max_index=max_n,
+        "check-condition", {"prime": p, "max_n": p}, results, started,
+        qprec=qprec_for_split(p, p), max_index=p,
     )
 
 

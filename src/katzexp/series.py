@@ -90,14 +90,6 @@ def qs_from_nums(nums, den=1) -> QSeries:
     return f
 
 
-def qs_from_list(coeffs):
-    return QSeries(coeffs)
-
-
-def qs_zero(N):
-    return qs_from_nums((0,) * N)
-
-
 def qs_one(N):
     return qs_from_nums((1,) + (0,) * (N - 1))
 

@@ -14,6 +14,7 @@ import pytest
 
 from katzexp import (
     QQ,
+    QSeries,
     U_POLY,
     agreement_depth,
     certify_rate,
@@ -27,7 +28,6 @@ from katzexp import (
     katz_split_function,
     qprec_for_split,
     qs_div,
-    qs_from_list,
     qs_reduce_mod,
     qs_sub,
     qs_truncate,
@@ -106,7 +106,7 @@ def test_criterion_04_unit_congruence():
         for p in (5, 7, 11, 13):
             for n in range(1, 2 * p + 1):
                 e_n, estar_n = eis_ratio(n, p, 50)
-                one = qs_from_list([1] + [0] * 49)
+                one = QSeries([1] + [0] * 49)
                 for g in (e_n, estar_n):
                     assert qs_val(qs_sub(g, one), p) >= 2, (p, n)
 
@@ -122,7 +122,7 @@ def test_criterion_05_twisted_eigenforms():
                 for ell in (2, 3):
                     scaled = twisted_T_ell(estar_n, ell, n, p)
                     lam = 1 + ell ** (n * (p - 1) - 1)
-                    expect = qs_from_list(
+                    expect = QSeries(
                         [lam * c for c in estar_n.coeffs[: scaled.prec]]
                     )
                     assert scaled == expect, (p, n, ell)

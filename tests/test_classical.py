@@ -12,13 +12,13 @@ import sympy
 
 from katzexp import (
     QQ,
+    QSeries,
     bernoulli,
     delta_series,
     dim_weight,
     eisenstein_series,
     hauptmodul_series,
     miller_form,
-    qs_from_list,
     qs_mul,
     qs_pow,
     qs_sub,
@@ -42,7 +42,7 @@ def eta_quotient_pentagonal(N):
         if done:
             break
         k += 1
-    return qs_from_list(coeffs)
+    return QSeries(coeffs)
 
 
 # 1090 and 1876: the classical-limit weights of theorems F (p=11) and A
@@ -100,7 +100,7 @@ def test_eisenstein_invalid_weights():
 def test_delta_matches_eta_product():
     N = 60
     eta24 = qs_pow(eta_quotient_pentagonal(N), 24)
-    shifted = qs_from_list([QQ(0)] + list(eta24.coeffs[: N - 1]))
+    shifted = QSeries([QQ(0)] + list(eta24.coeffs[: N - 1]))
     d = delta_series(N)
     assert d.coeffs == shifted.coeffs
 
@@ -157,7 +157,7 @@ def test_products_lie_in_miller_span():
         rem = f
         for j in range(d):
             g = miller_form(k, j, 12)
-            rem = qs_sub(rem, qs_mul(qs_from_list([rem.coeffs[j]] + [QQ(0)] * 11), g))
+            rem = qs_sub(rem, qs_mul(QSeries([rem.coeffs[j]] + [QQ(0)] * 11), g))
         assert all(c == 0 for c in rem.coeffs)
 
 
@@ -165,7 +165,7 @@ def test_products_lie_in_miller_span():
 def test_eisenstein_weight_p_minus_1_is_1_mod_p(p):
     e = eisenstein_series(p - 1, 30)
     assert e.coeffs[0] == 1
-    assert qs_val(qs_sub(e, qs_from_list([QQ(1)] + [QQ(0)] * 29)), p) >= 1
+    assert qs_val(qs_sub(e, QSeries([QQ(1)] + [QQ(0)] * 29)), p) >= 1
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (7, 2), (7, 3)])
@@ -181,11 +181,11 @@ def test_hauptmodul_matches_eta_quotient(p):
     N = 40
     e = 24 // (p - 1)
     eta = eta_quotient_pentagonal(N)
-    eta_p = qs_from_list(
+    eta_p = QSeries(
         [eta.coeffs[n // p] if n % p == 0 else QQ(0) for n in range(N)]
     )
     ratio = qs_pow(qs_mul(eta_p, qs_pow(eta, -1)), e)
-    expect = qs_from_list([QQ(0)] + list(ratio.coeffs[: N - 1]))
+    expect = QSeries([QQ(0)] + list(ratio.coeffs[: N - 1]))
     got = hauptmodul_series(p, N)
     assert got.coeffs == expect.coeffs
 

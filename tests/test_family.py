@@ -16,7 +16,6 @@ from katzexp.errors import (
     CrossCheckMismatch,
     InvalidWeight,
     NotAUnit,
-    PrecisionTooLow,
 )
 from katzexp import family
 from katzexp.family import (
@@ -144,9 +143,14 @@ def test_gen_bernoulli_trivial_character_is_exact():
 
 
 def test_gen_bernoulli_guard_digits():
-    with pytest.raises(PrecisionTooLow):
-        gen_bernoulli_tau(5, 5, 2)
-    assert val(gen_bernoulli_tau(5, 5, 2, guard=3), 5) == -1
+    # s >= p: s!/p loses 1 + v_p(s!) digits, which the guard now covers, and
+    # each result agrees mod p^(M+1) with one computed at higher precision
+    for s, p in [(5, 5), (6, 5), (10, 5), (25, 5), (7, 7)]:
+        deep = gen_bernoulli_tau(s, p, 6)
+        for M in (1, 2, 3):
+            B = gen_bernoulli_tau(s, p, M)
+            assert val(B, p) == -1
+            assert val(B - deep, p) >= M + 1
     with pytest.raises(InvalidWeight):
         gen_bernoulli_tau(0, 5, 2)
 
@@ -224,12 +228,11 @@ def test_cross_construction_mismatch_raises(monkeypatch):
 
 def test_family_member_serialization():
     member = estar_family(2, 5, 12, 2)
-    blob = member.to_json()
-    assert blob["s"] == 2 and blob["p"] == 5 and blob["pprec"] == 2
-    assert blob["weight_used"] == 52
-    assert blob["escalations"] == []
-    assert blob["coeffs"][0] == "1"
-    assert len(blob["coeffs"]) == 12
+    assert (member.s, member.p, member.pprec) == (2, 5, 2)
+    assert member.weight_used == 52
+    assert member.escalations == ()
+    assert member.series.coeffs[0] == 1
+    assert len(member.series.coeffs) == 12
 
 
 # ------------------------------------------------- family overconvergence

@@ -20,7 +20,6 @@ from katzexp.hecke import (
     apply_hpoly_twisted,
     hecke_T_ell,
     iterate_H,
-    parse_hpoly,
     projector_poly,
     t_p_n_one,
     twisted_T_ell,
@@ -247,27 +246,16 @@ def test_hpoly_p_integrality_check():
 
 
 def test_hpoly_max_divisor():
-    h = parse_hpoly("11*U*(U+5) + U*T2*T2")
+    # 11*U*(U+5) + U*T2*T2
+    h = HPolynomial((((1, ()), QQ(55)), ((1, ((2, 2),)), QQ(1)), ((2, ()), QQ(11))))
     assert h.max_divisor(13) == 13 * 13
     assert h.max_divisor(3) == 3 * 4
-
-
-def test_parse_known_projector():
-    h = parse_hpoly("11*U*(U+5)")
-    assert h.terms == (((1, ()), QQ(55)), ((2, ()), QQ(11)))
-    assert parse_hpoly("U") == U_POLY
-    assert parse_hpoly("T3*U + U*T3").terms == (((1, ((3, 1),)), QQ(2)),)
-
-
-def test_parse_rejects_malformed_input():
-    for text in ("", "5", "U+1", "11U", "U*", "(U", "U)", "U@", "T6*U"):
-        with pytest.raises(ValueError):
-            parse_hpoly(text)
 
 
 def test_stock_projectors():
     assert projector_poly(5) == U_POLY
     assert projector_poly(7) == U_POLY
+    assert projector_poly(13).terms == (((1, ()), QQ(55)), ((2, ()), QQ(11)))
     assert str(projector_poly(13)) == "55*U + 11*U*U"
     with pytest.raises(InvalidWeight):
         projector_poly(11)
@@ -295,8 +283,12 @@ def strided_twisted(h, f, n, p):
 
 def test_apply_hpoly_matches_twisted_fast_path():
     rng = random.Random(7)
-    for text, n, p, N in [("11*U*(U+5)", 1, 13, 360), ("U*T2", 2, 5, 200), ("U*(U+3*T2)", 1, 7, 300)]:
-        h = parse_hpoly(text)
+    cases = [
+        ("11*U*(U+5)", projector_poly(13), 1, 13, 360),
+        ("U*T2", HPolynomial((((1, ((2, 1),)), QQ(1)),)), 2, 5, 200),
+        ("U*(U+3*T2)", HPolynomial((((1, ((2, 1),)), QQ(3)), ((2, ()), QQ(1)))), 1, 7, 300),
+    ]
+    for text, h, n, p, N in cases:
         f = rand_series(rng, N, den=4)
         assert apply_hpoly_twisted(h, f, n, p).coeffs == strided_twisted(h, f, n, p).coeffs, text
 
@@ -332,7 +324,7 @@ def test_projector_orbit_p13_needs_unit_normalization():
     # Serre's raw polynomial has eigenvalue 66 on e*_1, a unit that is 1
     # only mod 13, so the raw orbit stalls at depth 1; dividing by 66
     # gives the projector normalization and restores convergence
-    raw = parse_hpoly("11*U*(U+5)")
+    raw = projector_poly(13)
     normalized = HPolynomial((((1, ()), QQ(5, 6)), ((2, ()), QQ(1, 6))))
     assert orbit_depths(raw, 1, 13, 1, 2028) == [1]
     assert orbit_depths(normalized, 1, 13, 1, 2028) == [23]

@@ -12,10 +12,10 @@ import pytest
 from katzexp import (
     INF,
     QQ,
+    QSeries,
     delta_series,
     eisenstein_series,
     miller_form,
-    qs_from_list,
     qs_mul,
     qs_pow,
     qs_sub,
@@ -116,7 +116,7 @@ def test_not_a_modular_form():
     for k, n, p, N in [(24, 6, 5, 10), (48, 3, 17, 8)]:
         f = eisenstein_series(k, N)
         for m in range(N):
-            bad = qs_from_list([c + (1 if i == m else 0) for i, c in enumerate(f.coeffs)])
+            bad = QSeries([c + (1 if i == m else 0) for i, c in enumerate(f.coeffs)])
             with pytest.raises(NotAModularForm):
                 katz_split_classical(bad, n, p)
 
@@ -148,8 +148,7 @@ def test_rank_two_window_and_unimodularity():
     assert ke.valuations() == [0, 2, 2, 3]
     for t in ke.terms:
         if not t.structural_zero:
-            assert t.val == min(val for val in
-                                ([qs_val(qs_from_list([c]), 17) for c in t.miller_coords]))
+            assert t.val == min(qs_val(QSeries([c]), 17) for c in t.miller_coords)
 
 
 def test_coordinate_vals_match_series_vals():
@@ -162,7 +161,7 @@ def test_coordinate_vals_match_series_vals():
         for t in ke.terms:
             if t.structural_zero:
                 continue
-            coord_val = min(qs_val(qs_from_list([c]), p) for c in t.miller_coords)
+            coord_val = min(qs_val(QSeries([c]), p) for c in t.miller_coords)
             assert t.val == coord_val
 
 
@@ -172,7 +171,7 @@ def test_congruence_transfer_to_expansion(p, n):
     # b_0 = 1 + O(p^2), all later terms O(p^2)
     N = 40
     ke = katz_split_function(e_ratio(n, p, N), p, n)
-    one = qs_from_list([QQ(1)] + [QQ(0)] * (N - 1))
+    one = QSeries([QQ(1)] + [QQ(0)] * (N - 1))
     assert qs_val(qs_sub(ke.term(0).b, one), p) >= 2
     for i in range(1, n + 1):
         assert ke.term(i).val >= 2
@@ -234,7 +233,7 @@ def test_certify_e6_function_examples():
 
 def test_certify_zero_expansion_passes_everything():
     N = 10
-    zero = qs_from_list([QQ(0)] * N)
+    zero = QSeries([QQ(0)] * N)
     ke = katz_split_function(zero, 5, 6)
     for rho, c in [(QQ(1), QQ(0)), (QQ(5, 6), QQ(0)), (QQ(1, 6), QQ(2)), (QQ(0), QQ(0))]:
         assert certify_rate(ke, rho, c).all_pass
@@ -309,7 +308,7 @@ def test_pprec_marks_deep_indices_inconclusive():
 
 def test_hauptmodul_expansion_of_simple_functions():
     N = 12
-    one = qs_from_list([QQ(1)] + [QQ(0)] * (N - 1))
+    one = QSeries([QQ(1)] + [QQ(0)] * (N - 1))
     assert expand_in_hauptmodul(one, 5, 6) == (1, 0, 0, 0, 0, 0)
     from katzexp import hauptmodul_series
 

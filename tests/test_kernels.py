@@ -25,7 +25,6 @@ from katzexp import (
     bernoulli,
     eisenstein_series,
     qs_add,
-    qs_from_list,
     qs_inv,
     qs_mul,
     qs_sub,
@@ -41,7 +40,7 @@ _small = st.integers(-60, 60)
 _huge = st.builds(lambda sign, m: sign * m, st.sampled_from((-1, 1)), st.integers(2**2000, 2**2010))
 _dens = st.one_of(st.just(1), st.sampled_from((2, 3, 5, 7, 25, 35, 125, 3125)), st.integers(1, 10**9))
 _coeff = st.one_of(st.just(QQ(0)), st.builds(QQ, st.one_of(_small, _huge), _dens))
-_series = st.lists(_coeff, max_size=60).map(qs_from_list)
+_series = st.lists(_coeff, max_size=60).map(QSeries)
 
 
 def check_lowest_terms(f):
@@ -61,8 +60,8 @@ def test_series_from_rationals_is_in_lowest_terms(coeffs):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_coeff, _coeff), max_size=40), st.integers(2, 10**6))
 def test_equal_series_from_other_denominators_compare_and_hash_equal(pairs, scale):
-    a = qs_from_list([x for x, _ in pairs])
-    b = qs_from_list([y for _, y in pairs])
+    a = QSeries([x for x, _ in pairs])
+    b = QSeries([y for _, y in pairs])
     scaled = qs_from_nums([scale * x for x in a.nums], scale * a.den)
     assert (scaled.nums, scaled.den) == (a.nums, a.den)
     round_trip = qs_sub(qs_add(a, b), b)
@@ -96,8 +95,8 @@ def test_qs_mul_matches_schoolbook(a, b):
 )
 def test_qs_mul_denominators_growing_with_the_index(nums, other, d):
     # the shape of qs_inv output: the j-th denominator is d^j
-    a = qs_from_list([QQ(n, d**j) for j, n in enumerate(nums)])
-    b = qs_from_list([QQ(n, d) for n in other])
+    a = QSeries([QQ(n, d**j) for j, n in enumerate(nums)])
+    b = QSeries([QQ(n, d) for n in other])
     check_against_oracle(a, b)
     check_against_oracle(b, a)
     check_against_oracle(a, a)
@@ -106,16 +105,16 @@ def test_qs_mul_denominators_growing_with_the_index(nums, other, d):
 @pytest.mark.parametrize("n", [1, 2, 9, 40])
 def test_qs_mul_borrow_runs_through_every_lane(n):
     # -1 times all ones: every output lane is -1, so a borrow carries into each
-    a = qs_from_list([-1] + [0] * (n - 1))
-    b = qs_from_list([1] * n)
+    a = QSeries([-1] + [0] * (n - 1))
+    b = QSeries([1] * n)
     assert qs_mul(a, b).coeffs == (QQ(-1),) * n
     check_against_oracle(a, b)
 
 
 @pytest.mark.parametrize("na, nb", [(0, 0), (0, 5), (5, 0), (7, 7), (7, 3)])
 def test_qs_mul_zero_operands(na, nb):
-    zero = qs_from_list([0] * na)
-    other = qs_from_list([QQ(i - 3, 5) for i in range(nb)])
+    zero = QSeries([0] * na)
+    other = QSeries([QQ(i - 3, 5) for i in range(nb)])
     got = qs_mul(zero, other)
     assert got.coeffs == (QQ(0),) * min(na, nb)
     assert qs_mul(other, zero).coeffs == got.coeffs
@@ -140,7 +139,7 @@ def check_inv_against_oracle(a):
 @given(_unit0, st.lists(_coeff, max_size=39))
 def test_qs_inv_matches_schoolbook(c0, rest):
     # constant terms of either sign, integral or not
-    check_inv_against_oracle(qs_from_list([c0] + rest))
+    check_inv_against_oracle(QSeries([c0] + rest))
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,7 +150,7 @@ def test_qs_inv_matches_schoolbook(c0, rest):
 )
 def test_qs_inv_denominators_growing_with_the_index(n0, nums, d):
     # the shape of an inverse: the j-th denominator is d^j, with interior zeros
-    check_inv_against_oracle(qs_from_list([QQ(n, d**j) for j, n in enumerate([n0] + nums)]))
+    check_inv_against_oracle(QSeries([QQ(n, d**j) for j, n in enumerate([n0] + nums)]))
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,12 +12,14 @@ import os
 import pickle
 import subprocess
 import sys
+from types import MappingProxyType
 
 import pytest
 
 from katzexp import (
     QQ,
     BivarPolyModP,
+    HPolynomial,
     QSeries,
     U_POLY,
     certify_rate,
@@ -91,6 +93,20 @@ def test_sympolyq_terms_stay_read_only_after_pickle():
     back = pickle.loads(pickle.dumps(SymPolyQ({3: 2}, 5)))
     with pytest.raises(TypeError):
         back.terms[3] = 1
+
+
+def test_make_and_replace_go_through_validation():
+    with pytest.raises(ValueError):
+        U_POLY._replace(terms=())
+    with pytest.raises(ValueError):
+        HPolynomial._make(((((0, ()), QQ(1)),),))
+    assert U_POLY._replace(terms=U_POLY.terms) == U_POLY
+    made = SymPolyQ._make(({1: 1}, 1))
+    assert isinstance(made.terms, MappingProxyType)
+    replaced = SymPolyQ({3: 2}, 5)._replace(terms={3: 4})
+    assert isinstance(replaced.terms, MappingProxyType) and replaced.den == 5
+    with pytest.raises(TypeError):
+        SymPolyQ._make(({1: 1}, 1, 2))
 
 
 def test_cli_import_loads_only_what_a_serial_run_uses():

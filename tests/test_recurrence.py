@@ -89,7 +89,7 @@ def test_bivar_arithmetic_normalizes():
 
 def test_bivar_serialization():
     s = bp_add(BivarPolyModP.gen_A(5), BivarPolyModP.const(5, 2))
-    assert s.to_json() == [[[0, 0], "2"], [[1, 0], "1"]]
+    assert s.terms == (((0, 0), 2), ((1, 0), 1))
 
 
 def test_s_sequence_start_and_first_nonzero():

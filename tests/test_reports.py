@@ -118,6 +118,21 @@ def test_revalidation_catches_tampering():
     doctored["results"][idx]["certificate"]["first_failure"] = None
     assert not revalidate_report(doctored)
 
+    # fields derived from others are re-derived by the rules that wrote them
+    doctored = copy.deepcopy(base)
+    doctored["status"] = "failed"
+    assert not revalidate_report(doctored)
+
+    doctored = copy.deepcopy(base)
+    comparison = next(e for e in doctored["results"] if e["kind"] == "comparison")
+    comparison["computed"] = "bogus"
+    assert not revalidate_report(doctored)
+
+    doctored = copy.deepcopy(base)
+    pinned = next(e for e in doctored["results"] if "matches_expected" in e)
+    pinned["matches_expected"] = False
+    assert not revalidate_report(doctored)
+
 
 # -- check-condition --------------------------------------------------------
 
@@ -458,6 +473,17 @@ def test_cli_exit_inconclusive(capsys):
         capsys,
     )
     assert code == 2
+
+
+def test_cli_theorem_f_at_s_equal_to_p(capsys):
+    # s! carries a factor of p, so the Bernoulli step needs a third guard digit
+    code, out, err = run_cli(
+        ["verify-theorem", "--id", "F", "--prime", "5", "--s", "5",
+         "--max-index", "6", "--pprec", "2"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert revalidate_report(json.loads(out))
 
 
 def test_cli_exit_domain_error(capsys):
