@@ -48,7 +48,7 @@ ke = katz_split_function(f, p, 24, pprec=M)
 for rho, c in ((QQ(1, 6), 1), (QQ(1, 9), 0), (QQ(1, 6), 0)):
     cert = certify_rate(ke, rho, c)
     inconclusive = [i for i, v in enumerate(cert.verdicts) if v == "inconclusive"]
-    line = "all pass" if cert.all_pass else (
-        "fails at i=%d" % cert.first_failure if cert.failed
+    line = "all pass" if set(cert.verdicts) == {"pass"} else (
+        "fails at i=%d" % cert.first_failure if cert.first_failure is not None
         else "no failures, inconclusive at %r" % inconclusive)
     print("rate %s offset %s: %s" % (rho, c, line))

@@ -47,5 +47,5 @@ print("a_0 = %s, a_1 = %s" % tuple(rational_to_str(c) for c in coeffs))
 ke = katz_split_function(f, p, 30)
 for rho, c in ((QQ(1, 9), 0), (QQ(1, 6), 1), (QQ(1, 6), 0)):
     cert = certify_rate(ke, rho, c)
-    where = "passes" if cert.all_pass else "fails at i=%d" % cert.first_failure
+    where = "passes" if set(cert.verdicts) == {"pass"} else "fails at i=%d" % cert.first_failure
     print("rate %s offset %s: %s" % (rho, c, where))

@@ -31,7 +31,7 @@ print("p=5, n=2: agreement depths per iteration:", depths)
 # p = 13: raw polynomial vs unit-normalized
 raw = projector_poly(13)
 print("stock p=13 polynomial:", raw)
-normalized = HPolynomial((((1, ()), QQ(5, 6)), ((2, ()), QQ(1, 6))))
+normalized = HPolynomial((QQ(5, 6), QQ(1, 6)))
 N13 = 2 * 13 ** 2
 _, estar_13 = eis_ratio(1, 13, N13 // 13)
 for h, name in ((raw, "raw"), (normalized, "normalized")):

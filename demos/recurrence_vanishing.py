@@ -37,7 +37,9 @@ for t in (1, 2):
           deep_recurrence_verify(p, p + 1, coeffs, long_seq, t))
 
 # symmetric-function mirror: divisibility of the scaled Newton images
-divisible = [n for n in range(1, 41) if phi_image(n, p).min_coeff_val(p) >= 1]
+# a SymPolyQ is in lowest terms, so p | Phi(y_n) iff p divides every numerator
+divisible = [n for n in range(1, 41)
+             if all(c % p == 0 for c in phi_image(n, p).terms.values())]
 print("p | Phi(y_n) for n <= 40:", divisible)
 print("matches the digit flag:",
       divisible == [n for n in range(1, 41) if delta_p(4 * n, p) == 4])

@@ -1,7 +1,7 @@
 """Exact-arithmetic Katz expansions and overconvergence-rate certificates
 for p-adic modular functions of tame level 1."""
 
-from ._rational import INF, QQ, ZZ, val
+from ._rational import INF, QQ, val
 from .classical import (
     bernoulli,
     delta_series,

@@ -1,30 +1,17 @@
-"""Exact rational arithmetic backend.
-
-Uses gmpy2 (GMP-backed) when available, falling back to the stdlib Fraction.
-Everything downstream goes through QQ/ZZ so the backend is swappable.
-"""
+"""Exact rational arithmetic: QQ is the stdlib Fraction, integers are Python ints."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction as QQ
 
 INF = math.inf
-
-try:
-    from gmpy2 import mpq as QQ, mpz as ZZ, is_prime as _gmp_is_prime, remove as _gmp_remove
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ
-
-    ZZ = int
-    _HAVE_GMPY2 = False
+# there is one backend; perfbench/run.py still reads this flag to label its runs
+_HAVE_GMPY2 = False
 
 
 def is_prime(n):
     n = int(n)
-    if _HAVE_GMPY2:
-        return bool(_gmp_is_prime(n))
     if n < 2:
         return False
     if n < 4:
@@ -43,8 +30,6 @@ def int_val(n, p):
     """Multiplicity of the prime p in the nonzero integer n."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined here")
-    if _HAVE_GMPY2:
-        return int(_gmp_remove(ZZ(n), ZZ(p))[1])
     n = abs(int(n))
     v = 0
     while n % p == 0:
@@ -78,5 +63,5 @@ def rational_from_str(s):
 def rational_to_str(x):
     x = QQ(x)
     if x.denominator == 1:
-        return str(int(x.numerator))
+        return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

@@ -7,7 +7,7 @@ products of (1 - q^m)^(+-e) factors.
 
 from __future__ import annotations
 
-from ._rational import QQ, ZZ
+from ._rational import QQ
 from .errors import InvalidWeight, UnsupportedPrime
 from .series import QSeries, qs_from_nums, qs_mul, qs_pow, qs_scalar_mul, qs_sub
 
@@ -55,14 +55,14 @@ def sigma_k(n: int, k: int):
     """Divisor power sum sigma_k(n) = sum of d^k over divisors d of n."""
     if n < 1:
         raise ValueError("sigma_k needs n >= 1")
-    total = ZZ(0)
+    total = 0
     d = 1
     while d * d <= n:
         if n % d == 0:
-            total += ZZ(d) ** k
+            total += d ** k
             e = n // d
             if e != d:
-                total += ZZ(e) ** k
+                total += e ** k
         d += 1
     return total
 
@@ -72,7 +72,7 @@ def eisenstein_series(k: int, N: int) -> QSeries:
     if k < 4 or k % 2 != 0:
         raise InvalidWeight(f"E_k needs even k >= 4, got {k}")
     factor = QQ(2 * k) / bernoulli(k)
-    a, b = int(factor.numerator), int(factor.denominator)
+    a, b = factor.numerator, factor.denominator
     # accumulate d^(k-1) into every multiple of d: one big power per divisor
     sums = [0] * N
     for d in range(1, N):

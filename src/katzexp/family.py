@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._rational import QQ, ZZ, int_val
+from ._rational import QQ, int_val
 from .classical import eisenstein_series
 from .errors import (
     CrossCheckMismatch,
@@ -41,7 +41,7 @@ from .series import (
 def estar_k(k: int, p: int, N: int) -> QSeries:
     """The ordinary p-stabilization (E_k - p^(k-1) V(E_k)) / (1 - p^(k-1))."""
     E = eisenstein_series(k, N)
-    scale = QQ(ZZ(p) ** (k - 1))
+    scale = QQ(p ** (k - 1))
     num = qs_sub(E, qs_scalar_mul(scale, apply_V(E, p)))
     return qs_scalar_mul(1 / (1 - scale), num)
 
@@ -61,13 +61,13 @@ def eis_ratio(n: int, p: int, N: int):
 
 def teichmuller(d: int, p: int, M: int) -> int:
     """omega(d) mod p^M by iterated p-th powering until the fixed point."""
-    pm = ZZ(p) ** M
-    x = ZZ(d) % pm
+    pm = p ** M
+    x = d % pm
     if x % p == 0:
         raise NotAUnit(f"{d} is divisible by {p}")
     for _ in range(M):
         x = pow(x, p, pm)
-    return int(x)
+    return x
 
 
 def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
@@ -83,9 +83,9 @@ def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
     if s < 1:
         raise InvalidWeight("s must be >= 1")
     guard = 2 + int_val(math.factorial(s), p)
-    big = ZZ(p) ** (M + guard)
+    big = p ** (M + guard)
     # t/(e^{pt}-1) = (1/p) * 1/(1 + h) with h = sum_{j>=1} (pt)^j/(j+1)!
-    one_plus_h = (QQ(1),) + tuple(QQ(ZZ(p) ** j, math.factorial(j + 1)) for j in range(1, s + 1))
+    one_plus_h = (QQ(1),) + tuple(QQ(p ** j, math.factorial(j + 1)) for j in range(1, s + 1))
     inv = qs_inv(QSeries(one_plus_h)).coeffs
     total = QQ(0)
     for a in range(1, p):
@@ -112,12 +112,12 @@ class FamilyMember(NamedTuple):
 
 def classical_limit_weight(s: int, p: int, M: int) -> int:
     """Smallest weight k >= 4 with k = 0 mod (p-1) and k = s mod p^M."""
-    pm = ZZ(p) ** M
+    pm = p ** M
     # p = 1 mod (p-1), so p^M = 1 as well; CRT by hand
     inv = pow(pm % (p - 1), -1, p - 1)
     residue = (-s) * inv % (p - 1)
-    k = int(s + residue * pm)
-    L = int((p - 1) * pm)
+    k = s + residue * pm
+    L = (p - 1) * pm
     while k < 4:
         k += L
     return k
@@ -139,7 +139,7 @@ def estar_family_classical(s: int, p: int, N: int, M: int, *, extra: int = 0) ->
     """Classical-limit construction: E_k mod p^M at a weight k congruent to
     s one p-adic digit deeper for each escalation step `extra`."""
     k = classical_limit_weight(s, p, M + extra)
-    reduced = qs_reduce_mod(eisenstein_series(k, N), ZZ(p) ** M)
+    reduced = qs_reduce_mod(eisenstein_series(k, N), p ** M)
     return FamilyMember(s, p, reduced, M, "classical-limit", weight_used=k)
 
 
@@ -148,14 +148,14 @@ def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> FamilyMember:
     with the divisor sums restricted to divisors prime to p."""
     if s < 1:
         raise InvalidWeight("s must be >= 1")
-    pm = int(ZZ(p) ** M)
-    big = ZZ(p) ** (M + 2)
+    pm = p ** M
+    big = p ** (M + 2)
     B = gen_bernoulli_tau(s, p, M)
     factor = QQ(-2 * s) / B
     fnum, fden = factor.numerator, factor.denominator
     if fden % p == 0:
         raise PrecisionTooLow("normalization factor lost p-integrality")
-    factor_mod = int(fnum % big) * pow(int(fden % big), -1, int(big)) % int(big)
+    factor_mod = fnum % big * pow(fden, -1, big) % big
     # sigma*_{s-1}(n) = sum_{d|n, p nmid d} d^(s-1) tau(d)^(-s); tau has
     # period p on units, so tau(d) depends only on d mod p
     coeffs = [0] * N
@@ -166,9 +166,9 @@ def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> FamilyMember:
     for d in range(1, N):
         if d % p == 0:
             continue
-        term = int(ZZ(d) ** (s - 1) % big) * tau_inv_s[d % p] % int(big)
+        term = pow(d, s - 1, big) * tau_inv_s[d % p] % big
         for n in range(d, N, d):
-            coeffs[n] = (coeffs[n] + term) % int(big)
+            coeffs[n] = (coeffs[n] + term) % big
     for n in range(1, N):
         coeffs[n] = (factor_mod * coeffs[n]) % pm
     series = qs_from_nums(coeffs)

@@ -58,9 +58,6 @@ class KatzExpansion(NamedTuple):
     def term(self, i: int) -> KatzTerm:
         return self.terms[i]
 
-    def valuations(self):
-        return [t.val for t in self.terms]
-
 
 def _window_forms(i, p, N):
     lo, hi = window_bounds(i, p)
@@ -160,18 +157,6 @@ class RateCertificate(NamedTuple):
     verdicts: tuple  # "pass" | "fail" | "inconclusive", indexed 0..max_index
     max_index: int
     first_failure: int | None
-
-    @property
-    def all_pass(self):
-        return all(v == "pass" for v in self.verdicts)
-
-    @property
-    def failed(self):
-        return self.first_failure is not None
-
-    @property
-    def inconclusive_count(self):
-        return sum(1 for v in self.verdicts if v == "inconclusive")
 
     def to_json(self) -> dict:
         return {

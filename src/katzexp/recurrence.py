@@ -17,7 +17,6 @@ from collections import namedtuple
 from types import MappingProxyType
 from typing import NamedTuple
 
-from ._rational import int_val
 from .errors import InsufficientLength
 
 
@@ -180,11 +179,6 @@ class SymPolyQ(namedtuple("SymPolyQ", "terms den")):
 
     def __getnewargs__(self):  # a MappingProxyType does not pickle
         return dict(self.terms), self.den
-
-    def min_coeff_val(self, p):
-        if not self.terms:
-            return None
-        return min(int_val(c, p) for c in self.terms.values()) - int_val(self.den, p)
 
 
 def _lowest(nums, den) -> SymPolyQ:

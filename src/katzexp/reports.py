@@ -150,14 +150,21 @@ def revalidate_report(report) -> bool:
     Takes a report dict (RunReport.to_json output or a json.load of it) and
     recomputes each certificate's verdicts and first failure from the stored
     valuations, threshold rho*i - c and working precision, each
-    matches_expected from its certificate, each comparison's matches, and
-    the aggregate status. True iff everything agrees.
+    matches_expected from its certificate, each comparison's matches, each
+    hauptmodul floor and first floor violation, and the aggregate status.
+    True iff everything agrees.
     """
     if isinstance(report, RunReport):
         report = report.to_json()
     for entry in report["results"]:
         if entry.get("kind") == "comparison":
             if entry["matches"] != (entry["computed"] == entry["published"]):
+                return False
+        if entry.get("kind") == "hauptmodul":
+            vals = [_val_parse(v) for v in entry["valuations"]]
+            floors = entry.get("floor_at_sharp_rate")
+            want = (None, None) if floors is None else (_floors(len(vals)), _floor_violation(vals))
+            if (floors, entry["first_floor_violation"]) != want:
                 return False
         if entry.get("kind") != "certificate":
             continue
@@ -209,18 +216,19 @@ def _condition_entry(args):
 def _condition_sweep(targets, jobs, budget_seconds, started):
     """Condition entries for the (n, p, label) targets, in order.
 
-    One loop serves the serial map and the parallel pool.imap. The budget is
-    checked as each entry arrives; on overrun ResourceBudgetExceeded is raised
-    and the pool is terminated, dropping targets still pending or running, so
-    a sweep is either complete or absent, never truncated.
+    One loop serves the serial map and the pool.imap of at most one worker
+    per target. The budget is checked as each entry arrives; on overrun
+    ResourceBudgetExceeded is raised and the pool is terminated, dropping
+    targets still pending or running, so a sweep is complete or absent.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % (jobs,))
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be > 0, got %g" % budget_seconds)
-    if jobs > 1:
+    workers = min(jobs, len(targets))
+    if workers > 1:
         import multiprocessing  # loaded for a parallel sweep only
-    pool = multiprocessing.get_context("spawn").Pool(jobs) if jobs > 1 else None
+    pool = multiprocessing.get_context("spawn").Pool(workers) if workers > 1 else None
     entries = (pool.imap if pool else map)(_condition_entry, targets)
     results = []
     try:
@@ -279,6 +287,11 @@ def _floor_violation(t_vals):
     """First j whose t-coefficient sits below the rate-1/(p+1) floor j/2."""
     bad = (j for j, v in enumerate(t_vals) if v != INF and QQ(v) < QQ(j, 2))
     return next(bad, None)
+
+
+def _floors(terms):
+    """The floors j/2, j < terms, that membership at rate 1/(p+1) forces."""
+    return [rational_to_str(QQ(j, 2)) for j in range(terms)]
 
 
 _C1 = "-340364160000/236364091"
@@ -480,7 +493,7 @@ def cmd_verify_theorem(
             note = "membership at rate 1/%d would force the floor on every listed coefficient"
             results.append(_hauptmodul_entry(
                 name, t_vals, note % (p + 1),
-                floor_at_sharp_rate=[rational_to_str(QQ(j, 2)) for j in range(terms)],
+                floor_at_sharp_rate=_floors(terms),
                 first_floor_violation=_floor_violation(t_vals),
             ))
 

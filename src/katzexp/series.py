@@ -25,9 +25,9 @@ class QSeries:
 
     def __init__(self, coeffs):
         coeffs = tuple(QQ(c) for c in coeffs)
-        den = math.lcm(*(int(c.denominator) for c in coeffs))
+        den = math.lcm(*(c.denominator for c in coeffs))
         # over the lcm of reduced denominators, gcd(den, *nums) is already 1
-        nums = tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs)
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         self.__dict__["coeffs"] = coeffs
@@ -114,8 +114,8 @@ def qs_sub(a: QSeries, b: QSeries) -> QSeries:
 
 def qs_scalar_mul(c, a: QSeries) -> QSeries:
     c = QQ(c)
-    num = int(c.numerator)
-    return qs_from_nums([num * x for x in a.nums], a.den * int(c.denominator))
+    num = c.numerator
+    return qs_from_nums([num * x for x in a.nums], a.den * c.denominator)
 
 
 def _pack(nums, w):
@@ -244,7 +244,6 @@ def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
     Rational coefficients are allowed as long as their denominators are
     invertible mod the modulus; any other denominator raises NotAUnit.
     """
-    modulus = int(modulus)
     try:
         inv = pow(f.den, -1, modulus)
     except ValueError:

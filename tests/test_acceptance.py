@@ -161,9 +161,8 @@ def test_criterion_08_phi_integrality_and_divisibility():
         divisible = []
         for n in range(1, 41):
             ph = phi_image(n, 5)
-            v = ph.min_coeff_val(5)
-            assert v >= 0, n
-            if v >= 1:
+            assert ph.den % 5 != 0, n  # lowest terms: p-integral iff p does not divide den
+            if all(c % 5 == 0 for c in ph.terms.values()):
                 divisible.append(n)
         assert divisible == DIVISIBLE_BY_5
         flagged = [n for n in range(1, 41) if delta_p(4 * n, 5) == 4]
@@ -178,7 +177,7 @@ def test_criterion_09_frobenius_ratio_prefix():
             f = qs_div(apply_V(E, 5), E)
             ke = katz_split_function(f, 5, 10)
             cert = certify_rate(ke, QQ(1, 6), 1)
-            assert cert.all_pass, (k, cert.first_failure)
+            assert set(cert.verdicts) == {"pass"}, (k, cert.first_failure)
 
 
 def test_criterion_10_family_ratio_certificates():
@@ -191,7 +190,7 @@ def test_criterion_10_family_ratio_certificates():
 
         offset = certify_rate(ke, QQ(1, 6), 1)
         assert offset.first_failure is None
-        assert offset.inconclusive_count == 0
+        assert "inconclusive" not in offset.verdicts
 
         sharp = certify_rate(ke, QQ(1, 6), 0)
         assert sharp.first_failure is None

@@ -3,7 +3,9 @@
 The product is `src/katzexp` and `perfbench/`; tests and demos do not
 count. A re-export of `katzexp/__init__` must be read somewhere in `src/`
 outside its own definition, or in `perfbench/*.py`, or be listed in ALLOWED
-with the reason it stays. The check reads the sources with `ast`.
+with the reason it stays. The same holds for every public method or
+property of a public class in `src/` (a record or an error), with
+MEMBERS_ALLOWED for its reasons. The check reads the sources with `ast`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ ALLOWED = {
     "revalidate_report": "the README's re-check of a stored report without recomputing it",
     "qs_to_json": "writes the series format that `katzexp katz --input` reads",
 }
+
+MEMBERS_ALLOWED = {}
 
 
 def _tree(path):
@@ -57,23 +61,50 @@ def exported_names():
     return names
 
 
-def product_references():
-    """Names the product reads: in src/ each top-level statement counts
-    except for the name it defines, so a definition alone is no caller."""
-    seen = set()
-    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
-        if os.path.basename(path) == "__init__.py":
+def _src_uses(node):
+    """Names read under node in src/: an import is not a use (the uses are
+    counted where they happen), and inside a function or class definition
+    its own name does not count, so a definition alone is no caller."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom):
             continue
-        for stmt in _tree(path).body:
-            if isinstance(stmt, ast.ImportFrom):
-                continue  # an import is not a use; the uses are counted below
-            names = _read_names(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(stmt.name)
-            seen |= names
+        names = _src_uses(child)
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(child.name)
+        out |= names
+    return out | (_read_names(node) if isinstance(node, (ast.Name, ast.Attribute)) else set())
+
+
+def _src_trees():
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        if os.path.basename(path) != "__init__.py":
+            yield _tree(path)
+
+
+def product_references():
+    """Names the product reads: every name read in src/ outside its own
+    definition, and every name read or imported in perfbench/*.py."""
+    seen = set()
+    for tree in _src_trees():
+        seen |= _src_uses(tree)
     for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
         seen |= _read_names(_tree(path))
     return seen
+
+
+def public_members():
+    """"Class.member" for each public method or property of a public class in src/."""
+    members = set()
+    for tree in _src_trees():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                members.update(
+                    "%s.%s" % (cls.name, item.name)
+                    for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    return members
 
 
 def test_every_export_has_a_product_caller_or_a_reason():
@@ -86,3 +117,16 @@ def test_allowlist_names_only_unused_exports():
     used = product_references()
     stale = {name for name in ALLOWED if name not in exported or name in used}
     assert not stale, "allowlisted names that are not unused exports: %s" % ", ".join(sorted(stale))
+
+
+def test_every_public_member_has_a_product_caller_or_a_reason():
+    used = product_references()
+    unused = {m for m in public_members() - set(MEMBERS_ALLOWED) if m.split(".")[1] not in used}
+    assert not unused, "members no product code reads: %s" % ", ".join(sorted(unused))
+
+
+def test_member_allowlist_names_only_unused_members():
+    members = public_members()
+    used = product_references()
+    stale = {m for m in MEMBERS_ALLOWED if m not in members or m.split(".")[1] in used}
+    assert not stale, "allowlisted members that are not unused: %s" % ", ".join(sorted(stale))

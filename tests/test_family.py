@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from katzexp import QQ, ZZ, INF, eisenstein_series, qs_reduce_mod
+from katzexp import QQ, INF, eisenstein_series, qs_reduce_mod
 from katzexp.errors import (
     CrossCheckMismatch,
     InvalidWeight,
@@ -200,7 +200,7 @@ def test_direct_construction_is_p_deprived():
 def test_direct_construction_with_trivial_character():
     for M in (1, 2, 3):
         fam = estar_family_teichmuller(4, 5, 40, M)
-        ref = qs_reduce_mod(estar_k(4, 5, 40), ZZ(5) ** M)
+        ref = qs_reduce_mod(estar_k(4, 5, 40), 5 ** M)
         assert fam.series.coeffs == ref.coeffs
 
 
@@ -212,7 +212,7 @@ def test_cross_construction_agreement():
             assert member.construction == "cross-checked:classical-limit|teichmuller-direct"
             assert member.weight_used == classical_limit_weight(s, 5, M)
             assert member.pprec == M
-            top = ZZ(5) ** M
+            top = 5 ** M
             assert all(0 <= c < top and c.denominator == 1 for c in member.series.coeffs)
 
 
@@ -243,7 +243,7 @@ def test_family_frobenius_ratio_katz_valuations():
     # the rate-(1/6) overconvergence statement
     member = estar_family(1, 5, 50, 4)
     g = member.series
-    f = qs_reduce_mod(qs_mul(apply_V(g, 5), qs_inv(g)), ZZ(5) ** 4)
+    f = qs_reduce_mod(qs_mul(apply_V(g, 5), qs_inv(g)), 5 ** 4)
     ke = katz_split_function(f, 5, 24, pprec=4)
     finite = [(t.index, t.val) for t in ke.terms if t.index % 3 == 0]
     assert finite == [
@@ -252,15 +252,15 @@ def test_family_frobenius_ratio_katz_valuations():
     ]
 
     relaxed = certify_rate(ke, QQ(1, 6), 1)
-    assert relaxed.all_pass
+    assert set(relaxed.verdicts) == {"pass"}
 
     shallow = certify_rate(ke, QQ(1, 9), 0)
-    assert shallow.all_pass
+    assert set(shallow.verdicts) == {"pass"}
 
     # at the sharp rate with no offset the last index needs 4 digits,
     # exactly the working precision, so it cannot be decided either way
     sharp = certify_rate(ke, QQ(1, 6), 0)
-    assert not sharp.all_pass
+    assert set(sharp.verdicts) != {"pass"}
     assert sharp.first_failure is None
     assert sharp.verdicts.count("inconclusive") == 1
     assert sharp.verdicts[24] == "inconclusive"

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from katzexp import cli
+from katzexp import cli, revalidate_report
 
 SNAPSHOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
 
@@ -68,3 +68,8 @@ def test_report_matches_snapshot(command, tmp_path, capsys):
     code, report = run_command(command, tmp_path, capsys)
     assert code == want["rc"]
     assert report == want["report"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_snapshot_revalidates(command):
+    assert revalidate_report(load_snapshot()[command]["report"])

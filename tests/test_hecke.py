@@ -11,12 +11,13 @@ import random
 
 import pytest
 
-from katzexp import QQ, ZZ, INF, eisenstein_series, qs_sub, qs_truncate
+from katzexp import QQ, INF, eisenstein_series, qs_sub, qs_truncate
 from katzexp.errors import EllEqualsP, InvalidWeight, PrecisionTooLow
 from katzexp.family import eis_ratio
 from katzexp.hecke import (
     HPolynomial,
     U_POLY,
+    apply_hpoly,
     apply_hpoly_twisted,
     hecke_T_ell,
     iterate_H,
@@ -100,8 +101,6 @@ def test_T_ell_rejects_bad_indices():
     f = const_one(20)
     with pytest.raises(InvalidWeight):
         hecke_T_ell(f, 4, 6)
-    with pytest.raises(EllEqualsP):
-        hecke_T_ell(f, 4, 5, p=5)
     with pytest.raises(PrecisionTooLow):
         hecke_T_ell(QSeries((QQ(1),)), 4, 2)
 
@@ -124,7 +123,7 @@ def test_twisted_eigen_identities():
             assert u.coeffs == qs_truncate(es, u.prec).coeffs
             for ell in (2, 3):
                 t = twisted_T_ell(es, ell, n, p)
-                lam = QQ(1 + ZZ(ell) ** (n * (p - 1) - 1))
+                lam = QQ(1 + ell ** (n * (p - 1) - 1))
                 want = qs_scalar_mul(lam, qs_truncate(es, t.prec))
                 assert t.coeffs == want.coeffs
 
@@ -217,7 +216,7 @@ def test_t_p_certifies_at_full_rate_when_digit_sum_caps():
     for n in (7, 32):
         ke = katz_split_function(t_p_n_one(n, 5, 400), 5, 12)
         cert = certify_rate(ke, QQ(5, 6), 0)
-        assert cert.all_pass
+        assert set(cert.verdicts) == {"pass"}
         assert cert.first_failure is None
         assert cert.verdicts == ("pass",) * 13
 
@@ -229,34 +228,30 @@ def test_hpoly_invariants():
     with pytest.raises(ValueError):
         HPolynomial(())
     with pytest.raises(ValueError):
-        HPolynomial((((0, ()), QQ(3)),))  # constant term
+        HPolynomial((1, QQ(0)))  # zero top coefficient
+    assert HPolynomial((1, 0, 2)).coeffs == (1, 0, 2)  # an interior zero is fine
     with pytest.raises(ValueError):
-        HPolynomial((((1, ()), QQ(0)),))  # zero coefficient
-    with pytest.raises(ValueError):
-        HPolynomial((((1, ((4, 1),)), QQ(1)),))  # T_4 is not prime
-    with pytest.raises(ValueError):
-        HPolynomial((((1, ((5, 0),)), QQ(1)),))  # T_5^0
+        apply_hpoly(HPolynomial((1, QQ(2, 5))), const_one(50), 5)  # not 5-integral
 
 
 def test_hpoly_p_integrality_check():
-    h = HPolynomial((((1, ()), QQ(1, 5)),))
+    h = HPolynomial((QQ(1, 5),))
     h.check_p_integral(7)
     with pytest.raises(ValueError):
         h.check_p_integral(5)
 
 
 def test_hpoly_max_divisor():
-    # 11*U*(U+5) + U*T2*T2
-    h = HPolynomial((((1, ()), QQ(55)), ((1, ((2, 2),)), QQ(1)), ((2, ()), QQ(11))))
-    assert h.max_divisor(13) == 13 * 13
-    assert h.max_divisor(3) == 3 * 4
+    assert projector_poly(13).max_divisor(13) == 13 * 13
+    assert HPolynomial((1, 0, 2)).max_divisor(5) == 5 ** 3
 
 
 def test_stock_projectors():
     assert projector_poly(5) == U_POLY
     assert projector_poly(7) == U_POLY
-    assert projector_poly(13).terms == (((1, ()), QQ(55)), ((2, ()), QQ(11)))
+    assert projector_poly(13).coeffs == (55, 11)
     assert str(projector_poly(13)) == "55*U + 11*U*U"
+    assert str(HPolynomial((1, 0, QQ(2, 3)))) == "U + 2/3*U*U*U"
     with pytest.raises(InvalidWeight):
         projector_poly(11)
 
@@ -265,19 +260,17 @@ def test_stock_projectors():
 
 
 def strided_twisted(h, f, n, p):
-    """H(f * E^n) / E^n by the oracle: U^u through the product first, then
-    the T_ell factors, the reverse of apply_hpoly's order."""
+    """H(f * E^n) / E^n by the oracle: each c_u U^u evaluated on the product
+    at its stride, where apply_hpoly applies U once per degree."""
     N = f.prec
     E = eisenstein_series(p - 1, N)
-    out_prec = N // h.max_divisor(p)
+    out_prec = N // p ** len(h.coeffs)
     acc = None
-    for (u_exp, tells), coeff in h.terms:
-        g = strided_u_product(f, qs_pow(E, n), p, u_exp)
-        for ell, e in tells:
-            for _ in range(e):
-                g = hecke_T_ell(g, n * (p - 1), ell, p=p)
-        g = qs_scalar_mul(coeff, qs_truncate(g, out_prec))
-        acc = g if acc is None else qs_add(acc, g)
+    for u, coeff in enumerate(h.coeffs, 1):
+        if coeff:
+            g = strided_u_product(f, qs_pow(E, n), p, u)
+            g = qs_scalar_mul(coeff, qs_truncate(g, out_prec))
+            acc = g if acc is None else qs_add(acc, g)
     return qs_mul(acc, qs_pow(qs_truncate(E, out_prec), -n))
 
 
@@ -285,8 +278,8 @@ def test_apply_hpoly_matches_twisted_fast_path():
     rng = random.Random(7)
     cases = [
         ("11*U*(U+5)", projector_poly(13), 1, 13, 360),
-        ("U*T2", HPolynomial((((1, ((2, 1),)), QQ(1)),)), 2, 5, 200),
-        ("U*(U+3*T2)", HPolynomial((((1, ((2, 1),)), QQ(3)), ((2, ()), QQ(1)))), 1, 7, 300),
+        ("U + 3*U^2", HPolynomial((1, 3)), 1, 7, 300),
+        ("U + 2*U^3", HPolynomial((1, 0, 2)), 1, 5, 500),
     ]
     for text, h, n, p, N in cases:
         f = rand_series(rng, N, den=4)
@@ -325,6 +318,6 @@ def test_projector_orbit_p13_needs_unit_normalization():
     # only mod 13, so the raw orbit stalls at depth 1; dividing by 66
     # gives the projector normalization and restores convergence
     raw = projector_poly(13)
-    normalized = HPolynomial((((1, ()), QQ(5, 6)), ((2, ()), QQ(1, 6))))
+    normalized = HPolynomial((QQ(5, 6), QQ(1, 6)))
     assert orbit_depths(raw, 1, 13, 1, 2028) == [1]
     assert orbit_depths(normalized, 1, 13, 1, 2028) == [23]

@@ -97,10 +97,10 @@ def test_sympolyq_terms_stay_read_only_after_pickle():
 
 def test_make_and_replace_go_through_validation():
     with pytest.raises(ValueError):
-        U_POLY._replace(terms=())
+        U_POLY._replace(coeffs=())
     with pytest.raises(ValueError):
-        HPolynomial._make(((((0, ()), QQ(1)),),))
-    assert U_POLY._replace(terms=U_POLY.terms) == U_POLY
+        HPolynomial._make(((1, 0),))  # zero top coefficient
+    assert U_POLY._replace(coeffs=(1, 3)) == HPolynomial((1, 3))
     made = SymPolyQ._make(({1: 1}, 1))
     assert isinstance(made.terms, MappingProxyType)
     replaced = SymPolyQ({3: 2}, 5)._replace(terms={3: 4})

@@ -190,15 +190,15 @@ def test_phi_on_first_variable():
 
 def test_phi_images_are_p_integral():
     for n in range(1, 41):
-        assert phi_image(n, 5).min_coeff_val(5) >= 0
+        assert phi_image(n, 5).den % 5 != 0
     for n in range(1, 7):
-        assert phi_image_x(n, 5).min_coeff_val(5) >= 0
+        assert phi_image_x(n, 5).den % 5 != 0
 
 
 def test_phi_divisibility_matches_digit_flag():
     for n in range(1, 41):
         flagged = delta_p(4 * n, 5) == 4
-        assert (phi_image(n, 5).min_coeff_val(5) >= 1) == flagged
+        assert all(c % 5 == 0 for c in phi_image(n, 5).terms.values()) == flagged
 
 
 def test_phi_x_reduction_law():

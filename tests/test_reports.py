@@ -183,6 +183,34 @@ def test_check_condition_parallel_budget_does_not_wait_for_the_sweep():
     assert multiprocessing.active_children() == []
 
 
+class RecordingSerialContext:
+    """Stands in for the spawn context: records each pool size, maps serially."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def imap(self, fn, items):
+        return map(fn, items)
+
+    def terminate(self):
+        pass
+
+
+def test_check_condition_pool_never_outnumbers_the_targets(monkeypatch):
+    ctx = RecordingSerialContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    serial = strip_wall_time(cmd_check_condition(5).dumps())
+    assert strip_wall_time(cmd_check_condition(5, jobs=64).dumps()) == serial
+    assert ctx.sizes == [5]
+    # a pool of one would be a serial run in a second process
+    assert len(reports._condition_sweep([(1, 5, "n=1")], 4, None, time.perf_counter())) == 1
+    assert ctx.sizes == [5]
+
+
 def test_check_condition_extended_small_range():
     r = cmd_check_condition_extended(7)
     assert r.status == "certified"
@@ -310,6 +338,31 @@ def test_cmd_hauptmodul_vector():
         cmd_hauptmodul(5, 7, 4)
     with pytest.raises(UnsupportedPrime):
         cmd_hauptmodul(11, 24, 4)
+
+
+def test_revalidation_rederives_hauptmodul_floors():
+    base = json.loads(cmd_verify_theorem("B", 5, 30, k=24).dumps())
+    idx = next(i for i, e in enumerate(base["results"]) if e["kind"] == "hauptmodul")
+    assert revalidate_report(base)
+
+    doctored = copy.deepcopy(base)
+    doctored["results"][idx]["first_floor_violation"] = None
+    assert not revalidate_report(doctored)
+
+    doctored = copy.deepcopy(base)
+    doctored["results"][idx]["floor_at_sharp_rate"][4] = "1"
+    assert not revalidate_report(doctored)
+
+    # raising the dip at t^10 to the floor moves the first violation
+    doctored = copy.deepcopy(base)
+    doctored["results"][idx]["valuations"][10] = "9"
+    assert not revalidate_report(doctored)
+
+    # a raw vector claims no floor, so it names no violation
+    raw = json.loads(cmd_hauptmodul(5, 24, 11).dumps())
+    assert revalidate_report(raw)
+    raw["results"][0]["first_floor_violation"] = 10
+    assert not revalidate_report(raw)
 
 
 # -- status aggregation -----------------------------------------------------
