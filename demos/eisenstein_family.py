@@ -34,8 +34,8 @@ print("construction agreement depth: %s digits (need >= %d)"
       % (agreement_depth(direct.series, limit.series, p), M))
 
 member = estar_family(s, p, N, M)
-print("member at s=%d: construction=%s, weight used %s, escalations %r"
-      % (s, member.construction, member.weight_used, member.escalations))
+print("member at s=%d: construction=%s, weight used %s"
+      % (s, member.construction, member.weight_used))
 print("first coefficients mod 5^4:", [int(c) for c in member.series.coeffs[:8]])
 
 # the generalized Bernoulli value driving the constant normalization

@@ -10,7 +10,9 @@ class ZeroConstantTerm(KatzexpError, ZeroDivisionError):
 
 
 class NotAUnit(KatzexpError, ZeroDivisionError):
-    """Division by a series whose constant term is zero."""
+    """A number that must be a unit mod the working modulus is not: a
+    coefficient denominator in qs_reduce_mod, or a multiple of p given to
+    the Teichmuller lift."""
 
 
 class InvalidWeight(KatzexpError, ValueError):

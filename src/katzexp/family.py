@@ -107,7 +107,6 @@ class FamilyMember(NamedTuple):
     pprec: int
     construction: str
     weight_used: int | None = None
-    escalations: tuple = ()
 
 
 def classical_limit_weight(s: int, p: int, M: int) -> int:
@@ -135,10 +134,10 @@ def delta_weight_sequence(s: int, p: int, count: int, *, t: int = 1):
     return [s + gap * p ** (m + t) for m in range(1, count + 1)]
 
 
-def estar_family_classical(s: int, p: int, N: int, M: int, *, extra: int = 0) -> FamilyMember:
-    """Classical-limit construction: E_k mod p^M at a weight k congruent to
-    s one p-adic digit deeper for each escalation step `extra`."""
-    k = classical_limit_weight(s, p, M + extra)
+def estar_family_classical(s: int, p: int, N: int, M: int) -> FamilyMember:
+    """Classical-limit construction: E_k mod p^M at the weight k of
+    classical_limit_weight, congruent to s mod p^M."""
+    k = classical_limit_weight(s, p, M)
     reduced = qs_reduce_mod(eisenstein_series(k, N), p ** M)
     return FamilyMember(s, p, reduced, M, "classical-limit", weight_used=k)
 
@@ -175,31 +174,14 @@ def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> FamilyMember:
     return FamilyMember(s, p, series, M, "teichmuller-direct")
 
 
-def estar_family(s: int, p: int, N: int, M: int, *, max_escalations: int = 3) -> FamilyMember:
-    """Both constructions cross-checked mod p^M.
-
-    If the classical-limit weight is not congruent deeply enough for its
-    reduction to match the direct formula, the weight congruence is
-    escalated one digit at a time and each escalation recorded.
-    """
+def estar_family(s: int, p: int, N: int, M: int) -> FamilyMember:
+    """Both constructions cross-checked mod p^M; CrossCheckMismatch if they differ."""
     direct = estar_family_teichmuller(s, p, N, M)
-    escalations = []
-    for extra in range(max_escalations + 1):
-        classical = estar_family_classical(s, p, N, M, extra=extra)
-        if classical.series == direct.series:
-            return FamilyMember(
-                s,
-                p,
-                classical.series,
-                M,
-                "cross-checked:classical-limit|teichmuller-direct",
-                weight_used=classical.weight_used,
-                escalations=tuple(escalations),
-            )
-        escalations.append(classical.weight_used)
-    raise CrossCheckMismatch(
-        f"constructions disagree mod {p}^{M} after {max_escalations} escalations"
-    )
+    classical = estar_family_classical(s, p, N, M)
+    if classical.series != direct.series:
+        k = classical.weight_used
+        raise CrossCheckMismatch(f"constructions disagree mod {p}^{M} at weight {k}")
+    return classical._replace(construction="cross-checked:classical-limit|teichmuller-direct")
 
 
 def agreement_depth(f: QSeries, g: QSeries, p: int):

@@ -158,16 +158,6 @@ class RateCertificate(NamedTuple):
     max_index: int
     first_failure: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "rho": rational_to_str(self.rho),
-            "c": rational_to_str(self.c),
-            "max_index": self.max_index,
-            "verdicts": list(self.verdicts),
-            "first_failure": self.first_failure,
-        }
-
 
 def rate_verdict(val_i, threshold, effective_pprec, structural_zero=False):
     """One index of the certificate comparison, exact rational arithmetic.
@@ -185,21 +175,22 @@ def rate_verdict(val_i, threshold, effective_pprec, structural_zero=False):
 
 def rate_verdicts(rows, rho, c, effective_pprec):
     """(verdicts, first failing index or None) of rows (index, val, structural_zero)
-    against rho*index - c: the one loop that certifies and revalidates."""
+    against rho*index - c: the one loop that certifies and revalidates. The
+    rate needs 0 <= rho <= 1 and c >= 0 (ValueError otherwise)."""
+    if not 0 <= rho <= 1:
+        raise ValueError(f"rate rho = {rational_to_str(rho)} outside [0, 1]")
+    if c < 0:
+        raise ValueError(f"offset c = {rational_to_str(c)} is negative")
     verdicts = tuple(rate_verdict(v, rho * i - c, effective_pprec, z) for i, v, z in rows)
     fails = (i for (i, _, _), verdict in zip(rows, verdicts) if verdict == "fail")
     return verdicts, next(fails, None)
 
 
 def certify_rate(ke: KatzExpansion, rho, c) -> RateCertificate:
-    """Check v_p(b_i) >= rho*i - c for every computed index; the rate needs
-    0 <= rho <= 1 and c >= 0 (ValueError otherwise)."""
+    """Check v_p(b_i) >= rho*i - c for every computed index; rate_verdicts
+    refuses a rate outside 0 <= rho <= 1, c >= 0."""
     rho = QQ(rho)
     c = QQ(c)
-    if not 0 <= rho <= 1:
-        raise ValueError(f"rate rho = {rational_to_str(rho)} outside [0, 1]")
-    if c < 0:
-        raise ValueError(f"offset c = {rational_to_str(c)} is negative")
     rows = [(t.index, t.val, t.structural_zero) for t in ke.terms]
     verdicts, first_failure = rate_verdicts(rows, rho, c, ke.effective_pprec)
     return RateCertificate(ke.p, rho, c, verdicts, ke.max_index, first_failure)

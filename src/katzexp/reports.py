@@ -42,6 +42,12 @@ def _val_parse(s):
     return INF if s == "inf" else int(s)
 
 
+def _floor_violation(t_vals):
+    """First j whose t-coefficient sits below the rate-1/(p+1) floor j/2."""
+    bad = (j for j, v in enumerate(t_vals) if v != INF and QQ(v) < QQ(j, 2))
+    return next(bad, None)
+
+
 def qprec_for_split(p, max_index):
     """q-adic precision 8 past the last window, at weight (max_index + 1)(p - 1)."""
     return dim_weight((max_index + 1) * (p - 1))[0] + 8
@@ -62,66 +68,86 @@ class RunReport(NamedTuple):
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def certificate_entry(label, role, ke, cert, *, expected=None, note=None):
-    """Report entry for one rate certificate, valuations embedded.
+def _derived(entry):
+    """The entry with its derived fields recomputed from the rest: the one
+    rule by which every entry is written and revalidated.
+
+    A certificate gets its verdicts, first failure and max_index from
+    rate_verdicts on its valuations (row i at index i), rate and working
+    precision, then its matches_expected and the rate text after the first
+    "rate " of its label; a comparison gets matches; a hauptmodul vector gets
+    floor_at_sharp_rate and first_floor_violation, a floor being stated only
+    where the entry has that key. Input fields come back in canonical form;
+    malformed ones raise.
+    """
+    kind = entry["kind"]
+    out = {key: entry[key] for key in ("kind", "label", "role")}
+    if "note" in entry:
+        out["note"] = entry["note"]
+    if kind == "comparison":
+        out.update(computed=entry["computed"], published=entry["published"])
+        out["matches"] = entry["computed"] == entry["published"]
+    elif kind == "hauptmodul":
+        vals = [_val_parse(v) for v in entry["valuations"]]
+        out.update(valuations=[_val_str(v) for v in vals], first_floor_violation=None)
+        if "floor_at_sharp_rate" in entry:  # the floors j/2 that rate 1/(p+1) forces
+            out["floor_at_sharp_rate"] = [rational_to_str(QQ(j, 2)) for j in range(len(vals))]
+            out["first_floor_violation"] = _floor_violation(vals)
+    elif kind == "certificate":
+        cert = entry["certificate"]
+        rho, c = rational_from_str(cert["rho"]), rational_from_str(cert["c"])
+        rows = [(i, _val_parse(v), bool(z)) for i, (_, v, z) in enumerate(entry["valuations"])]
+        pprec = _val_parse(entry["pprec"])
+        verdicts, first_failure = rate_verdicts(rows, rho, c, pprec)
+        out["certificate"] = {
+            "p": cert["p"],
+            "rho": rational_to_str(rho),
+            "c": rational_to_str(c),
+            "max_index": len(verdicts) - 1,
+            "verdicts": list(verdicts),
+            "first_failure": first_failure,
+        }
+        out.update(valuations=[[i, _val_str(v), z] for i, v, z in rows], pprec=_val_str(pprec))
+        head, rate, _ = out["label"].partition("rate ")
+        if rate:
+            offset = "no offset" if c == 0 else "offset " + rational_to_str(c)
+            out["label"] = "%srate %s, %s" % (head, rational_to_str(rho), offset)
+        if "expected" in entry:
+            out["expected"] = expected = dict(entry["expected"])
+            met = (out["certificate"].get(key) == want for key, want in expected.items())
+            out["matches_expected"] = all(met)
+    else:
+        raise ValueError("unknown entry kind %r" % (kind,))
+    return out
+
+
+def _entry(kind, label, role, **fields):
+    return _derived(dict(kind=kind, label=label, role=role, **fields))
+
+
+def _rate_entry(label, role, ke, rho, c, **fields):
+    """Certificate entry for v_p(b_i) >= rho*i - c on the split ke, valuations
+    embedded; a label ending in "rate " gets the rate written after it.
 
     role "claim" feeds the aggregate status; role "witness" is informational
     unless an expectation is attached (then a mismatch fails the report).
     """
-    entry = {
-        "kind": "certificate",
-        "label": label,
-        "role": role,
-        "certificate": cert.to_json(),
-        "valuations": [
-            [t.index, _val_str(t.val), bool(t.structural_zero)] for t in ke.terms
-        ],
-        "pprec": _val_str(ke.effective_pprec),
-    }
-    if note is not None:
-        entry["note"] = note
-    if expected is not None:
-        entry["expected"] = dict(expected)
-        entry["matches_expected"] = _meets(entry["certificate"], expected)
-    return entry
-
-
-def _meets(cert, expected):
-    """Whether a certificate's JSON carries every expected key's value."""
-    return all(cert.get(key) == want for key, want in expected.items())
-
-
-def _rate_entry(prefix, role, ke, rho, c, **kwargs):
-    """certificate_entry for rate (rho, c), labelled prefix + the rate."""
     cert = certify_rate(ke, rho, c)
-    offset = "no offset" if cert.c == 0 else "offset " + rational_to_str(cert.c)
-    label = "%srate %s, %s" % (prefix, rational_to_str(cert.rho), offset)
-    return certificate_entry(label, role, ke, cert, **kwargs)
+    rate = {"p": cert.p, "rho": rational_to_str(cert.rho), "c": rational_to_str(cert.c)}
+    rows = [[t.index, _val_str(t.val), t.structural_zero] for t in ke.terms]
+    pprec = _val_str(ke.effective_pprec)
+    return _entry(
+        "certificate", label, role, certificate=rate, valuations=rows, pprec=pprec, **fields
+    )
+
+
+def _comparison(label, computed, published, **fields):
+    return _entry("comparison", label, "claim", computed=computed, published=published, **fields)
 
 
 def _hauptmodul_entry(name, t_vals, note, **fields):
-    return {
-        "kind": "hauptmodul",
-        "label": name + " in the hauptmodul coordinate",
-        "role": "witness",
-        "valuations": [_val_str(v) for v in t_vals],
-        "note": note,
-        **fields,
-    }
-
-
-def comparison_entry(label, computed, published, *, note=None):
-    entry = {
-        "kind": "comparison",
-        "label": label,
-        "role": "claim",
-        "computed": computed,
-        "published": published,
-        "matches": computed == published,
-    }
-    if note is not None:
-        entry["note"] = note
-    return entry
+    label, vals = name + " in the hauptmodul coordinate", [_val_str(v) for v in t_vals]
+    return _entry("hauptmodul", label, "witness", valuations=vals, note=note, **fields)
 
 
 def aggregate_status(results) -> str:
@@ -145,39 +171,22 @@ def aggregate_status(results) -> str:
 
 
 def revalidate_report(report) -> bool:
-    """Recheck every derived field of a report by the rules that wrote it.
+    """Recheck a report by the rule that wrote it, without its modular forms.
 
-    Takes a report dict (RunReport.to_json output or a json.load of it) and
-    recomputes each certificate's verdicts and first failure from the stored
-    valuations, threshold rho*i - c and working precision, each
-    matches_expected from its certificate, each comparison's matches, each
-    hauptmodul floor and first floor violation, and the aggregate status.
-    True iff everything agrees.
+    Takes a report dict (RunReport.to_json output or a json.load of it).
+    True iff every entry equals its _derived form, compared as sorted JSON
+    so that a value of another type differs too, and the status is the
+    aggregate_status of the entries. A malformed report is False.
     """
     if isinstance(report, RunReport):
         report = report.to_json()
-    for entry in report["results"]:
-        if entry.get("kind") == "comparison":
-            if entry["matches"] != (entry["computed"] == entry["published"]):
-                return False
-        if entry.get("kind") == "hauptmodul":
-            vals = [_val_parse(v) for v in entry["valuations"]]
-            floors = entry.get("floor_at_sharp_rate")
-            want = (None, None) if floors is None else (_floors(len(vals)), _floor_violation(vals))
-            if (floors, entry["first_floor_violation"]) != want:
-                return False
-        if entry.get("kind") != "certificate":
-            continue
-        cert = entry["certificate"]
-        if "expected" in entry and entry["matches_expected"] != _meets(cert, entry["expected"]):
-            return False
-        rows = [(idx, _val_parse(v), structural) for idx, v, structural in entry["valuations"]]
-        rho, c = rational_from_str(cert["rho"]), rational_from_str(cert["c"])
-        verdicts, first_failure = rate_verdicts(rows, rho, c, _val_parse(entry["pprec"]))
-        stored = (cert["verdicts"], cert["first_failure"], cert["max_index"])
-        if (list(verdicts), first_failure, len(verdicts) - 1) != stored:
-            return False
-    return report["status"] == aggregate_status(report["results"])
+    try:
+        results = report["results"]
+        derived = [_derived(entry) for entry in results]
+        same = json.dumps(results, sort_keys=True) == json.dumps(derived, sort_keys=True)
+        return same and report["status"] == aggregate_status(results)
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError):
+        return False
 
 
 def _finish(command, parameters, results, started, *, qprec, max_index, pprec="inf"):
@@ -206,11 +215,8 @@ def _require_max_index(max_index):
 
 def _condition_entry(args):
     n, p, label = args
-    N = qprec_for_split(p, n)
-    E = eisenstein_series(n * (p - 1), N)
-    ke = katz_split_classical(E, n, p)
-    cert = certify_rate(ke, QQ(p, p + 1), 0)
-    return certificate_entry(label, "claim", ke, cert)
+    ke = katz_split_classical(eisenstein_series(n * (p - 1), qprec_for_split(p, n)), n, p)
+    return _rate_entry(label, "claim", ke, QQ(p, p + 1), 0)
 
 
 def _condition_sweep(targets, jobs, budget_seconds, started):
@@ -260,9 +266,7 @@ def cmd_check_condition(p, *, jobs=1, budget_seconds=None) -> RunReport:
     )
 
 
-def cmd_check_condition_extended(
-    max_prime=97, *, jobs=1, budget_seconds=None
-) -> RunReport:
+def cmd_check_condition_extended(max_prime=97, *, jobs=1, budget_seconds=None) -> RunReport:
     """Run the full condition sweep for every prime 5 <= p <= max_prime."""
     started = time.perf_counter()
     primes = [p for p in range(5, max_prime + 1) if is_prime(p)]
@@ -281,17 +285,6 @@ def cmd_check_condition_extended(
 
 def _vratio(g, p):
     return qs_div(apply_V(g, p), g)
-
-
-def _floor_violation(t_vals):
-    """First j whose t-coefficient sits below the rate-1/(p+1) floor j/2."""
-    bad = (j for j, v in enumerate(t_vals) if v != INF and QQ(v) < QQ(j, 2))
-    return next(bad, None)
-
-
-def _floors(terms):
-    """The floors j/2, j < terms, that membership at rate 1/(p+1) forces."""
-    return [rational_to_str(QQ(j, 2)) for j in range(terms)]
 
 
 _C1 = "-340364160000/236364091"
@@ -314,29 +307,20 @@ def cmd_reproduce_examples() -> RunReport:
     E24 = eisenstein_series(24, N)
     ke = katz_split_classical(E24, 6, p)
     t_vals = hauptmodul_valuations(_vratio(E24, p), p, len(_T_VALS_24))
+    b3, b6 = ke.term(3), ke.term(6)
     results = [
-        comparison_entry(
-            "window coordinate of b_3",
-            rational_to_str(ke.term(3).miller_coords[0]),
-            _C1,
-        ),
-        comparison_entry(
-            "window coordinate of b_6",
-            rational_to_str(ke.term(6).miller_coords[0]),
-            _C2,
-        ),
-        comparison_entry(
-            "valuations v_5(b_3), v_5(b_6)",
-            [_val_str(ke.term(3).val), _val_str(ke.term(6).val)],
-            ["4", "4"],
+        _comparison("window coordinate of b_3", rational_to_str(b3.miller_coords[0]), _C1),
+        _comparison("window coordinate of b_6", rational_to_str(b6.miller_coords[0]), _C2),
+        _comparison(
+            "valuations v_5(b_3), v_5(b_6)", [_val_str(b3.val), _val_str(b6.val)], ["4", "4"]
         ),
         _rate_entry(
-            "split of E_24, ", "witness", ke, QQ(p, p + 1), 0,
+            "split of E_24, rate ", "witness", ke, QQ(p, p + 1), 0,
             expected={"first_failure": 6},
             note="sharp rate fails exactly at the top index; offset 1 repairs it",
         ),
-        _rate_entry("split of E_24, ", "claim", ke, QQ(p, p + 1), 1),
-        comparison_entry(
+        _rate_entry("split of E_24, rate ", "claim", ke, QQ(p, p + 1), 1),
+        _comparison(
             "hauptmodul valuations of V(E_24)/E_24",
             [_val_str(v) for v in t_vals],
             [str(v) for v in _T_VALS_24],
@@ -345,7 +329,7 @@ def cmd_reproduce_examples() -> RunReport:
                 "1/6, so V(E_24)/E_24 is not overconvergent at that rate"
             ),
         ),
-        comparison_entry(
+        _comparison(
             "first hauptmodul floor violation at rate 1/6", _floor_violation(t_vals), 10
         ),
     ]
@@ -483,19 +467,19 @@ def cmd_verify_theorem(
     for (name, witness), f in zip(row.targets, series):
         name = name.format(v=value, p=p, pprec=pprec)
         ke = katz_split_function(f, p, max_index, pprec=work_pprec)
-        prefix = name + (", sharp " if row.sharp else ", ")
-        results += [_rate_entry(prefix, "claim", ke, rho, c) for rho, c in rates]
+        sharp = name + ", sharp rate "
+        label = sharp if row.sharp else name + ", rate "
+        results += [_rate_entry(label, "claim", ke, rho, c) for rho, c in rates]
         if witness is not None:
-            results.append(_rate_entry(name + ", sharp ", "witness", ke, base, 0, note=witness))
+            results.append(_rate_entry(sharp, "witness", ke, base, 0, note=witness))
         if row.hauptmodul and p in (5, 7, 13):
             terms = 2 * max_index // (p + 1) + 1
             t_vals = hauptmodul_valuations(f, p, terms)
             note = "membership at rate 1/%d would force the floor on every listed coefficient"
-            results.append(_hauptmodul_entry(
-                name, t_vals, note % (p + 1),
-                floor_at_sharp_rate=_floors(terms),
-                first_floor_violation=_floor_violation(t_vals),
-            ))
+            # the key states the floor; _derived writes it and its first violation
+            results.append(
+                _hauptmodul_entry(name, t_vals, note % (p + 1), floor_at_sharp_rate=None)
+            )
 
     return _finish(
         "verify-theorem", parameters, results, started,
@@ -514,7 +498,7 @@ def cmd_katz(f, p, max_index, *, rho=None, c=0) -> RunReport:
     if rho is None:
         rho = QQ(p, p + 1)
     ke = katz_split_function(f, p, max_index)
-    results = [_rate_entry("input series, ", "claim", ke, rho, c)]
+    results = [_rate_entry("input series, rate ", "claim", ke, rho, c)]
     parameters = {
         "prime": p,
         "max_index": max_index,
@@ -536,9 +520,7 @@ def cmd_hauptmodul(p, k, terms) -> RunReport:
     t_vals = hauptmodul_valuations(f, p, terms)
     results = [
         _hauptmodul_entry(
-            "V(E_%d)/E_%d" % (k, k), t_vals,
-            "raw valuation vector; no rate claim attached",
-            first_floor_violation=None,
+            "V(E_%d)/E_%d" % (k, k), t_vals, "raw valuation vector; no rate claim attached"
         )
     ]
     return _finish(

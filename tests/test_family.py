@@ -208,7 +208,6 @@ def test_cross_construction_agreement():
     for s in (1, 2, 3):
         for M in (1, 2, 3, 4):
             member = estar_family(s, 5, 50, M)
-            assert member.escalations == ()
             assert member.construction == "cross-checked:classical-limit|teichmuller-direct"
             assert member.weight_used == classical_limit_weight(s, 5, M)
             assert member.pprec == M
@@ -222,15 +221,25 @@ def test_cross_construction_mismatch_raises(monkeypatch):
     bad_coeffs[3] = (bad_coeffs[3] + 1) % 25
     bad = FamilyMember(1, 5, QSeries(tuple(bad_coeffs)), 2, "teichmuller-direct")
     monkeypatch.setattr(family, "estar_family_teichmuller", lambda *a, **k: bad)
-    with pytest.raises(CrossCheckMismatch):
-        estar_family(1, 5, 20, 2, max_escalations=1)
+    weights = []
+    classical = family.estar_family_classical
+
+    def recording_classical(*args):
+        member = classical(*args)
+        weights.append(member.weight_used)
+        return member
+
+    monkeypatch.setattr(family, "estar_family_classical", recording_classical)
+    with pytest.raises(CrossCheckMismatch, match=r"mod 5\^2 at weight 76"):
+        estar_family(1, 5, 20, 2)
+    # no retry at a deeper weight: the first disagreement raises
+    assert weights == [76]
 
 
 def test_family_member_serialization():
     member = estar_family(2, 5, 12, 2)
     assert (member.s, member.p, member.pprec) == (2, 5, 2)
     assert member.weight_used == 52
-    assert member.escalations == ()
     assert member.series.coeffs[0] == 1
     assert len(member.series.coeffs) == 12
 

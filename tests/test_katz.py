@@ -7,6 +7,8 @@ regressions in the splitting and certification pipeline.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from katzexp import (
@@ -22,7 +24,7 @@ from katzexp import (
     qs_val,
 )
 from katzexp.errors import NotAModularForm, PrecisionTooLow
-from katzexp import katz
+from katzexp import katz, reports
 from katzexp.katz import (
     KatzExpansion,
     certify_rate,
@@ -31,6 +33,7 @@ from katzexp.katz import (
     katz_split_classical,
     katz_split_function,
     rate_verdict,
+    rate_verdicts,
     reconstruct,
     window_bounds,
 )
@@ -249,16 +252,32 @@ def test_rate_verdict_mechanics():
     assert rate_verdict(1, QQ(3), 4) == "fail"
 
 
+@pytest.mark.parametrize(
+    "rho, c, message",
+    [(QQ(3, 2), 0, "rate rho = 3/2 outside [0, 1]"), (QQ(-1), 0, "rate rho = -1 outside [0, 1]"),
+     (QQ(1, 6), QQ(-1, 2), "offset c = -1/2 is negative")],
+    ids=["rho-above-1", "rho-negative", "offset-negative"],
+)
+def test_rate_verdicts_refuse_rates_outside_the_range(rho, c, message):
+    # certify_rate and revalidation share this check through rate_verdicts
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rate_verdicts([(0, 0, False)], rho, c, INF)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        certify_rate(katz_split_classical(eisenstein_series(8, 8), 2, 5), rho, c)
+
+
 def test_certificate_json_shape():
     ke = katz_split_classical(eisenstein_series(24, 8), 6, 5)
-    cert = certify_rate(ke, QQ(5, 6), QQ(1))
-    d = cert.to_json()
-    assert d["p"] == 5
-    assert d["rho"] == "5/6"
-    assert d["c"] == "1"
-    assert d["max_index"] == 6
-    assert d["first_failure"] is None
-    assert d["verdicts"] == ["pass"] * 7
+    entry = reports._rate_entry("E_24, rate ", "claim", ke, QQ(5, 6), QQ(1))
+    assert entry["label"] == "E_24, rate 5/6, offset 1"
+    assert entry["certificate"] == {
+        "p": 5,
+        "rho": "5/6",
+        "c": "1",
+        "max_index": 6,
+        "first_failure": None,
+        "verdicts": ["pass"] * 7,
+    }
 
 
 def test_v_of_e4_passes_sixth_rate():

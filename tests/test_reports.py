@@ -19,6 +19,8 @@ import time
 import pytest
 
 from katzexp import (
+    INF,
+    QQ,
     cmd_check_condition,
     cmd_check_condition_extended,
     cmd_hauptmodul,
@@ -36,6 +38,7 @@ from katzexp.errors import (
     ResourceBudgetExceeded,
     UnsupportedPrime,
 )
+from katzexp.katz import rate_verdicts
 from katzexp.reports import aggregate_status
 from katzexp import cli, reports
 
@@ -132,6 +135,53 @@ def test_revalidation_catches_tampering():
     pinned = next(e for e in doctored["results"] if "matches_expected" in e)
     pinned["matches_expected"] = False
     assert not revalidate_report(doctored)
+
+
+def _certificate(report, role):
+    return next(
+        e for e in report["results"] if e["kind"] == "certificate" and e["role"] == role
+    )
+
+
+def _drop_verdicts(report):
+    del _certificate(report, "witness")["certificate"]["verdicts"]
+
+
+def _rho_not_a_rational(report):
+    _certificate(report, "claim")["certificate"]["rho"] = "x"
+
+
+def _valuation_not_an_integer(report):
+    _certificate(report, "claim")["valuations"][3][1] = "oops"
+
+
+def _claim_at_a_lower_rate(report):
+    """Rate 5/6, offset 1 rewritten to 1/6 with consistent verdicts; the
+    label still states the rate that was certified."""
+    claim = _certificate(report, "claim")
+    rows = [(i, INF if v == "inf" else int(v), z) for i, v, z in claim["valuations"]]
+    verdicts, first_failure = rate_verdicts(rows, QQ(1, 6), QQ(1), INF)
+    claim["certificate"].update(rho="1/6", verdicts=list(verdicts), first_failure=first_failure)
+    assert claim["label"] == "split of E_24, rate 5/6, offset 1"
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_drop_verdicts, _rho_not_a_rational, _valuation_not_an_integer, _claim_at_a_lower_rate],
+    ids=["verdicts-removed", "rho-x", "valuation-oops", "claim-relabelled-rate"],
+)
+def test_revalidation_refuses_tampered_examples(tamper):
+    report = json.loads(cmd_reproduce_examples().dumps())
+    tamper(report)
+    assert revalidate_report(report) is False
+
+
+def test_revalidation_refuses_a_negative_rate():
+    """rho = -1 passes every index, but no writer certifies a rate below 0."""
+    report = json.loads(cmd_check_condition(5).dumps())
+    for entry in report["results"]:
+        entry["certificate"]["rho"] = "-1"
+    assert revalidate_report(report) is False
 
 
 # -- check-condition --------------------------------------------------------
