@@ -34,7 +34,7 @@ coeffs = [BivarPolyModP.zero(p)] * (p - 1) + [
 long_seq = s_sequence(p, 200)
 for t in (1, 2):
     print("recurrence lift at depth 5^%d:" % t,
-          deep_recurrence_verify(p, p + 1, coeffs, long_seq, t))
+          deep_recurrence_verify(p, coeffs, long_seq, t))
 
 # symmetric-function mirror: divisibility of the scaled Newton images
 # a SymPolyQ is in lowest terms, so p | Phi(y_n) iff p divides every numerator

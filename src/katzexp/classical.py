@@ -104,52 +104,19 @@ def dim_weight(k: int):
     return d, eps
 
 
-# caches for form construction; keyed by precision so truncations never mix
-_pow_cache: dict = {}
-
-
-def _base_series(name: str, N: int) -> QSeries:
-    key = (name, 1, N)
-    got = _pow_cache.get(key)
-    if got is None:
-        if name == "E4":
-            got = eisenstein_series(4, N)
-        elif name == "E6":
-            got = eisenstein_series(6, N)
-        else:
-            got = delta_series(N)
-        _pow_cache[key] = got
-    return got
-
-
-def _cached_pow(name: str, e: int, N: int) -> QSeries:
-    """name^e at precision N via repeated halving, memoized."""
-    if e == 0:
-        base = _base_series(name, N)
-        return qs_pow(base, 0)
-    if e == 1:
-        return _base_series(name, N)
-    key = (name, e, N)
-    got = _pow_cache.get(key)
-    if got is None:
-        h = e // 2
-        got = qs_mul(_cached_pow(name, h, N), _cached_pow(name, e - h, N))
-        _pow_cache[key] = got
-    return got
+def miller_exponents(k: int, j: int):
+    """(a, eps) with Delta^j E_4^a E_6^eps the weight-k Miller form of index j."""
+    d, eps = dim_weight(k)
+    if not 0 <= j < d:
+        raise ValueError(f"index {j} outside 0..{d - 1} for weight {k}")
+    return (k - 12 * j - 6 * eps) // 4, eps
 
 
 def miller_form(k: int, j: int, N: int) -> QSeries:
     """The basis form Delta^j E_4^a E_6^eps of weight k, leading term q^j."""
-    d, eps = dim_weight(k)
-    if not 0 <= j < d:
-        raise ValueError(f"index {j} outside 0..{d - 1} for weight {k}")
-    a = (k - 12 * j - 6 * eps) // 4
-    g = _cached_pow("D", j, N)
-    if a:
-        g = qs_mul(g, _cached_pow("E4", a, N))
-    if eps:
-        g = qs_mul(g, _base_series("E6", N))
-    return g
+    a, eps = miller_exponents(k, j)
+    g = qs_mul(qs_pow(delta_series(N), j), qs_pow(eisenstein_series(4, N), a))
+    return qs_mul(g, eisenstein_series(6, N)) if eps else g
 
 
 def _sparse_mul_in_place(c: list, m: int, reps: int):

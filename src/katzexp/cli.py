@@ -154,10 +154,7 @@ def main(argv=None) -> int:
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise KatzexpError("cannot write --out %s: its parent is not a directory" % args.out)
         report = _dispatch(args)
-    except KatzexpError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
+    except (KatzexpError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except Exception:

@@ -15,7 +15,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._rational import INF, QQ, rational_to_str, val
-from .classical import dim_weight, eisenstein_series, hauptmodul_series, miller_form
+from .classical import (
+    delta_series,
+    dim_weight,
+    eisenstein_series,
+    hauptmodul_series,
+    miller_exponents,
+)
 from .errors import NotAModularForm, PrecisionTooLow
 from .series import (
     QSeries,
@@ -44,13 +50,11 @@ class KatzTerm(NamedTuple):
     b: QSeries
     miller_coords: tuple
     val: object  # integer or +inf
-    window: tuple
     structural_zero: bool = False
 
 
 class KatzExpansion(NamedTuple):
     p: int
-    n_weight: int
     terms: tuple
     max_index: int
     effective_pprec: float = INF
@@ -59,22 +63,21 @@ class KatzExpansion(NamedTuple):
         return self.terms[i]
 
 
-def _window_forms(i, p, N):
-    lo, hi = window_bounds(i, p)
-    k = i * (p - 1)
-    return [miller_form(k, j, N) for j in range(lo, hi)]
-
-
 def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
     """The greedy split loop. At each level i = 0..I, b_i is read off the
     window [lo_i, hi_i) of the running remainder r_i and subtracted, and the
     rest is multiplied up by E (reduced mod modulus, if given) to give
     r_{i+1}. Returns the terms 0..I and the final remainder r_I - b_I.
 
-    The Miller forms are integral with leading coefficient 1 at q^lo, q^(lo+1),
-    ..., so one integer elimination on the numerators of r gives both the
-    coordinates c / den and the numerators of r - b_i."""
+    The Miller forms Delta^j E_4^a E_6^eps are integral with leading
+    coefficient 1 at q^j, so one integer elimination on the numerators of r
+    gives both the coordinates c / den and the numerators of r - b_i. The
+    windows tile j = 0, 1, 2, ..., so the forms are built here as the loop
+    reaches them: Delta^j is one product from Delta^(j-1), and each E_4
+    power is kept once built."""
     N = r.prec
+    delta, e4, e6 = delta_series(N), eisenstein_series(4, N), eisenstein_series(6, N)
+    delta_j, e4_pows = qs_one(N), [qs_one(N), e4]
     terms = []
     for i in range(I + 1):
         if i:
@@ -84,7 +87,15 @@ def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
         lo, hi = window_bounds(i, p)
         rest = list(r.nums)
         coords = []
-        for j, form in zip(range(lo, hi), _window_forms(i, p, N)):
+        for j in range(lo, hi):
+            a, eps = miller_exponents(i * (p - 1), j)
+            if j:
+                delta_j = qs_mul(delta_j, delta) if j > 1 else delta
+            while len(e4_pows) <= a:
+                e4_pows.append(qs_mul(e4_pows[-1], e4))
+            form = qs_mul(delta_j, e4_pows[a]) if a else delta_j
+            if eps:
+                form = qs_mul(form, e6)
             c = rest[j]
             coords.append(QQ(c, r.den))
             if c:
@@ -93,7 +104,7 @@ def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
                     if fn[m]:
                         rest[m] -= c * fn[m]
         b = qs_from_nums([x - y for x, y in zip(r.nums, rest)], r.den)
-        terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, p), (lo, hi), hi == lo))
+        terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, p), hi == lo))
         r = qs_from_nums(rest, r.den)
     return tuple(terms), r
 
@@ -114,7 +125,7 @@ def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
     terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, n, None)
     if any(rest.nums):
         raise NotAModularForm(f"input is not in the weight-{n * (p - 1)} span mod q^{N}")
-    return KatzExpansion(p, n, terms, n, INF)
+    return KatzExpansion(p, terms, n, INF)
 
 
 def katz_split_function(f: QSeries, p: int, I: int, *, pprec=INF) -> KatzExpansion:
@@ -136,7 +147,7 @@ def katz_split_function(f: QSeries, p: int, I: int, *, pprec=INF) -> KatzExpansi
     E = eisenstein_series(p - 1, N)
     modulus = None if pprec == INF else p ** int(pprec)
     terms, _ = _peel(f, E, p, I, modulus)
-    return KatzExpansion(p, 0, terms, I, pprec)
+    return KatzExpansion(p, terms, I, pprec)
 
 
 def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:

@@ -104,15 +104,14 @@ def s_sequence(p: int, n_max: int):
     return seq[: n_max + 1]
 
 
-def deep_recurrence_verify(p, r, coeffs, seq, t) -> bool:
+def deep_recurrence_verify(p, coeffs, seq, t) -> bool:
     """Check the depth-t lift of a linear recurrence.
 
     Given s_n = sum_{i=1}^{r} A_i s_{n-i} over F_p, the lifted claim is
     s_n = sum_i A_i^{p^t} s_{n - i p^t} for all n with every index in
     range. coeffs lists A_1..A_r; seq is the sequence to check.
     """
-    if len(coeffs) != r:
-        raise ValueError(f"expected {r} coefficients, got {len(coeffs)}")
+    r = len(coeffs)
     q = p ** t
     start = r * q
     if start >= len(seq):

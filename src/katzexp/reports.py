@@ -19,13 +19,7 @@ from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str
 from .classical import dim_weight, eisenstein_series
 from .errors import InvalidWeight, PrecisionTooLow, ResourceBudgetExceeded, UnsupportedPrime
 from .family import eis_ratio, estar_family
-from .katz import (
-    certify_rate,
-    hauptmodul_valuations,
-    katz_split_classical,
-    katz_split_function,
-    rate_verdicts,
-)
+from .katz import hauptmodul_valuations, katz_split_classical, katz_split_function, rate_verdicts
 from .recurrence import delta_p
 from .series import apply_V, qs_div, qs_reduce_mod
 
@@ -132,8 +126,7 @@ def _rate_entry(label, role, ke, rho, c, **fields):
     role "claim" feeds the aggregate status; role "witness" is informational
     unless an expectation is attached (then a mismatch fails the report).
     """
-    cert = certify_rate(ke, rho, c)
-    rate = {"p": cert.p, "rho": rational_to_str(cert.rho), "c": rational_to_str(cert.c)}
+    rate = {"p": ke.p, "rho": rational_to_str(QQ(rho)), "c": rational_to_str(QQ(c))}
     rows = [[t.index, _val_str(t.val), t.structural_zero] for t in ke.terms]
     pprec = _val_str(ke.effective_pprec)
     return _entry(
@@ -447,6 +440,11 @@ def cmd_verify_theorem(
     if not rows:
         raise ValueError("unknown theorem %r" % (theorem,))
     given = {"s": s, "k": k, "n": n}
+    stray = [q for q, v in given.items() if v is not None and q not in rows]
+    if stray:
+        raise ValueError(
+            "theorem %s takes %s, not %s" % (theorem, " or ".join(rows), " or ".join(stray))
+        )
     usable = [q for q, row in rows.items() if given[q] is not None or row.default is not None]
     if len(usable) != 1:
         raise ValueError("theorem %s needs exactly one of %s" % (theorem, " or ".join(rows)))

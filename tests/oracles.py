@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from katzexp import QQ, dim_weight, eisenstein_series, miller_form
 from katzexp.errors import NotAModularForm, PrecisionTooLow
-from katzexp.katz import KatzExpansion, KatzTerm, _window_forms, window_bounds
+from katzexp.katz import KatzExpansion, KatzTerm, window_bounds
 from katzexp.recurrence import _LANE
 from katzexp.series import QSeries, qs_mul, qs_sub, qs_val
 
@@ -151,7 +151,14 @@ def _gauss_solve(mat, rhs):
     return tuple(m[r][n] for r in range(n))
 
 
-def split_dense(f: QSeries, n: int, p: int, window_basis=_window_forms) -> KatzExpansion:
+def miller_window(i: int, p: int, N: int) -> list:
+    """The Miller forms of weight i(p-1) in the window of level i, each by
+    miller_form on its own."""
+    lo, hi = window_bounds(i, p)
+    return [miller_form(i * (p - 1), j, N) for j in range(lo, hi)]
+
+
+def split_dense(f: QSeries, n: int, p: int, window_basis=miller_window) -> KatzExpansion:
     """Top-down split of a weight-n(p-1) form by one dense solve per level.
 
     At level i = n..1 the remainder cur (weight i(p-1)) is solved jointly as
@@ -172,7 +179,7 @@ def split_dense(f: QSeries, n: int, p: int, window_basis=_window_forms) -> KatzE
         prev_basis = [miller_form((i - 1) * (p - 1), j, N) for j in range(lo)]
         forms = window_basis(i, p, N)
         if forms is None:
-            forms = _window_forms(i, p, N)
+            forms = miller_window(i, p, N)
         if len(forms) != hi - lo:
             raise NotAModularForm("alternative complement has wrong rank")
         cols = [qs_mul(E, g) for g in prev_basis] + list(forms)
@@ -184,11 +191,11 @@ def split_dense(f: QSeries, n: int, p: int, window_basis=_window_forms) -> KatzE
         residual = qs_sub(qs_sub(cur, qs_mul(E, f_prev)), b)
         if any(x != 0 for x in residual.coeffs):
             raise NotAModularForm(f"residue outside the weight-{i * (p - 1)} span at level {i}")
-        terms[i] = KatzTerm(i, b, coords, qs_val(b, p), (lo, hi), hi == lo)
+        terms[i] = KatzTerm(i, b, coords, qs_val(b, p), hi == lo)
         cur = f_prev
     if any(x != 0 for x in cur.coeffs[1:]):
         raise NotAModularForm("weight-0 remainder is not constant")
     c0 = cur.coeffs[0]
     b0 = QSeries((c0,) + (QQ(0),) * (N - 1))
-    terms[0] = KatzTerm(0, b0, (c0,), qs_val(b0, p), (0, 1), False)
-    return KatzExpansion(p, n, tuple(terms[i] for i in range(n + 1)), n)
+    terms[0] = KatzTerm(0, b0, (c0,), qs_val(b0, p), False)
+    return KatzExpansion(p, tuple(terms[i] for i in range(n + 1)), n)

@@ -153,7 +153,7 @@ def test_criterion_07_recurrence_vanishing_and_depth():
                 BivarPolyModP.gen_B(p),
             ]
             for t in (1, 2):
-                assert deep_recurrence_verify(p, p + 1, coeffs, seq, t), (p, t)
+                assert deep_recurrence_verify(p, coeffs, seq, t), (p, t)
 
 
 def test_criterion_08_phi_integrality_and_divisibility():

@@ -30,6 +30,7 @@ ALLOWED = {
     "reconstruct": "oracle: rebuilds f from its Katz split, the check that a split is faithful",
     "revalidate_report": "the README's re-check of a stored report without recomputing it",
     "qs_to_json": "writes the series format that `katzexp katz --input` reads",
+    "certify_rate": "the README quickstart's certificate of a rate on a split",
 }
 
 MEMBERS_ALLOWED = {}

@@ -17,14 +17,13 @@ from katzexp import (
     QSeries,
     delta_series,
     eisenstein_series,
-    miller_form,
     qs_mul,
     qs_pow,
     qs_sub,
     qs_val,
 )
 from katzexp.errors import NotAModularForm, PrecisionTooLow
-from katzexp import katz, reports
+from katzexp import classical, katz, reports, series
 from katzexp.katz import (
     KatzExpansion,
     certify_rate,
@@ -124,18 +123,34 @@ def test_not_a_modular_form():
                 katz_split_classical(bad, n, p)
 
 
-def test_split_builds_each_miller_form_once(monkeypatch):
-    calls = []
+def test_split_builds_each_window_form_once(monkeypatch):
+    # At p = 13 the weight-12i window form of index j = i is Delta^j alone,
+    # one product from Delta^(j-1) once Delta^1 is built. A split of E_{12n}
+    # then takes at most: one product per form, one per level moving the
+    # remainder up by E_12, 2 * bitlength(n) for E_12^(-n), one for
+    # f * E_12^(-n) and four for Delta. A form built twice, or a Delta^j
+    # rebuilt from scratch, overruns it.
+    calls = [0]
+    counts = {}
 
-    def counted(k, j, N):
-        calls.append((k, j, N))
-        return miller_form(k, j, N)
+    def counted_mul(a, b):
+        calls[0] += 1
+        return qs_mul(a, b)
 
-    monkeypatch.setattr(katz, "miller_form", counted)
-    for n in range(1, 14):
-        calls.clear()
-        katz_split_classical(eisenstein_series(12 * n, qprec_for_split(13, n)), n, 13)
-        assert calls and len(calls) == len(set(calls)), n
+    def counted_split(f, n, p):
+        calls[0] = 0
+        ke = katz_split_classical(f, n, p)
+        counts[n] = calls[0]
+        return ke
+
+    for module in (series, classical, katz):
+        monkeypatch.setattr(module, "qs_mul", counted_mul)
+    monkeypatch.setattr(reports, "katz_split_classical", counted_split)
+    reports.cmd_check_condition(13)
+    assert sorted(counts) == list(range(1, 14))
+    for n, used in counts.items():
+        forms, levels = window_bounds(n, 13)[1], n + 1
+        assert used <= forms + levels + 2 * n.bit_length() + 5, (n, used)
 
 
 def test_split_precision_too_low():
@@ -146,7 +161,7 @@ def test_split_precision_too_low():
 def test_rank_two_window_and_unimodularity():
     # weight 48 at p=17 reaches a rank-2 window at level 3
     ke = katz_split_classical(eisenstein_series(48, 8), 3, 17)
-    assert ke.term(3).window == (3, 5)
+    assert window_bounds(3, 17) == (3, 5)
     assert len(ke.term(3).miller_coords) == 2
     assert [t.val for t in ke.terms] == [0, 2, 2, 3]
     for t in ke.terms:
@@ -216,7 +231,7 @@ def test_alternative_complement_gives_same_certificate():
     assert qs_mul(reconstruct(ke_alt, 12), e6).coeffs == f.coeffs
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
 def test_greedy_split_matches_dense_solve(p):
     # the top-down dense joint solve is the reference for the greedy peel
     for n in range(1, p + 1):

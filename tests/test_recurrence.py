@@ -114,21 +114,19 @@ def test_deep_recurrence_lifts():
         seq = s_sequence(p, length)
         coeffs = recurrence_coeffs(p)
         for t in (0, 1, 2):
-            assert deep_recurrence_verify(p, p + 1, coeffs, seq, t)
+            assert deep_recurrence_verify(p, coeffs, seq, t)
 
 
 def test_deep_recurrence_detects_corruption():
     seq = list(s_sequence(5, 120))
     seq[100] = bp_add(seq[100], BivarPolyModP.const(5, 1))
-    assert not deep_recurrence_verify(5, 6, recurrence_coeffs(5), seq, 1)
+    assert not deep_recurrence_verify(5, recurrence_coeffs(5), seq, 1)
 
 
 def test_deep_recurrence_needs_room():
     seq = s_sequence(5, 140)
     with pytest.raises(InsufficientLength):
-        deep_recurrence_verify(5, 6, recurrence_coeffs(5), seq, 2)
-    with pytest.raises(ValueError):
-        deep_recurrence_verify(5, 3, recurrence_coeffs(5), seq, 1)
+        deep_recurrence_verify(5, recurrence_coeffs(5), seq, 2)
 
 
 # ---------------------------------------------------------------- Newton chain

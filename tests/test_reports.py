@@ -674,9 +674,13 @@ def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
         (["--id", "F", "--s", "-1"], "error: s must be >= 1, got -1"),
         (["--id", "F", "--s", "0"], "error: s must be >= 1, got 0"),
         (["--id", "C", "--n", "-3"], "error: n must be >= 1, got -3"),
+        (["--id", "A", "--k", "24"], "error: theorem A takes s, not k"),
+        (["--id", "B", "--k", "24", "--n", "3", "--s", "9"],
+         "error: theorem B takes k, not s or n"),
+        (["--id", "E", "--n", "2", "--s", "3"], "error: theorem E takes n or k, not s"),
     ],
     ids=["A-pprec-0", "A-pprec-negative", "F-pprec-0", "F-s-negative", "F-s-0",
-         "C-n-negative"],
+         "C-n-negative", "A-stray-k", "B-stray-s-n", "E-stray-s"],
 )
 def test_cli_bad_theorem_input_exits_3(capsys, extra, message):
     code, out, err = run_cli(
