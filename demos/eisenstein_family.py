@@ -15,6 +15,7 @@ from katzexp import (
     QQ,
     agreement_depth,
     certify_rate,
+    classical_limit_weight,
     estar_family,
     estar_family_classical,
     estar_family_teichmuller,
@@ -31,20 +32,20 @@ p, s, M, N = 5, 1, 4, 50
 direct = estar_family_teichmuller(s, p, N, M)
 limit = estar_family_classical(s, p, N, M)
 print("construction agreement depth: %s digits (need >= %d)"
-      % (agreement_depth(direct.series, limit.series, p), M))
+      % (agreement_depth(direct, limit, p), M))
 
-member = estar_family(s, p, N, M)
-print("member at s=%d: construction=%s, weight used %s"
-      % (s, member.construction, member.weight_used))
-print("first coefficients mod 5^4:", [int(c) for c in member.series.coeffs[:8]])
+g = estar_family(s, p, N, M)
+print("member at s=%d, known mod %d, weight used %d"
+      % (s, g.modulus, classical_limit_weight(s, p, M)))
+print("first coefficients mod 5^4:", [int(c) for c in g.coeffs[:8]])
 
 # the generalized Bernoulli value driving the constant normalization
 print("tau-twisted Bernoulli number at s=1:", gen_bernoulli_tau(1, p, M))
 
 # certify the Frobenius ratio
-g = member.series
+# V(g)/g of a series known mod p^M is known mod p^M, and the split reads it
 f = qs_reduce_mod(qs_div(apply_V(g, p), g), p ** M)
-ke = katz_split_function(f, p, 24, pprec=M)
+ke = katz_split_function(f, p, 24)
 for rho, c in ((QQ(1, 6), 1), (QQ(1, 9), 0), (QQ(1, 6), 0)):
     cert = certify_rate(ke, rho, c)
     inconclusive = [i for i, v in enumerate(cert.verdicts) if v == "inconclusive"]

@@ -25,7 +25,6 @@ from .errors import (
     ZeroConstantTerm,
 )
 from .family import (
-    FamilyMember,
     agreement_depth,
     classical_limit_weight,
     delta_weight_sequence,

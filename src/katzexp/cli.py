@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--k", type=int, default=None, help="classical weight (B, E)")
     pv.add_argument("--n", type=int, default=None, help="Eisenstein ratio index (C, E)")
     pv.add_argument(
-        "--pprec", type=int, default=4, help="p-adic working precision for A and F"
+        "--pprec", type=int, default=None, help="p-adic working precision for A and F (default 4)"
     )
 
     pk = sub.add_parser("katz", help="split a weight-0 q-series from a JSON file")

@@ -12,7 +12,6 @@ somewhere and is raised loudly rather than papered over.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from ._rational import QQ, int_val
 from .classical import eisenstein_series
@@ -100,15 +99,6 @@ def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
     return total * math.factorial(s) / p
 
 
-class FamilyMember(NamedTuple):
-    s: int
-    p: int
-    series: QSeries  # integer coefficients reduced mod p^pprec
-    pprec: int
-    construction: str
-    weight_used: int | None = None
-
-
 def classical_limit_weight(s: int, p: int, M: int) -> int:
     """Smallest weight k >= 4 with k = 0 mod (p-1) and k = s mod p^M."""
     pm = p ** M
@@ -134,20 +124,17 @@ def delta_weight_sequence(s: int, p: int, count: int, *, t: int = 1):
     return [s + gap * p ** (m + t) for m in range(1, count + 1)]
 
 
-def estar_family_classical(s: int, p: int, N: int, M: int) -> FamilyMember:
+def estar_family_classical(s: int, p: int, N: int, M: int) -> QSeries:
     """Classical-limit construction: E_k mod p^M at the weight k of
     classical_limit_weight, congruent to s mod p^M."""
-    k = classical_limit_weight(s, p, M)
-    reduced = qs_reduce_mod(eisenstein_series(k, N), p ** M)
-    return FamilyMember(s, p, reduced, M, "classical-limit", weight_used=k)
+    return qs_reduce_mod(eisenstein_series(classical_limit_weight(s, p, M), N), p ** M)
 
 
-def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> FamilyMember:
+def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> QSeries:
     """Direct construction: 1 - (2s / B_{s,tau^(-s)}) sum sigma*_{s-1}(n) q^n
     with the divisor sums restricted to divisors prime to p."""
     if s < 1:
         raise InvalidWeight("s must be >= 1")
-    pm = p ** M
     big = p ** (M + 2)
     B = gen_bernoulli_tau(s, p, M)
     factor = QQ(-2 * s) / B
@@ -168,20 +155,17 @@ def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> FamilyMember:
         term = pow(d, s - 1, big) * tau_inv_s[d % p] % big
         for n in range(d, N, d):
             coeffs[n] = (coeffs[n] + term) % big
-    for n in range(1, N):
-        coeffs[n] = (factor_mod * coeffs[n]) % pm
-    series = qs_from_nums(coeffs)
-    return FamilyMember(s, p, series, M, "teichmuller-direct")
+    return qs_from_nums([1] + [factor_mod * c for c in coeffs[1:]], 1, p ** M)
 
 
-def estar_family(s: int, p: int, N: int, M: int) -> FamilyMember:
+def estar_family(s: int, p: int, N: int, M: int) -> QSeries:
     """Both constructions cross-checked mod p^M; CrossCheckMismatch if they differ."""
     direct = estar_family_teichmuller(s, p, N, M)
     classical = estar_family_classical(s, p, N, M)
-    if classical.series != direct.series:
-        k = classical.weight_used
+    if classical != direct:
+        k = classical_limit_weight(s, p, M)
         raise CrossCheckMismatch(f"constructions disagree mod {p}^{M} at weight {k}")
-    return classical._replace(construction="cross-checked:classical-limit|teichmuller-direct")
+    return classical
 
 
 def agreement_depth(f: QSeries, g: QSeries, p: int):

@@ -45,7 +45,7 @@ def hecke_T_ell(f: QSeries, k: int, ell: int) -> QSeries:
     s, t = (ell ** (k - 1), 1) if k >= 1 else (1, ell ** (1 - k))
     nums = f.nums
     out = [nums[ell * n] * t + (s * nums[n // ell] if n % ell == 0 else 0) for n in range(M)]
-    return qs_from_nums(out, f.den * t)
+    return qs_from_nums(out, f.den * t, f.modulus)
 
 
 def _twisted(op, f: QSeries, n: int, p: int) -> QSeries:

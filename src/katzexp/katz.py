@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._rational import INF, QQ, rational_to_str, val
+from ._rational import INF, QQ, int_val, rational_to_str, val
 from .classical import (
     delta_series,
     dim_weight,
@@ -30,7 +30,6 @@ from .series import (
     qs_mul,
     qs_one,
     qs_pow,
-    qs_reduce_mod,
     qs_scalar_mul,
     qs_sub,
     qs_val,
@@ -63,11 +62,12 @@ class KatzExpansion(NamedTuple):
         return self.terms[i]
 
 
-def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
+def _peel(r: QSeries, E: QSeries, p: int, I: int):
     """The greedy split loop. At each level i = 0..I, b_i is read off the
     window [lo_i, hi_i) of the running remainder r_i and subtracted, and the
-    rest is multiplied up by E (reduced mod modulus, if given) to give
-    r_{i+1}. Returns the terms 0..I and the final remainder r_I - b_I.
+    rest is multiplied up by E to give r_{i+1}; the remainder keeps the
+    modulus of r, so a capped split reduces as it goes. Returns the terms
+    0..I and the final remainder r_I - b_I.
 
     The Miller forms Delta^j E_4^a E_6^eps are integral with leading
     coefficient 1 at q^j, so one integer elimination on the numerators of r
@@ -82,8 +82,6 @@ def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
     for i in range(I + 1):
         if i:
             r = qs_mul(r, E)
-            if modulus is not None:
-                r = qs_reduce_mod(r, modulus)
         lo, hi = window_bounds(i, p)
         rest = list(r.nums)
         coords = []
@@ -105,7 +103,7 @@ def _peel(r: QSeries, E: QSeries, p: int, I: int, modulus):
                         rest[m] -= c * fn[m]
         b = qs_from_nums([x - y for x, y in zip(r.nums, rest)], r.den)
         terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, p), hi == lo))
-        r = qs_from_nums(rest, r.den)
+        r = qs_from_nums(rest, r.den, r.modulus)
     return tuple(terms), r
 
 
@@ -122,13 +120,13 @@ def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
     if N < d_top:
         raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
     E = eisenstein_series(p - 1, N)
-    terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, n, None)
+    terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, n)
     if any(rest.nums):
         raise NotAModularForm(f"input is not in the weight-{n * (p - 1)} span mod q^{N}")
     return KatzExpansion(p, terms, n, INF)
 
 
-def katz_split_function(f: QSeries, p: int, I: int, *, pprec=INF) -> KatzExpansion:
+def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:
     """Greedy decomposition of a weight-0 function through index I.
 
     b_i is read off from the coefficient window [d_{(i-1)(p-1)}, d_{i(p-1)})
@@ -136,18 +134,16 @@ def katz_split_function(f: QSeries, p: int, I: int, *, pprec=INF) -> KatzExpansi
     katz_split_classical runs the same loop. The reconstruction sum
     b_i / E_{p-1}^i matches f on q^0..q^(d_{I(p-1)}-1).
 
-    pprec: p-adic working precision of the input coefficients (integers mod
-    p^pprec); recorded as effective_pprec so downstream certificates know
-    which thresholds are decidable.
+    A series known mod p^M is split mod p^M, and M is recorded as
+    effective_pprec so downstream certificates know which thresholds are
+    decidable; an exact series has effective_pprec INF.
     """
     d_need = dim_weight(I * (p - 1))[0]
     N = f.prec
     if N < d_need:
         raise PrecisionTooLow(f"max index {I} needs {d_need} coefficients, got {N}")
-    E = eisenstein_series(p - 1, N)
-    modulus = None if pprec == INF else p ** int(pprec)
-    terms, _ = _peel(f, E, p, I, modulus)
-    return KatzExpansion(p, terms, I, pprec)
+    terms, _ = _peel(f, eisenstein_series(p - 1, N), p, I)
+    return KatzExpansion(p, terms, I, INF if f.modulus is None else int_val(f.modulus, p))
 
 
 def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:

@@ -21,7 +21,7 @@ from .errors import InvalidWeight, PrecisionTooLow, ResourceBudgetExceeded, Unsu
 from .family import eis_ratio, estar_family
 from .katz import hauptmodul_valuations, katz_split_classical, katz_split_function, rate_verdicts
 from .recurrence import delta_p
-from .series import apply_V, qs_div, qs_reduce_mod
+from .series import apply_V, qs_div
 
 STATUS_CERTIFIED = "certified"
 STATUS_FAILED = "failed"
@@ -168,7 +168,8 @@ def revalidate_report(report) -> bool:
 
     Takes a report dict (RunReport.to_json output or a json.load of it).
     True iff every entry equals its _derived form, compared as sorted JSON
-    so that a value of another type differs too, and the status is the
+    so that a value of another type differs too, every certificate's p is
+    the report's prime where its parameters name one, and the status is the
     aggregate_status of the entries. A malformed report is False.
     """
     if isinstance(report, RunReport):
@@ -177,6 +178,9 @@ def revalidate_report(report) -> bool:
         results = report["results"]
         derived = [_derived(entry) for entry in results]
         same = json.dumps(results, sort_keys=True) == json.dumps(derived, sort_keys=True)
+        prime = report["parameters"].get("prime")  # an extended sweep names none
+        primes = {e["certificate"]["p"] for e in results if e["kind"] == "certificate"}
+        same = same and (prime is None or primes <= {prime})
         return same and report["status"] == aggregate_status(results)
     except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError):
         return False
@@ -333,12 +337,12 @@ def cmd_reproduce_examples() -> RunReport:
 
 
 def _family_targets(s, p, max_index, pprec):
-    """V(g)/g mod p^pprec for the weight-0 family member g at s."""
+    """V(g)/g for the weight-0 family member g at s, known mod p^pprec (default 4)."""
+    pprec = 4 if pprec is None else pprec
     if pprec < 1:
         raise PrecisionTooLow("pprec must be >= 1, got %r" % (pprec,))
     N = max(50, qprec_for_split(p, max_index))
-    g = estar_family(s, p, N, pprec).series
-    return N, pprec, [qs_reduce_mod(_vratio(g, p), p ** pprec)]
+    return N, [_vratio(estar_family(s, p, N, pprec), p)]
 
 
 def _vratio_targets(k, p, max_index, pprec):
@@ -346,7 +350,7 @@ def _vratio_targets(k, p, max_index, pprec):
     if k < 4 or k % (p - 1) != 0:
         raise InvalidWeight("V(E_k)/E_k needs k >= 4 divisible by %d" % (p - 1))
     N = qprec_for_split(p, max_index)
-    return N, INF, [_vratio(eisenstein_series(k, N), p)]
+    return N, [_vratio(eisenstein_series(k, N), p)]
 
 
 def _ladder_targets(n, p, max_index, pprec):
@@ -354,7 +358,7 @@ def _ladder_targets(n, p, max_index, pprec):
     if n < 1:
         raise InvalidWeight("n must be >= 1, got %d" % n)
     N = max(qprec_for_split(p, max_index), qprec_for_split(p, n))
-    return N, INF, list(eis_ratio(n, p, N))
+    return N, list(eis_ratio(n, p, N))
 
 
 def _digit_sum_gate(what, m, p, *, below=False):
@@ -371,10 +375,11 @@ def _digit_sum_gate(what, m, p, *, below=False):
 class Theorem(NamedTuple):
     """One theorem-shaped statement as data.
 
-    build(value, p, max_index, pprec) -> (qprec, working pprec, series);
-    targets pairs each series used with its label format and the note of
-    its sharp-rate witness (None: no witness). The claims are the standard
-    pair (base, 1), (2/3 base, 0), or with sharp=True just (base, 0).
+    build(value, p, max_index, pprec) -> (qprec, series), each series
+    carrying the p-adic precision it is known to; targets pairs each series
+    used with its label format and the note of its sharp-rate witness (None:
+    no witness). The claims are the standard pair (base, 1), (2/3 base, 0),
+    or with sharp=True just (base, 0).
     """
 
     build: Callable
@@ -424,13 +429,13 @@ THEOREMS = {
 
 
 def cmd_verify_theorem(
-    theorem, p, max_index, *, s=None, k=None, n=None, pprec=4
+    theorem, p, max_index, *, s=None, k=None, n=None, pprec=None
 ) -> RunReport:
     """Certify one theorem-shaped overconvergence statement up to max_index.
 
     theorem picks its row of THEOREMS by the parameter given (s for A and F,
     k for B, n for C, exactly one of n or k for E); A and F work mod
-    p^pprec, the others exactly.
+    p^pprec (default 4), the others exactly and refuse a pprec.
     """
     started = time.perf_counter()
     theorem = theorem.upper()
@@ -451,20 +456,20 @@ def cmd_verify_theorem(
     (param,) = usable
     row = rows[param]
     value = row.default if given[param] is None else given[param]
+    if pprec is not None and row.build is not _family_targets:
+        raise ValueError("theorem %s is computed exactly and takes no pprec" % theorem)
     if row.gate is not None:
         row.gate(value, p)
 
     parameters = {"theorem": theorem, "prime": p, "max_index": max_index, param: value}
-    qprec, work_pprec, series = row.build(value, p, max_index, pprec)
-    if work_pprec != INF:
-        parameters["pprec"] = pprec
+    qprec, series = row.build(value, p, max_index, pprec)
     base = QQ(p if row.base_p else 1, p + 1)
     rates = ((base, 0),) if row.sharp else ((base, 1), (base * QQ(2, 3), 0))
     results = []
     # zip stops at the targets the row names: E with n splits e_n alone
     for (name, witness), f in zip(row.targets, series):
-        name = name.format(v=value, p=p, pprec=pprec)
-        ke = katz_split_function(f, p, max_index, pprec=work_pprec)
+        ke = katz_split_function(f, p, max_index)
+        name = name.format(v=value, p=p, pprec=ke.effective_pprec)
         sharp = name + ", sharp rate "
         label = sharp if row.sharp else name + ", rate "
         results += [_rate_entry(label, "claim", ke, rho, c) for rho, c in rates]
@@ -479,9 +484,11 @@ def cmd_verify_theorem(
                 _hauptmodul_entry(name, t_vals, note % (p + 1), floor_at_sharp_rate=None)
             )
 
+    if ke.effective_pprec != INF:
+        parameters["pprec"] = ke.effective_pprec
     return _finish(
         "verify-theorem", parameters, results, started,
-        qprec=qprec, max_index=max_index, pprec=_val_str(work_pprec),
+        qprec=qprec, max_index=max_index, pprec=_val_str(ke.effective_pprec),
     )
 
 

@@ -9,6 +9,10 @@ The coefficients are stored as int numerators `nums` over one int
 denominator `den` > 0, in lowest terms: gcd(den, *nums) == 1, so equal series
 have equal fields. Every operation works on the ints and takes one gcd per
 result; `coeffs` is a cached view as rationals for callers at the edge.
+
+A series may carry the p-adic precision it is known to, as capped-absolute
+p-adics do: `modulus` is None when exact, else m = p^M with residues in
+[0, m) over den 1. A result is known mod the gcd of its inputs' moduli.
 """
 
 from __future__ import annotations
@@ -21,16 +25,14 @@ from .errors import NotAUnit, ZeroConstantTerm
 
 
 class QSeries:
-    """QSeries(coeffs) from rationals; qs_from_nums(nums, den) from ints. Read-only."""
+    """QSeries(coeffs) exact from rationals; qs_from_nums from ints. Read-only."""
 
     def __init__(self, coeffs):
         coeffs = tuple(QQ(c) for c in coeffs)
         den = math.lcm(*(c.denominator for c in coeffs))
         # over the lcm of reduced denominators, gcd(den, *nums) is already 1
         nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        self.__dict__["coeffs"] = coeffs
+        self.__dict__.update(nums=nums, den=den, modulus=None, coeffs=coeffs)
 
     @cached_property
     def coeffs(self):
@@ -41,10 +43,12 @@ class QSeries:
         return len(self.nums)
 
     def __eq__(self, other):
-        return isinstance(other, QSeries) and self.nums == other.nums and self.den == other.den
+        return isinstance(other, QSeries) and (self.nums, self.den, self.modulus) == (
+            other.nums, other.den, other.modulus
+        )
 
     def __hash__(self):
-        return hash((self.nums, self.den))
+        return hash((self.nums, self.den, self.modulus))
 
     def __setattr__(self, name, *_):
         raise AttributeError("QSeries is read-only: cannot set or delete %r" % name)
@@ -60,34 +64,36 @@ class QSeries:
     def __sub__(self, other):
         return qs_sub(self, other)
 
-    def __neg__(self):
-        return qs_from_nums([-x for x in self.nums], self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return qs_mul(self, other)
-        return qs_scalar_mul(other, self)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return qs_pow(self, n)
-
     def __repr__(self):
         shown = ", ".join(rational_to_str(QQ(x, self.den)) for x in self.nums[:6])
         tail = ", ..." if self.prec > 6 else ""
-        return f"QSeries([{shown}{tail}], prec={self.prec})"
+        mod = "" if self.modulus is None else f", modulus={self.modulus}"
+        return f"QSeries([{shown}{tail}], prec={self.prec}{mod})"
 
 
-def qs_from_nums(nums, den=1) -> QSeries:
-    """The series nums[n]/den (ints, den > 0), brought to lowest terms by one gcd."""
+def qs_from_nums(nums, den=1, modulus=None) -> QSeries:
+    """nums[n]/den (ints, den > 0) in lowest terms by one gcd; given a modulus,
+    residues in [0, modulus) over den 1, or NotAUnit if den is not a unit."""
     # the high coefficients carry the largest denominators (an inverse's
     # grow with the index), so starting there cuts the running gcd down first
     g = math.gcd(den, *reversed(nums))
+    nums, den = tuple(x // g for x in nums) if g != 1 else tuple(nums), den // g
+    if modulus is not None:
+        try:
+            inv = pow(den, -1, modulus)
+        except ValueError:
+            # the first coefficient whose reduced denominator den/gcd(x, den) is not a unit
+            n = next(n for n, x in enumerate(nums) if math.gcd(den // math.gcd(x, den), modulus) != 1)
+            raise NotAUnit(f"denominator of q^{n} is not a unit mod {modulus}") from None
+        nums, den = tuple(x * inv % modulus for x in nums), 1
     f = QSeries.__new__(QSeries)
-    object.__setattr__(f, "nums", tuple(x // g for x in nums) if g != 1 else tuple(nums))
-    object.__setattr__(f, "den", den // g)
+    f.__dict__.update(nums=nums, den=den, modulus=modulus)
     return f
+
+
+def _meet(m, n):
+    """The modulus of a result from inputs known mod m and mod n (None: exact)."""
+    return n if m is None else m if n is None else math.gcd(m, n)
 
 
 def qs_one(N):
@@ -104,18 +110,18 @@ def _common(a: QSeries, b: QSeries):
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
     an, bn, den = _common(a, b)
-    return qs_from_nums([x + y for x, y in zip(an, bn)], den)
+    return qs_from_nums([x + y for x, y in zip(an, bn)], den, _meet(a.modulus, b.modulus))
 
 
 def qs_sub(a: QSeries, b: QSeries) -> QSeries:
     an, bn, den = _common(a, b)
-    return qs_from_nums([x - y for x, y in zip(an, bn)], den)
+    return qs_from_nums([x - y for x, y in zip(an, bn)], den, _meet(a.modulus, b.modulus))
 
 
 def qs_scalar_mul(c, a: QSeries) -> QSeries:
     c = QQ(c)
     num = c.numerator
-    return qs_from_nums([num * x for x in a.nums], a.den * c.denominator)
+    return qs_from_nums([num * x for x in a.nums], a.den * c.denominator, a.modulus)
 
 
 def _pack(nums, w):
@@ -133,7 +139,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """
     N = min(a.prec, b.prec)
     if N == 0:
-        return qs_from_nums(())
+        return qs_from_nums((), 1, _meet(a.modulus, b.modulus))
     an, bn = a.nums[:N], b.nums[:N]
     # |c_k| <= N max|a_i| max|b_j|, plus one bit for the sign
     bits = max(map(abs, an)).bit_length() + max(map(abs, bn)).bit_length() + N.bit_length() + 1
@@ -147,7 +153,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
         lane = int.from_bytes(lanes[k * w:(k + 1) * w], "little", signed=True)
         out.append(lane + borrow)
         borrow = lane < 0
-    return qs_from_nums(out, a.den * b.den)
+    return qs_from_nums(out, a.den * b.den, _meet(a.modulus, b.modulus))
 
 
 def qs_inv(a: QSeries) -> QSeries:
@@ -157,7 +163,7 @@ def qs_inv(a: QSeries) -> QSeries:
     B_0 = 1 and B_n = -sum_{k=1..n} A_k A_0^(k-1) B_(n-k), all in ints; so
     coefficient n of 1/a is D B_n A_0^(N-1-n) / A_0^N, reduced once at the end.
     If a has constant term 1 and p-integral coefficients the inverse does
-    too (1-unit arithmetic).
+    too (1-unit arithmetic); a series known mod m has its inverse mod m.
     """
     A = a.nums
     N = len(A)
@@ -186,7 +192,7 @@ def qs_inv(a: QSeries) -> QSeries:
     den = a0**N
     if den < 0:
         out, den = [-x for x in out], -den
-    return qs_from_nums(out, den)
+    return qs_from_nums(out, den, a.modulus)
 
 
 def qs_pow(a: QSeries, n: int) -> QSeries:
@@ -218,12 +224,12 @@ def apply_V(f: QSeries, p: int) -> QSeries:
     N = f.prec
     out = [0] * N
     out[::p] = f.nums[:len(range(0, N, p))]
-    return qs_from_nums(out, f.den)
+    return qs_from_nums(out, f.den, f.modulus)
 
 
 def apply_U(f: QSeries, p: int) -> QSeries:
     """Atkin's operator on coefficients: a_n <- a_{pn}; precision floor(N/p)."""
-    return qs_from_nums(f.nums[:p * (f.prec // p):p], f.den)
+    return qs_from_nums(f.nums[:p * (f.prec // p):p], f.den, f.modulus)
 
 
 def qs_val(f: QSeries, p: int):
@@ -235,22 +241,12 @@ def qs_val(f: QSeries, p: int):
 def qs_truncate(f: QSeries, N: int) -> QSeries:
     if N >= f.prec:
         return f
-    return qs_from_nums(f.nums[:N], f.den)
+    return qs_from_nums(f.nums[:N], f.den, f.modulus)
 
 
 def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
-    """Reduce p-integral coefficients to standard residues in [0, modulus).
-
-    Rational coefficients are allowed as long as their denominators are
-    invertible mod the modulus; any other denominator raises NotAUnit.
-    """
-    try:
-        inv = pow(f.den, -1, modulus)
-    except ValueError:
-        # the first coefficient whose reduced denominator den/gcd(x, den) is not a unit
-        n = next(n for n, x in enumerate(f.nums) if math.gcd(f.den // math.gcd(x, f.den), modulus) != 1)
-        raise NotAUnit(f"denominator of q^{n} is not a unit mod {modulus}") from None
-    return qs_from_nums([x * inv % modulus for x in f.nums])
+    """f known mod modulus (and its own): p-integral coefficients as residues."""
+    return qs_from_nums(f.nums, f.den, _meet(f.modulus, modulus))
 
 
 def qs_to_json(f: QSeries) -> dict:

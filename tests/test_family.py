@@ -19,7 +19,6 @@ from katzexp.errors import (
 )
 from katzexp import family
 from katzexp.family import (
-    FamilyMember,
     agreement_depth,
     classical_limit_weight,
     delta_weight_sequence,
@@ -32,7 +31,7 @@ from katzexp.family import (
     teichmuller,
 )
 from katzexp.katz import certify_rate, katz_split_function
-from katzexp.series import QSeries, apply_V, qs_inv, qs_mul, qs_sub
+from katzexp.series import apply_V, qs_from_nums, qs_inv, qs_mul, qs_sub
 from katzexp._rational import val
 
 
@@ -190,7 +189,7 @@ def test_delta_weight_sequence():
 
 def test_direct_construction_is_p_deprived():
     member = estar_family_teichmuller(2, 5, 36, 3)
-    coeffs = member.series.coeffs
+    coeffs = member.coeffs
     assert coeffs[0] == QQ(1)
     # sigma* sees only the prime-to-p part of the index
     for n in (1, 2, 3, 6, 7):
@@ -201,47 +200,43 @@ def test_direct_construction_with_trivial_character():
     for M in (1, 2, 3):
         fam = estar_family_teichmuller(4, 5, 40, M)
         ref = qs_reduce_mod(estar_k(4, 5, 40), 5 ** M)
-        assert fam.series.coeffs == ref.coeffs
+        assert fam == ref
 
 
 def test_cross_construction_agreement():
     for s in (1, 2, 3):
         for M in (1, 2, 3, 4):
             member = estar_family(s, 5, 50, M)
-            assert member.construction == "cross-checked:classical-limit|teichmuller-direct"
-            assert member.weight_used == classical_limit_weight(s, 5, M)
-            assert member.pprec == M
-            top = 5 ** M
-            assert all(0 <= c < top and c.denominator == 1 for c in member.series.coeffs)
+            assert member.modulus == 5 ** M
+            assert all(0 <= c < 5 ** M and c.denominator == 1 for c in member.coeffs)
 
 
 def test_cross_construction_mismatch_raises(monkeypatch):
     good = estar_family_teichmuller(1, 5, 20, 2)
-    bad_coeffs = list(good.series.coeffs)
-    bad_coeffs[3] = (bad_coeffs[3] + 1) % 25
-    bad = FamilyMember(1, 5, QSeries(tuple(bad_coeffs)), 2, "teichmuller-direct")
+    bad_nums = list(good.nums)
+    bad_nums[3] += 1
+    bad = qs_from_nums(bad_nums, 1, 25)
     monkeypatch.setattr(family, "estar_family_teichmuller", lambda *a, **k: bad)
-    weights = []
+    calls = []
     classical = family.estar_family_classical
 
     def recording_classical(*args):
-        member = classical(*args)
-        weights.append(member.weight_used)
-        return member
+        calls.append(args)
+        return classical(*args)
 
     monkeypatch.setattr(family, "estar_family_classical", recording_classical)
     with pytest.raises(CrossCheckMismatch, match=r"mod 5\^2 at weight 76"):
         estar_family(1, 5, 20, 2)
-    # no retry at a deeper weight: the first disagreement raises
-    assert weights == [76]
+    # no retry at a deeper precision: the first disagreement raises
+    assert calls == [(1, 5, 20, 2)]
 
 
 def test_family_member_serialization():
     member = estar_family(2, 5, 12, 2)
-    assert (member.s, member.p, member.pprec) == (2, 5, 2)
-    assert member.weight_used == 52
-    assert member.series.coeffs[0] == 1
-    assert len(member.series.coeffs) == 12
+    assert member.modulus == 5 ** 2
+    assert classical_limit_weight(2, 5, 2) == 52
+    assert member.coeffs[0] == 1
+    assert len(member.coeffs) == 12
 
 
 # ------------------------------------------------- family overconvergence
@@ -250,10 +245,10 @@ def test_family_member_serialization():
 def test_family_frobenius_ratio_katz_valuations():
     # V(E*_(1,0))/E*_(1,0) mod 5^4: the finite-precision realization of
     # the rate-(1/6) overconvergence statement
-    member = estar_family(1, 5, 50, 4)
-    g = member.series
+    g = estar_family(1, 5, 50, 4)
     f = qs_reduce_mod(qs_mul(apply_V(g, 5), qs_inv(g)), 5 ** 4)
-    ke = katz_split_function(f, 5, 24, pprec=4)
+    ke = katz_split_function(f, 5, 24)
+    assert ke.effective_pprec == 4
     finite = [(t.index, t.val) for t in ke.terms if t.index % 3 == 0]
     assert finite == [
         (0, 0), (3, 1), (6, 1), (9, 2), (12, 2),
@@ -273,6 +268,20 @@ def test_family_frobenius_ratio_katz_valuations():
     assert sharp.first_failure is None
     assert sharp.verdicts.count("inconclusive") == 1
     assert sharp.verdicts[24] == "inconclusive"
+
+
+def test_split_reads_the_precision_of_a_reduced_ratio():
+    # V(g)/g for the member g at s = 1, known only mod 5^2 and split with no
+    # precision named: the series says what it knows, so indices whose
+    # threshold reaches 2 digits read inconclusive, never fail
+    g = qs_reduce_mod(eisenstein_series(classical_limit_weight(1, 5, 2), 50), 5 ** 2)
+    f = qs_reduce_mod(qs_mul(apply_V(g, 5), qs_inv(g)), 5 ** 2)
+    ke = katz_split_function(f, 5, 21)
+    assert ke.effective_pprec == 2
+    cert = certify_rate(ke, QQ(1, 6), 0)
+    assert cert.first_failure is None
+    assert [i for i, v in enumerate(cert.verdicts) if v != "pass"] == [12, 15, 18, 21]
+    assert {cert.verdicts[i] for i in (12, 15, 18, 21)} == {"inconclusive"}
 
 
 def test_weight_scheme_ratios_deepen_agreement():

@@ -37,7 +37,7 @@ from katzexp.katz import (
     window_bounds,
 )
 from katzexp.reports import qprec_for_split
-from katzexp.series import apply_V, qs_div, qs_scalar_mul
+from katzexp.series import apply_V, qs_div, qs_reduce_mod, qs_scalar_mul
 from oracles import split_dense
 
 C1 = QQ(-340364160000, 236364091)
@@ -156,6 +156,10 @@ def test_split_builds_each_window_form_once(monkeypatch):
 def test_split_precision_too_low():
     with pytest.raises(PrecisionTooLow):
         katz_split_classical(eisenstein_series(24, 2), 6, 5)
+    with pytest.raises(PrecisionTooLow, match="max index 6 needs 3 coefficients, got 2"):
+        katz_split_function(eisenstein_series(24, 2), 5, 6)
+    with pytest.raises(PrecisionTooLow, match="need 3 coefficients, got 2"):
+        expand_in_hauptmodul(eisenstein_series(24, 2), 5, 3)
 
 
 def test_rank_two_window_and_unimodularity():
@@ -330,8 +334,8 @@ def test_v_of_e24_passes_sixth_rate_with_offset():
 
 def test_pprec_marks_deep_indices_inconclusive():
     N = 40
-    f = v_of_e24_over_e24(N)
-    ke = katz_split_function(f, 5, 30, pprec=5)
+    f = qs_reduce_mod(v_of_e24_over_e24(N), 5 ** 5)
+    ke = katz_split_function(f, 5, 30)
     assert ke.effective_pprec == 5
     cert = certify_rate(ke, QQ(1, 6), QQ(0))
     # threshold at i=30 is exactly 5 = pprec: undecidable, not a failure

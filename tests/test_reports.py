@@ -165,14 +165,29 @@ def _claim_at_a_lower_rate(report):
     assert claim["label"] == "split of E_24, rate 5/6, offset 1"
 
 
+def _witness_at_another_prime(report):
+    _certificate(report, "witness")["certificate"]["p"] = 7
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_drop_verdicts, _rho_not_a_rational, _valuation_not_an_integer, _claim_at_a_lower_rate],
-    ids=["verdicts-removed", "rho-x", "valuation-oops", "claim-relabelled-rate"],
+    [_drop_verdicts, _rho_not_a_rational, _valuation_not_an_integer, _claim_at_a_lower_rate,
+     _witness_at_another_prime],
+    ids=["verdicts-removed", "rho-x", "valuation-oops", "claim-relabelled-rate", "witness-p-7"],
 )
 def test_revalidation_refuses_tampered_examples(tamper):
     report = json.loads(cmd_reproduce_examples().dumps())
     tamper(report)
+    assert revalidate_report(report) is False
+
+
+def test_revalidation_refuses_certificates_at_another_prime():
+    """Every certificate of a report at p = 5 moved to p = 11 together."""
+    report = json.loads(cmd_verify_theorem("B", 5, 6, k=24).dumps())
+    assert revalidate_report(report)
+    for entry in report["results"]:
+        if entry["kind"] == "certificate":
+            entry["certificate"]["p"] = 11
     assert revalidate_report(report) is False
 
 
@@ -678,9 +693,16 @@ def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
         (["--id", "B", "--k", "24", "--n", "3", "--s", "9"],
          "error: theorem B takes k, not s or n"),
         (["--id", "E", "--n", "2", "--s", "3"], "error: theorem E takes n or k, not s"),
+        (["--id", "B", "--k", "24", "--pprec", "9"],
+         "error: theorem B is computed exactly and takes no pprec"),
+        (["--id", "C", "--n", "2", "--pprec", "-3"],
+         "error: theorem C is computed exactly and takes no pprec"),
+        (["--id", "E", "--k", "24", "--pprec", "4"],
+         "error: theorem E is computed exactly and takes no pprec"),
     ],
     ids=["A-pprec-0", "A-pprec-negative", "F-pprec-0", "F-s-negative", "F-s-0",
-         "C-n-negative", "A-stray-k", "B-stray-s-n", "E-stray-s"],
+         "C-n-negative", "A-stray-k", "B-stray-s-n", "E-stray-s", "B-pprec", "C-pprec",
+         "E-pprec"],
 )
 def test_cli_bad_theorem_input_exits_3(capsys, extra, message):
     code, out, err = run_cli(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katzexp import (
     INF,
@@ -12,16 +14,18 @@ from katzexp import (
     QSeries,
     apply_U,
     apply_V,
+    qs_add,
     qs_from_json,
     qs_inv,
     qs_mul,
     qs_one,
     qs_pow,
     qs_reduce_mod,
+    qs_sub,
     qs_to_json,
     qs_val,
 )
-from katzexp.series import qs_truncate
+from katzexp.series import qs_from_nums, qs_truncate
 from katzexp.errors import NotAUnit, ZeroConstantTerm
 
 
@@ -182,3 +186,41 @@ def test_truncate():
 def test_reduce_mod_rejects_a_denominator_that_is_not_a_unit():
     with pytest.raises(NotAUnit, match="q\\^1"):
         qs_reduce_mod(QSeries([1, QQ(1, 10), 2]), 25)
+
+
+def test_reduce_mod_keeps_the_coarser_modulus():
+    f = qs_reduce_mod(QSeries([1, 30, 7]), 25)
+    assert f.modulus == 25 and f.nums == (1, 5, 7) and f.den == 1
+    assert qs_reduce_mod(f, 5 ** 4) == f
+    assert qs_reduce_mod(f, 5) == qs_from_nums((1, 0, 2), 1, 5)
+    assert f != QSeries([1, 5, 7])
+
+
+# p-integral coefficients with a unit constant term, so every operation
+# below is defined both exactly and mod 5^M
+_p_integral = st.builds(QQ, st.integers(-10**6, 10**6), st.sampled_from([1, 2, 3, 7]))
+_unit = _p_integral.filter(lambda c: c.numerator % 5 != 0)
+_series = st.integers(1, 14).flatmap(
+    lambda N: st.builds(lambda c0, rest: QSeries([c0] + rest), _unit,
+                        st.lists(_p_integral, min_size=N - 1, max_size=N - 1))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_series, b=_series, M=st.integers(1, 5), K=st.integers(1, 5),
+       p=st.sampled_from([2, 3, 5]), n=st.integers(0, 15))
+def test_capped_arithmetic_commutes_with_reduction(a, b, M, K, p, n):
+    """Reducing mod 5^M and then operating equals operating exactly and then
+    reducing; a result is known to the coarser of its inputs' moduli, and
+    exact inputs give an exact result."""
+    m, k = 5 ** M, 5 ** K
+    ra, rb = qs_reduce_mod(a, m), qs_reduce_mod(b, k)
+    both = 5 ** min(M, K)
+    for op in (qs_mul, qs_add, qs_sub):
+        assert op(ra, rb) == qs_reduce_mod(op(a, b), both)
+        assert op(ra, b) == qs_reduce_mod(op(a, b), m)
+        assert op(a, b).modulus is None
+    unary = (qs_inv, lambda f: apply_V(f, p), lambda f: apply_U(f, p), lambda f: qs_truncate(f, n))
+    for op in unary:
+        assert op(ra) == qs_reduce_mod(op(a), m)
+        assert op(a).modulus is None
