@@ -1,54 +1,133 @@
 """Classical level-1 modular forms: Eisenstein series, Delta, Miller bases.
 
-Everything is exact: Bernoulli numbers from the integer tangent numbers,
-divisor sums by direct enumeration, eta-quotient hauptmoduls by sparse
-products of (1 - q^m)^(+-e) factors.
+Everything is exact: each Bernoulli number B_k from zeta(k) in integer fixed
+point, rounded over its von Staudt-Clausen denominator, divisor sums by
+direct enumeration, eta-quotient hauptmoduls by sparse products of
+(1 - q^m)^(+-e) factors.
 """
 
 from __future__ import annotations
 
-from ._rational import QQ
+import math
+
+from ._rational import QQ, is_prime
 from .errors import InvalidWeight, UnsupportedPrime
 from .series import QSeries, qs_from_nums, qs_mul, qs_pow, qs_scalar_mul, qs_sub
 
-# B_0, B_2, B_4, ...; odd-index Bernoulli numbers vanish past B_1 = -1/2,
-# so the table keeps even indices only.
-_bernoulli_even = [QQ(1)]
+# B_k by even k, one entry per k asked for; odd-index Bernoulli numbers
+# vanish past B_1 = -1/2.
+_bernoulli_memo = {0: QQ(1)}
 
 
-def _tangent_numbers(n: int) -> list:
-    """[0, T_1, ..., T_n] with T_m = tan^(2m-1)(0), in Python ints.
+def _pi_bounds(w: int):
+    """(lo, hi) with lo <= pi 2^w <= hi, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239)."""
 
-    Brent and Harvey, "Fast computation of Bernoulli, tangent and secant
-    numbers" (2011): O(n^2) additions and multiplications by small ints.
+    def arctan_inv(x):
+        # each floored term is low by under one unit, and the alternating
+        # tail past the first vanishing power is under one unit
+        power, x2, total, j = (1 << w) // x, x * x, 0, 0
+        while power:
+            term = power // (2 * j + 1)
+            total += -term if j & 1 else term
+            power //= x2
+            j += 1
+        return total, j + 1
+
+    a5, e5 = arctan_inv(5)
+    a239, e239 = arctan_inv(239)
+    mid, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    return mid - err, mid + err
+
+
+def _pow_bound(m: int, e: int, k: int, bits: int, up: bool):
+    """(r, f) with r 2^f a lower bound on (m 2^e)^k, or an upper bound if up,
+    for m > 0; r is truncated to `bits` bits after every step."""
+    r, f = 1, 0
+    for bit in bin(k)[2:]:
+        r, f = r * r, 2 * f
+        if bit == "1":
+            r, f = r * m, f + e
+        s = r.bit_length() - bits
+        if s > 0:
+            r = -(-r >> s) if up else r >> s
+            f += s
+    return r, f
+
+
+def _floor_div(a: int, r: int, s: int) -> int:
+    """floor(a / (r 2^s)) for r > 0 and s of either sign."""
+    return a // (r << s) if s >= 0 else (a << -s) // r
+
+
+def _bernoulli_even(k: int):
+    """Exact B_k for even k >= 2 from zeta(k).
+
+    By von Staudt-Clausen the denominator of B_k is D, the product of the
+    primes q with (q - 1) | k, so N = |B_k| D = 2 k! D zeta(k) / (2 pi)^k is
+    an integer and B_k = (-1)^(k/2 + 1) N / D. N is enclosed in [lo, hi] in
+    integer fixed point, every step rounded outward, at w = log2 N + guard
+    fractional bits, with g = log2 k + 4:
+
+    - pi by Machin's formula at w + g + log2 w bits, within about
+      4 (w + g + log2 w) units, a relative error under 2^-(w + 3) in
+      (2 pi)^k;
+    - (2 pi)^k by square-and-multiply with mantissas truncated to w + g bits
+      after every step, under 2^-(w + 2) relative error more;
+    - zeta(k) as the T terms n^-k that do not vanish at 2^-w, each floored
+      (under T units of 2^-w), plus the tail, under 1 + (T + 1)/(k - 1) units.
+
+    So hi - lo < N 2^-w (T + 4 + T/(k - 1)), under 1/16 for every even k up
+    to 120,000 with the starting guard of log2(N)/k + 8 bits. N is returned
+    only when [lo, hi] holds one integer; otherwise the guard doubles and all
+    of it is recomputed, so a numerator is never guessed.
     """
-    T = [0, 1] + [0] * (n - 1)
-    for j in range(2, n + 1):
-        T[j] = (j - 1) * T[j - 1]
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            T[j] = (j - i) * T[j - 1] + (j - i + 2) * T[j]
-    return T
+    den = 1
+    for d in range(1, math.isqrt(k) + 1):
+        if k % d == 0:
+            for q in {d + 1, k // d + 1}:
+                if is_prime(q):
+                    den *= q
+    scale = 2 * math.factorial(k) * den
+    # an upper bound on log2 N, as zeta(k) < 2
+    size = math.ceil((math.lgamma(k + 1) - k * math.log(2 * math.pi)) / math.log(2)) + den.bit_length() + 2
+    g = k.bit_length() + 4
+    guard = size // k + 8
+    while True:
+        w = size + guard
+        wpi = w + g + w.bit_length()
+        pi_lo, pi_hi = _pi_bounds(wpi)
+        p_lo, f_lo = _pow_bound(pi_lo, 1 - wpi, k, w + g, False)
+        p_hi, f_hi = _pow_bound(pi_hi, 1 - wpi, k, w + g, True)
+        one, z, n = 1 << w, 0, 1
+        while True:
+            t = one // n**k
+            if not t:
+                break
+            z += t
+            n += 1
+        # n - 1 = T terms; the tail sum_{m >= n} m^-k is under n^-k (1 + n/(k - 1))
+        z_hi = z + n + 1 + n // (k - 1)
+        lo = -_floor_div(-scale * z, p_hi, w + f_hi)
+        hi = _floor_div(scale * z_hi, p_lo, w + f_lo)
+        if lo == hi:
+            return QQ(lo if k % 4 == 2 else -lo, den)
+        guard *= 2
 
 
 def bernoulli(k: int):
-    """Exact Bernoulli number B_k for even k >= 0.
+    """Exact Bernoulli number B_k for even k >= 0, memoized by k.
 
-    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent numbers T_m.
-    The even-index table is memoized; a miss rebuilds it to at least twice
-    its length, so ascending requests cost O(K^2) big-int steps in total.
+    Each k is computed on its own from zeta(k) (Brent and Harvey, "Fast
+    computation of Bernoulli, tangent and secant numbers", 2011, as in
+    PARI/GP's bernfrac); see _bernoulli_even for the error bound.
     """
     if k < 0 or k % 2 != 0:
         raise InvalidWeight(f"B_k implemented for even k >= 0, got {k}")
-    half = k // 2
-    if half >= len(_bernoulli_even):
-        n = max(half, 2 * len(_bernoulli_even))
-        T = _tangent_numbers(n)
-        for m in range(len(_bernoulli_even), n + 1):
-            four_m = 4**m
-            b = QQ(2 * m * T[m], four_m * (four_m - 1))
-            _bernoulli_even.append(b if m % 2 else -b)
-    return _bernoulli_even[half]
+    b = _bernoulli_memo.get(k)
+    if b is None:
+        b = _bernoulli_memo[k] = _bernoulli_even(k)
+    return b
 
 
 def sigma_k(n: int, k: int):

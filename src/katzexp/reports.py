@@ -169,8 +169,10 @@ def revalidate_report(report) -> bool:
     Takes a report dict (RunReport.to_json output or a json.load of it).
     True iff every entry equals its _derived form, compared as sorted JSON
     so that a value of another type differs too, every certificate's p is
-    the report's prime where its parameters name one, and the status is the
-    aggregate_status of the entries. A malformed report is False.
+    the report's prime where its parameters name one, every certificate's
+    pprec is the provenance pprec, and so is the parameters' pprec where
+    they name one, and the status is the aggregate_status of the entries.
+    A malformed report is False.
     """
     if isinstance(report, RunReport):
         report = report.to_json()
@@ -181,6 +183,9 @@ def revalidate_report(report) -> bool:
         prime = report["parameters"].get("prime")  # an extended sweep names none
         primes = {e["certificate"]["p"] for e in results if e["kind"] == "certificate"}
         same = same and (prime is None or primes <= {prime})
+        pprec = report["provenance"]["pprec"]
+        pprecs = {e["pprec"] for e in results if e["kind"] == "certificate"}
+        same = same and pprecs <= {pprec} and str(report["parameters"].get("pprec", pprec)) == pprec
         return same and report["status"] == aggregate_status(results)
     except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError):
         return False

@@ -88,6 +88,32 @@ def bernoulli_even_recurrence(k):
     return table
 
 
+def tangent_numbers(n):
+    """[0, T_1, ..., T_n] with T_m = tan^(2m-1)(0), in Python ints.
+
+    Brent and Harvey, "Fast computation of Bernoulli, tangent and secant
+    numbers" (2011): O(n^2) additions and multiplications by small ints.
+    """
+    T = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        T[j] = (j - 1) * T[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            T[j] = (j - i) * T[j - 1] + (j - i + 2) * T[j]
+    return T
+
+
+def bernoulli_even_tangent(k):
+    """[B_0, B_2, ..., B_k] for even k >= 2 from the tangent numbers:
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
+    T = tangent_numbers(k // 2)
+    table = [QQ(1)]
+    for m in range(1, k // 2 + 1):
+        b = QQ(2 * m * T[m], 4**m * (4**m - 1))
+        table.append(b if m % 2 else -b)
+    return table
+
+
 def newton_chain_fractions(p, n_max):
     """x_0..x_{p+1} and y_0..y_{n_max} (y_0 None) of the Newton-identity
     chain, as dicts from packed exponent vectors (_LANE bits per variable)

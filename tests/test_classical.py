@@ -45,8 +45,9 @@ def eta_quotient_pentagonal(N):
     return QSeries(coeffs)
 
 
-# 1090 and 1876: the classical-limit weights of theorems F (p=11) and A
-@pytest.mark.parametrize("k", [*range(0, 102, 2), 1090, 1876])
+# 1090 and 1876: the classical-limit weights of theorems F (p=11) and A;
+# 2500 and 4000 lie past the tangent-number differential test in test_kernels
+@pytest.mark.parametrize("k", [*range(0, 102, 2), 1090, 1876, 2500, 4000])
 def test_bernoulli_matches_sympy(k):
     num, den = sympy.bernoulli(k).as_numer_denom()
     assert bernoulli(k) == QQ(int(num), int(den))

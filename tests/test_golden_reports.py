@@ -27,6 +27,8 @@ COMMANDS = (
     "verify-theorem --id E --prime 5 --n 1 --max-index 10",
     "verify-theorem --id E --prime 5 --k 4 --max-index 10",
     "verify-theorem --id F --prime 5 --s 1 --max-index 21 --pprec 4",
+    # B_k at k = 9376, the classical-limit weight at 5^5
+    "verify-theorem --id F --prime 5 --s 1 --max-index 21 --pprec 5",
     "verify-theorem --id F --prime 5 --s 3 --max-index 10 --pprec 2",
     "hauptmodul --prime 5 --weight 24 --terms 11",
     "katz --input {e8} --prime 5 --max-index 4",

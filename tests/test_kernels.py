@@ -3,9 +3,10 @@ budgets.
 
 qs_mul (Kronecker substitution) is compared with the schoolbook convolution,
 qs_inv (the integer recurrence) with the rational schoolbook inverse,
-bernoulli (tangent numbers) with the Fraction recurrence, and the Newton
-chain (int numerators over one denominator) with the Fraction chain; see
-oracles.py.
+bernoulli (zeta(k) in integer fixed point over the von Staudt-Clausen
+denominator) with the Fraction recurrence and with the integer tangent
+numbers, and the Newton chain (int numerators over one denominator) with the
+Fraction chain; see oracles.py.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from katzexp import (
 )
 from katzexp import classical, recurrence
 from katzexp.series import qs_from_nums
-from oracles import bernoulli_even_recurrence, newton_chain_fractions, schoolbook_inv, schoolbook_mul
+from oracles import (
+    bernoulli_even_recurrence,
+    bernoulli_even_tangent,
+    newton_chain_fractions,
+    schoolbook_inv,
+    schoolbook_mul,
+)
 
 # -- the representation ---------------------------------------------------
 
@@ -169,17 +176,42 @@ def oracle_table():
     return bernoulli_even_recurrence(_ORACLE_K)
 
 
+def fresh_memo(monkeypatch):
+    monkeypatch.setattr(classical, "_bernoulli_memo", {0: QQ(1)})
+
+
 def test_bernoulli_matches_recurrence_ascending(monkeypatch, oracle_table):
-    # a fresh table grown one miss at a time, as check-condition asks
-    monkeypatch.setattr(classical, "_bernoulli_even", [QQ(1)])
+    # a fresh memo filled one miss at a time, as check-condition asks
+    fresh_memo(monkeypatch)
     for k in range(0, _ORACLE_K + 1, 2):
         assert bernoulli(k) == oracle_table[k // 2], k
 
 
 def test_bernoulli_matches_recurrence_in_one_call(monkeypatch, oracle_table):
-    monkeypatch.setattr(classical, "_bernoulli_even", [QQ(1)])
+    fresh_memo(monkeypatch)
     assert bernoulli(_ORACLE_K) == oracle_table[-1]
     assert [bernoulli(k) for k in range(0, _ORACLE_K + 1, 2)] == oracle_table
+
+
+def test_bernoulli_matches_tangent_numbers_to_1200(monkeypatch):
+    fresh_memo(monkeypatch)
+    want = bernoulli_even_tangent(1200)
+    for k in range(0, 1201, 2):
+        assert bernoulli(k) == want[k // 2], k
+
+
+def test_bernoulli_recomputes_a_wide_enclosure(monkeypatch, oracle_table):
+    # pi bounds widened by 2^-8 on the first pass put many integers in [lo, hi]
+    exact, widths = classical._pi_bounds, []
+
+    def wide_first(w):
+        lo, hi = exact(w)
+        widths.append(w)
+        return (lo - (lo >> 8), hi + (hi >> 8)) if len(widths) == 1 else (lo, hi)
+
+    monkeypatch.setattr(classical, "_pi_bounds", wide_first)
+    assert classical._bernoulli_even(100) == oracle_table[50]
+    assert len(widths) == 2 and widths[1] > widths[0]
 
 
 # -- the Newton chain -----------------------------------------------------
@@ -203,7 +235,7 @@ def test_chain_matches_fraction_oracle(monkeypatch, p, n_max):
 # and the Fraction backend; CHANGES.md records both numbers.
 
 QS_MUL_E4_BUDGET_S = 0.15  # measured 0.04 s
-BERNOULLI_1876_BUDGET_S = 2.2  # measured 0.73 s
+BERNOULLI_1876_BUDGET_S = 0.12  # measured 0.037 s
 NEWTON_CHAIN_7_30_BUDGET_S = 0.32  # measured 0.105 s
 QS_INV_E1876_BUDGET_S = 6.0  # measured 1.4 s, and 3.2-3.8 s in a slow phase of a shared host
 

@@ -191,6 +191,16 @@ def test_revalidation_refuses_certificates_at_another_prime():
     assert revalidate_report(report) is False
 
 
+def test_revalidation_refuses_a_restated_working_precision():
+    """A report at pprec 4 whose parameters and provenance both claim 9."""
+    report = json.loads(cmd_verify_theorem("A", 5, 6).dumps())
+    assert revalidate_report(report)
+    assert report["parameters"]["pprec"] == 4
+    report["parameters"]["pprec"] = 9
+    report["provenance"]["pprec"] = "9"
+    assert revalidate_report(report) is False
+
+
 def test_revalidation_refuses_a_negative_rate():
     """rho = -1 passes every index, but no writer certifies a rate below 0."""
     report = json.loads(cmd_check_condition(5).dumps())
