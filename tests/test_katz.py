@@ -287,7 +287,9 @@ def test_rate_verdicts_refuse_rates_outside_the_range(rho, c, message):
 
 def test_certificate_json_shape():
     ke = katz_split_classical(eisenstein_series(24, 8), 6, 5)
-    entry = reports._rate_entry("E_24, rate ", "claim", ke, QQ(5, 6), QQ(1))
+    label = reports._rated("E_24, ", QQ(5, 6), QQ(1))
+    layout = reports._cert(label, "claim", 5, QQ(5, 6), QQ(1), 6)
+    entry = reports._fill(layout, [t.val for t in ke.terms], INF)
     assert entry["label"] == "E_24, rate 5/6, offset 1"
     assert entry["certificate"] == {
         "p": 5,

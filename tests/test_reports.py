@@ -8,9 +8,11 @@ codes.
 
 from __future__ import annotations
 
+import argparse
 import copy
 import json
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -209,6 +211,152 @@ def test_revalidation_refuses_a_negative_rate():
     assert revalidate_report(report) is False
 
 
+SNAPSHOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+
+
+def golden(command):
+    with open(SNAPSHOT, "r", encoding="utf-8") as fh:
+        return json.load(fh)[command]["report"]
+
+
+def rederived(report):
+    """report with each certificate's verdicts, first failure and max_index,
+    and the status, recomputed from its stored rows, as a forger would."""
+    for entry in report["results"]:
+        if entry["kind"] == "certificate":
+            cert = entry["certificate"]
+            rows = [(i, INF if v == "inf" else int(v), z) for i, v, z in entry["valuations"]]
+            pprec = INF if entry["pprec"] == "inf" else int(entry["pprec"])
+            verdicts, cert["first_failure"] = rate_verdicts(
+                rows, QQ(cert["rho"]), QQ(cert["c"]), pprec
+            )
+            cert.update(verdicts=list(verdicts), max_index=len(rows) - 1)
+    report["status"] = aggregate_status(report["results"])
+    return report
+
+
+def failed_katz():
+    """cmd_katz(e6, 5, 6): the sharp rate fails at index 6."""
+    e6, _ = eis_ratio(6, 5, 40)
+    return json.loads(cmd_katz(e6, 5, 6).dumps())
+
+
+def _katz_failure_made_structural():
+    report = failed_katz()
+    report["results"][0]["valuations"][6][2] = True
+    return rederived(report)
+
+
+def _katz_claim_made_a_witness():
+    report = failed_katz()
+    report["results"][0]["role"] = "witness"
+    report["status"] = "certified"
+    return report
+
+
+def _examples_qprec_1():
+    report = golden("reproduce-examples")
+    report["provenance"]["qprec"] = 1
+    return report
+
+
+def _examples_published_value_rewritten():
+    report = golden("reproduce-examples")
+    report["results"][0]["computed"] = report["results"][0]["published"] = "1/2"
+    return report
+
+
+def _condition_n4_deleted():
+    report = golden("check-condition --prime 7")
+    del report["results"][3]
+    return report
+
+
+def _katz_cut_below_the_failure():
+    report = failed_katz()
+    del report["results"][0]["valuations"][6:]
+    return rederived(report)
+
+
+def _theorem_a_pprec_restated_everywhere():
+    """pprec 9 in the parameters, provenance and certificates; the labels
+    still say mod 5^4."""
+    report = json.loads(cmd_verify_theorem("A", 5, 6).dumps())
+    report["parameters"]["pprec"], report["provenance"]["pprec"] = 9, "9"
+    for entry in report["results"]:
+        entry["pprec"] = "9"
+    return rederived(report)
+
+
+def _extended_max_prime_97():
+    report = golden("check-condition --extended --prime 7")
+    report["parameters"]["max_prime"] = 97
+    return report
+
+
+def _theorem_b_max_index_30():
+    report = json.loads(cmd_verify_theorem("B", 5, 6, k=24).dumps())
+    report["parameters"]["max_index"] = 30
+    return report
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_katz_failure_made_structural, _katz_claim_made_a_witness, _examples_qprec_1,
+     _examples_published_value_rewritten, _condition_n4_deleted, _katz_cut_below_the_failure,
+     _theorem_a_pprec_restated_everywhere, _extended_max_prime_97, _theorem_b_max_index_30],
+    ids=["katz-structural-6", "katz-claim-witness", "examples-qprec-1", "examples-published",
+         "condition-n4-deleted", "katz-cut-below-6", "A-pprec-9", "extended-max-prime-97",
+         "B-max-index-30"],
+)
+def test_revalidation_ties_entries_to_the_parameters(tamper):
+    """Each report is consistent entry by entry, so only the command's plan
+    for its parameters can refuse it."""
+    assert revalidate_report(tamper()) is False
+
+
+def test_untampered_computed_reports_revalidate():
+    computed = (failed_katz(), cmd_verify_theorem("A", 5, 6), cmd_verify_theorem("B", 5, 6, k=24))
+    assert all(revalidate_report(report) for report in computed)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("check-condition --prime 7", "prime", 1000003),
+     ("check-condition --extended --prime 7", "max_prime", 300000),
+     ("verify-theorem --id B --prime 5 --k 24 --max-index 30", "max_index", 10**8)],
+    ids=["prime-1000003", "max-prime-300000", "max-index-1e8"],
+)
+def test_revalidation_work_is_bounded_by_the_stored_report(command, key, value):
+    report = golden(command)
+    report["parameters"][key] = value
+    started = time.perf_counter()
+    assert revalidate_report(report) is False
+    assert time.perf_counter() - started < 1
+
+
+def test_theorem_gates_refuse_stored_reports_without_building_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("a series was built for %r" % (args,))
+
+    for name in ("eisenstein_series", "estar_family", "eis_ratio"):
+        monkeypatch.setattr(reports, name, no_series)
+    b = golden("verify-theorem --id B --prime 5 --k 24 --max-index 30")
+    b["parameters"]["k"] = 25
+    e = golden("verify-theorem --id E --prime 5 --k 4 --max-index 10")
+    e["parameters"]["k"] = 24  # digit sum 8, not 4
+    for report in (b, e):
+        with pytest.raises(InvalidWeight):
+            reports.PLANS["verify-theorem"](report["parameters"])
+        assert revalidate_report(report) is False
+
+
+def test_every_cli_subcommand_has_a_plan():
+    """A command cannot ship without the plan that re-checks its reports."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(reports.PLANS)
+
+
 # -- check-condition --------------------------------------------------------
 
 
@@ -282,7 +430,7 @@ def test_check_condition_pool_never_outnumbers_the_targets(monkeypatch):
     assert strip_wall_time(cmd_check_condition(5, jobs=64).dumps()) == serial
     assert ctx.sizes == [5]
     # a pool of one would be a serial run in a second process
-    assert len(reports._condition_sweep([(1, 5, "n=1")], 4, None, time.perf_counter())) == 1
+    assert len(reports._condition_sweep([(1, 5)], 4, None, time.perf_counter())) == 1
     assert ctx.sizes == [5]
 
 
@@ -743,7 +891,7 @@ def test_cli_check_condition_rejects_budget_at_or_below_zero(monkeypatch, capsys
         raise AssertionError("split computed for %r" % (args,))
 
     # refused before the first split is computed
-    monkeypatch.setattr(reports, "_condition_entry", no_split)
+    monkeypatch.setattr(reports, "_condition_values", no_split)
     code, out, err = run_cli(
         ["check-condition", "--prime", "5", "--budget-seconds", budget], capsys
     )
