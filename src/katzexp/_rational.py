@@ -10,19 +10,36 @@ INF = math.inf
 _HAVE_GMPY2 = False
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Whether the integer n is prime, by deterministic Miller-Rabin; n at
+    or above 3,317,044,064,679,887,385,961,981 raises ValueError."""
     n = int(n)
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError("primality is decided below %d, got %d" % (_MR_EXACT_BELOW, n))
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

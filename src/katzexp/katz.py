@@ -30,6 +30,7 @@ from .series import (
     qs_mul,
     qs_one,
     qs_pow,
+    qs_reduce_mod,
     qs_scalar_mul,
     qs_sub,
     qs_val,
@@ -62,38 +63,67 @@ class KatzExpansion(NamedTuple):
         return self.terms[i]
 
 
-def _peel(r: QSeries, E: QSeries, p: int, I: int):
+class MillerWindows:
+    """The Miller window forms of the greedy split at the prime p, to N
+    coefficients and known mod `modulus` (None: exact). A form is built the
+    first time a split reaches it and kept for every split given this value;
+    the value is the caller's and lives as long as the caller holds it.
+
+    The form of index j in window i is Delta^j E_4^a E_6^eps of weight
+    i(p - 1), integral with leading coefficient 1 at q^j. The windows tile
+    j = 0, 1, 2, ..., so Delta^j is one product from Delta^(j-1), and each
+    E_4 power is kept once built."""
+
+    def __init__(self, p: int, N: int, modulus: int | None = None):
+        self.p = p
+        self._forms = []
+        self._next = self._build(N, modulus)
+
+    def _build(self, N, modulus):
+        delta, e4, e6 = (qs_reduce_mod(f, modulus) for f in
+                         (delta_series(N), eisenstein_series(4, N), eisenstein_series(6, N)))
+        delta_j, e4_pows = qs_one(N), [qs_one(N), e4]
+        i = 0
+        while True:
+            lo, hi = window_bounds(i, self.p)
+            for j in range(lo, hi):
+                a, eps = miller_exponents(i * (self.p - 1), j)
+                if j:
+                    delta_j = qs_mul(delta_j, delta) if j > 1 else delta
+                while len(e4_pows) <= a:
+                    e4_pows.append(qs_mul(e4_pows[-1], e4))
+                form = qs_mul(delta_j, e4_pows[a]) if a else delta_j
+                yield qs_mul(form, e6) if eps else form
+            i += 1
+
+    def window(self, i: int):
+        """The forms of window i, in order of index j."""
+        lo, hi = window_bounds(i, self.p)
+        while len(self._forms) < hi:
+            self._forms.append(next(self._next))
+        return self._forms[lo:hi]
+
+
+def _peel(r: QSeries, E: QSeries, I: int, windows: MillerWindows):
     """The greedy split loop. At each level i = 0..I, b_i is read off the
     window [lo_i, hi_i) of the running remainder r_i and subtracted, and the
     rest is multiplied up by E to give r_{i+1}; the remainder keeps the
     modulus of r, so a capped split reduces as it goes. Returns the terms
     0..I and the final remainder r_I - b_I.
 
-    The Miller forms Delta^j E_4^a E_6^eps are integral with leading
-    coefficient 1 at q^j, so one integer elimination on the numerators of r
-    gives both the coordinates c / den and the numerators of r - b_i. The
-    windows tile j = 0, 1, 2, ..., so the forms are built here as the loop
-    reaches them: Delta^j is one product from Delta^(j-1), and each E_4
-    power is kept once built."""
+    The Miller forms of `windows` are integral with leading coefficient 1 at
+    q^j, so one integer elimination on the numerators of r gives both the
+    coordinates c / den and the numerators of r - b_i. The forms may run to
+    more coefficients than r; the split reads the first r.prec of them."""
     N = r.prec
-    delta, e4, e6 = delta_series(N), eisenstein_series(4, N), eisenstein_series(6, N)
-    delta_j, e4_pows = qs_one(N), [qs_one(N), e4]
     terms = []
     for i in range(I + 1):
         if i:
             r = qs_mul(r, E)
-        lo, hi = window_bounds(i, p)
+        lo, hi = window_bounds(i, windows.p)
         rest = list(r.nums)
         coords = []
-        for j in range(lo, hi):
-            a, eps = miller_exponents(i * (p - 1), j)
-            if j:
-                delta_j = qs_mul(delta_j, delta) if j > 1 else delta
-            while len(e4_pows) <= a:
-                e4_pows.append(qs_mul(e4_pows[-1], e4))
-            form = qs_mul(delta_j, e4_pows[a]) if a else delta_j
-            if eps:
-                form = qs_mul(form, e6)
+        for j, form in enumerate(windows.window(i), lo):
             c = rest[j]
             coords.append(QQ(c, r.den))
             if c:
@@ -102,9 +132,14 @@ def _peel(r: QSeries, E: QSeries, p: int, I: int):
                     if fn[m]:
                         rest[m] -= c * fn[m]
         b = qs_from_nums([x - y for x, y in zip(r.nums, rest)], r.den)
-        terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, p), hi == lo))
+        terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, windows.p), hi == lo))
         r = qs_from_nums(rest, r.den, r.modulus)
     return tuple(terms), r
+
+
+def _check_rest(rest: QSeries, n: int, p: int):
+    if any(rest.nums):
+        raise NotAModularForm(f"input is not in the weight-{n * (p - 1)} span mod q^{rest.prec}")
 
 
 def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
@@ -120,10 +155,43 @@ def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
     if N < d_top:
         raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
     E = eisenstein_series(p - 1, N)
-    terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, n)
-    if any(rest.nums):
-        raise NotAModularForm(f"input is not in the weight-{n * (p - 1)} span mod q^{N}")
+    terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, n, MillerWindows(p, N))
+    _check_rest(rest, n, p)
     return KatzExpansion(p, terms, n, INF)
+
+
+def eisenstein_sweep(p: int, qprecs, M: int):
+    """The splits of E_{n(p-1)} to qprecs[n - 1] coefficients for
+    n = 1, 2, ..., len(qprecs), one per step of the generator: each gives
+    the valuations v_p(b_0), ..., v_p(b_n), all exact, and whether the split
+    was redone by katz_split_classical.
+
+    Every split runs mod p^M, and the generator holds what they share while
+    it lives: E_{p-1} mod p^M and its inverse at the largest precision,
+    E_{p-1}^-n as E_{p-1}^-(n-1) E_{p-1}^-1, one product per n, and one
+    MillerWindows. For (p - 1) | k, E_k is p-integral with constant term 1:
+    by von Staudt-Clausen p divides the denominator of B_k, so never its
+    numerator (otherwise qs_reduce_mod raises NotAUnit). The Miller forms
+    are integral with leading coefficient 1. So the capped split is the
+    exact split reduced mod p^M, and a valuation below M read from it is
+    the exact one. A split with an index outside a structural zero that
+    reads M or more is redone exactly.
+    """
+    N, m = max(qprecs), p**M
+    E = qs_reduce_mod(eisenstein_series(p - 1, N), m)
+    E_inv = qs_inv(E)
+    windows = MillerWindows(p, N, m)
+    E_neg = E_inv
+    for n, qprec in enumerate(qprecs, 1):
+        if n > 1:
+            E_neg = qs_mul(E_neg, E_inv)
+        f = eisenstein_series(n * (p - 1), qprec)
+        terms, rest = _peel(qs_mul(qs_reduce_mod(f, m), E_neg), E, n, windows)
+        _check_rest(rest, n, p)
+        if all(t.val < M or t.structural_zero for t in terms):
+            yield [t.val for t in terms], False
+        else:
+            yield [t.val for t in katz_split_classical(f, n, p).terms], True
 
 
 def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:
@@ -142,7 +210,7 @@ def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:
     N = f.prec
     if N < d_need:
         raise PrecisionTooLow(f"max index {I} needs {d_need} coefficients, got {N}")
-    terms, _ = _peel(f, eisenstein_series(p - 1, N), p, I)
+    terms, _ = _peel(f, eisenstein_series(p - 1, N), I, MillerWindows(p, N))
     return KatzExpansion(p, terms, I, INF if f.modulus is None else int_val(f.modulus, p))
 
 

@@ -10,6 +10,7 @@ verdict depends only on min(v, pprec).
 from __future__ import annotations
 
 import json
+import sys
 import time
 from typing import Callable, NamedTuple
 
@@ -17,7 +18,8 @@ from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str
 from .classical import dim_weight, eisenstein_series
 from .errors import InvalidWeight, PrecisionTooLow, ResourceBudgetExceeded, UnsupportedPrime
 from .family import eis_ratio, estar_family
-from .katz import hauptmodul_valuations, katz_split_classical, katz_split_function
+from .katz import eisenstein_sweep, hauptmodul_valuations, katz_split_classical
+from .katz import katz_split_function
 from .katz import rate_verdicts, window_bounds
 from .recurrence import delta_p
 from .series import apply_V, qs_div
@@ -224,34 +226,52 @@ def _condition_plan(params):
     return Plan(parameters, layouts, _provenance(qprec_for_split(last, last), last))
 
 
-def _condition_values(target):
-    n, p = target
-    ke = katz_split_classical(eisenstein_series(n * (p - 1), qprec_for_split(p, n)), n, p)
-    return [t.val for t in ke.terms]
+def _condition_values(p):
+    """The splits of E_{n(p-1)} for n = 1..p, one prime's unit of work: a
+    generator of (valuations, whether the split was redone exactly), each as
+    its split ends. They run mod p^(p+4), which every valuation of the sweep
+    at p <= 37 stays below but that of b_1 = 0 at n = 1; see eisenstein_sweep."""
+    return eisenstein_sweep(p, [qprec_for_split(p, n) for n in range(1, p + 1)], p + 4)
 
 
-def _condition_sweep(targets, jobs, budget_seconds, started):
-    """The valuations of each (n, p) target's split, in order, from a serial
-    map or the pool.imap of at most one worker per target. The budget is
-    checked as each split arrives; on overrun ResourceBudgetExceeded is
-    raised and the pool terminated, so a sweep is complete or absent."""
+def _condition_prime(p):
+    """All splits of one prime and the seconds they took: a worker's unit."""
+    started = time.perf_counter()
+    return list(_condition_values(p)), time.perf_counter() - started
+
+
+def _condition_sweep(primes, jobs, budget_seconds, started):
+    """The valuations of every split at each prime, in order (n = 1..p at
+    each), computed one prime at a time: serially, or by the pool.imap of at
+    most one worker per prime. The budget is checked as each split arrives;
+    on overrun ResourceBudgetExceeded is raised and the pool terminated, so
+    a sweep is complete or absent. A sweep over more than one prime writes
+    one line to stderr per finished prime."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % (jobs,))
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be > 0, got %g" % budget_seconds)
-    workers = min(jobs, len(targets))
+    workers = min(jobs, len(primes))
     if workers > 1:
         import multiprocessing  # loaded for a parallel sweep only
     pool = multiprocessing.get_context("spawn").Pool(workers) if workers > 1 else None
-    splits = (pool.imap if pool else map)(_condition_values, targets)
-    results = []
+    # a worker times its own prime; a serial prime is timed as it runs
+    sweeps = pool.imap(_condition_prime, primes) if pool else (
+        (_condition_values(p), None) for p in primes)
+    results, total = [], sum(primes)
     try:
-        for (n, p), vals in zip(targets, splits):
-            results.append(vals)
-            late = budget_seconds is not None and time.perf_counter() - started > budget_seconds
-            if late and len(results) < len(targets):
-                raise ResourceBudgetExceeded(
-                    "condition sweep exceeded %gs after p=%d, n=%d" % (budget_seconds, p, n))
+        for p, (splits, seconds) in zip(primes, sweeps):
+            prime_started, exact = time.perf_counter(), 0
+            for n, (vals, redone) in enumerate(splits, 1):
+                results.append(vals)
+                exact += redone
+                late = budget_seconds is not None and time.perf_counter() - started > budget_seconds
+                if late and len(results) < total:
+                    raise ResourceBudgetExceeded(
+                        "condition sweep exceeded %gs after p=%d, n=%d" % (budget_seconds, p, n))
+            if len(primes) > 1:
+                seconds = time.perf_counter() - prime_started if seconds is None else seconds
+                print("p=%d: %d splits, %d exact, %.2f s" % (p, n, exact, seconds), file=sys.stderr)
     finally:
         if pool is not None:
             pool.terminate()
@@ -262,8 +282,8 @@ def _condition_report(params, jobs, budget_seconds):
     started = time.perf_counter()
     plan = _condition_plan(params)
     plan = plan._replace(results=list(plan.results))
-    targets = [(e["size"] - 1, e["certificate"]["p"]) for e in plan.results]
-    values = _condition_sweep(targets, jobs, budget_seconds, started)
+    primes = list(dict.fromkeys(e["certificate"]["p"] for e in plan.results))
+    values = _condition_sweep(primes, jobs, budget_seconds, started)
     return _assemble("check-condition", plan, values, started)
 
 

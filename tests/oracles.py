@@ -71,6 +71,18 @@ def strided_u_product(f: QSeries, g: QSeries, p: int, u: int) -> QSeries:
     return QSeries(tuple(out))
 
 
+def is_prime_trial(n):
+    """Whether n is prime, by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def bernoulli_even_recurrence(k):
     """[B_0, B_2, ..., B_k] for even k >= 0 from sum_{j<=m} C(m+1, j) B_j = 0.
 

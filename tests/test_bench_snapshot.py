@@ -1,5 +1,6 @@
 """The BENCH snapshot tool: its parser on canned perfbench output (perfbench
-itself is never run here) and its start-up timer."""
+itself is never run here), its start-up timer and its condition timer (on a
+stubbed runner: no sweep runs here)."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import sys
 
 import pytest
 
@@ -55,3 +57,17 @@ def test_startup_times_time_the_bare_interpreter_and_the_package_import(monkeypa
     times = bench_snapshot.startup_times(runs=1)
     assert sorted(times) == ["bare_start_s", "import_s"]
     assert all(t > 0 for t in times.values())
+
+
+def test_condition_29_s_times_three_cold_cli_runs(monkeypatch):
+    calls = []
+
+    def stub_run(argv, env=None, check=False, stdout=None):
+        calls.append((argv, env["PYTHONPATH"], check, stdout))
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", stub_run)
+    assert bench_snapshot.condition_29_s() >= 0
+    argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--prime", "29"]
+    src = os.path.abspath("src")
+    assert calls == [(argv, src, True, subprocess.DEVNULL)] * 3

@@ -5,8 +5,9 @@ qs_mul (Kronecker substitution) is compared with the schoolbook convolution,
 qs_inv (the integer recurrence) with the rational schoolbook inverse,
 bernoulli (zeta(k) in integer fixed point over the von Staudt-Clausen
 denominator) with the Fraction recurrence and with the integer tangent
-numbers, and the Newton chain (int numerators over one denominator) with the
-Fraction chain; see oracles.py.
+numbers, is_prime (deterministic Miller-Rabin) with trial division, and the
+Newton chain (int numerators over one denominator) with the Fraction chain;
+see oracles.py.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from katzexp import (
     qs_mul,
     qs_sub,
 )
-from katzexp import classical, recurrence
+from katzexp import _rational, classical, recurrence
+from katzexp._rational import is_prime
 from katzexp.series import qs_from_nums
 from oracles import (
     bernoulli_even_recurrence,
     bernoulli_even_tangent,
+    is_prime_trial,
     newton_chain_fractions,
     schoolbook_inv,
     schoolbook_mul,
@@ -212,6 +215,41 @@ def test_bernoulli_recomputes_a_wide_enclosure(monkeypatch, oracle_table):
     monkeypatch.setattr(classical, "_pi_bounds", wide_first)
     assert classical._bernoulli_even(100) == oracle_table[50]
     assert len(widths) == 2 and widths[1] > widths[0]
+
+
+# -- primality -------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division_below_2e5():
+    for n in range(-2, 2 * 10**5):
+        assert is_prime(n) == is_prime_trial(n), n
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_is_prime_on_strong_pseudoprimes(n):
+    # strong pseudoprimes to the bases 2..7 and 2..23, which trial division refutes
+    assert is_prime(n) is is_prime_trial(n) is False
+
+
+def test_is_prime_needs_its_thirteenth_base(monkeypatch):
+    # the least strong pseudoprime to the twelve bases 2..37; trial division
+    # would run to its factor 399165290221, so the factors are the oracle
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert is_prime(n) is False
+    monkeypatch.setattr(_rational, "_MR_BASES", _rational._MR_BASES[:12])
+    assert is_prime(n) is True
+
+
+def test_is_prime_refuses_at_and_above_its_bound(monkeypatch):
+    bound = _rational._MR_EXACT_BELOW
+    assert isinstance(is_prime(bound - 2), bool)
+    for n in (bound, bound + 2, 10**30):
+        with pytest.raises(ValueError, match="primality is decided below"):
+            is_prime(n)
+    # the bound is the least strong pseudoprime to all thirteen bases
+    monkeypatch.setattr(_rational, "_MR_EXACT_BELOW", bound + 1)
+    assert is_prime(bound) is True
 
 
 # -- the Newton chain -----------------------------------------------------

@@ -40,7 +40,8 @@ from katzexp.errors import (
     ResourceBudgetExceeded,
     UnsupportedPrime,
 )
-from katzexp.katz import rate_verdicts
+from katzexp.classical import eisenstein_series
+from katzexp.katz import eisenstein_sweep, katz_split_classical, rate_verdicts, window_bounds
 from katzexp.reports import aggregate_status
 from katzexp import cli, reports
 
@@ -335,6 +336,15 @@ def test_revalidation_work_is_bounded_by_the_stored_report(command, key, value):
     assert time.perf_counter() - started < 1
 
 
+def test_revalidation_decides_huge_primes_at_once():
+    report = golden("check-condition --extended --prime 7")
+    for max_prime, seconds in ((10**16, 0.5), (10**30, 0.05)):
+        report["parameters"]["max_prime"] = max_prime
+        started = time.perf_counter()
+        assert revalidate_report(report) is False
+        assert time.perf_counter() - started < seconds, max_prime
+
+
 def test_theorem_gates_refuse_stored_reports_without_building_series(monkeypatch):
     def no_series(*args):
         raise AssertionError("a series was built for %r" % (args,))
@@ -377,8 +387,9 @@ def test_check_condition_p5():
 
 
 def test_check_condition_parallel_matches_serial():
-    serial = strip_wall_time(cmd_check_condition(7).dumps())
-    parallel = strip_wall_time(cmd_check_condition(7, jobs=2).dumps())
+    # the workers' units are whole primes: 5, 7 and 11 here
+    serial = strip_wall_time(cmd_check_condition_extended(11).dumps())
+    parallel = strip_wall_time(cmd_check_condition_extended(11, jobs=2).dumps())
     assert serial == parallel
 
 
@@ -397,11 +408,11 @@ def test_check_condition_budget():
 
 
 def test_check_condition_parallel_budget_does_not_wait_for_the_sweep():
-    """A parallel overrun raises as the first entry arrives and stops the
-    workers; the whole p = 23 sweep takes tens of seconds."""
+    """A parallel overrun raises as the first prime arrives and stops the
+    workers before they finish the primes up to 23."""
     started = time.perf_counter()
     with pytest.raises(ResourceBudgetExceeded):
-        cmd_check_condition(23, jobs=2, budget_seconds=1e-9)
+        cmd_check_condition_extended(23, jobs=2, budget_seconds=1e-9)
     assert time.perf_counter() - started < 5
     assert multiprocessing.active_children() == []
 
@@ -424,14 +435,67 @@ class RecordingSerialContext:
 
 
 def test_check_condition_pool_never_outnumbers_the_targets(monkeypatch):
+    # the targets are primes: 5, 7, 11 and 13 here
     ctx = RecordingSerialContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
-    serial = strip_wall_time(cmd_check_condition(5).dumps())
-    assert strip_wall_time(cmd_check_condition(5, jobs=64).dumps()) == serial
-    assert ctx.sizes == [5]
+    serial = strip_wall_time(cmd_check_condition_extended(13).dumps())
+    assert strip_wall_time(cmd_check_condition_extended(13, jobs=64).dumps()) == serial
+    assert ctx.sizes == [4]
     # a pool of one would be a serial run in a second process
-    assert len(reports._condition_sweep([(1, 5)], 4, None, time.perf_counter())) == 1
-    assert ctx.sizes == [5]
+    assert strip_wall_time(cmd_check_condition(13, jobs=64).dumps()) == strip_wall_time(
+        cmd_check_condition(13).dumps())
+    assert ctx.sizes == [4]
+
+
+def test_check_condition_sweep_matches_exact_splits():
+    """The capped sweep against katz_split_classical, its fallback and oracle."""
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        for n, (vals, _) in enumerate(reports._condition_values(p), 1):
+            f = eisenstein_series(n * (p - 1), qprec_for_split(p, n))
+            assert vals == [t.val for t in katz_split_classical(f, n, p).terms], (p, n)
+
+
+def test_check_condition_redoes_only_the_split_of_one():
+    # b_1 of E_12 / E_12 = 1 is 0, so "at least p^17" at p = 13
+    redone = [n for n, (_, exact) in enumerate(reports._condition_values(13), 1) if exact]
+    assert redone == [1]
+
+
+@pytest.mark.parametrize("command", [["--prime", "7"], ["--extended", "--prime", "7"]])
+def test_check_condition_reports_survive_escalating_every_split(monkeypatch, capsys, command):
+    """With the cap at p^1 every index i >= 1 outside a structural zero reads
+    "at least 1", so every split that has one is redone exactly."""
+    redone, have_window = [], []
+
+    def cap_at_1(p, qprecs, M):
+        for n, (vals, exact) in enumerate(eisenstein_sweep(p, qprecs, 1), 1):
+            redone.append(exact)
+            have_window.append(any(lo < hi for lo, hi in (window_bounds(i, p) for i in range(1, n + 1))))
+            yield vals, exact
+
+    monkeypatch.setattr(reports, "eisenstein_sweep", cap_at_1)
+    code, out, _ = run_cli(["check-condition"] + command, capsys)
+    want = golden("check-condition " + " ".join(command))
+    report = json.loads(out)
+    report.pop("wall_time")
+    assert code == 0
+    assert json.dumps(report, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert redone == have_window and any(redone)
+
+
+def test_check_condition_prints_progress_per_prime_of_an_extended_sweep(capsys):
+    code, out, err = run_cli(["check-condition", "--extended", "--prime", "13"], capsys)
+    assert code == 0
+    # stdout is the report alone
+    want = cmd_check_condition_extended(13).dumps() + "\n"
+    capsys.readouterr()
+    assert strip_wall_time(out) == strip_wall_time(want)
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["p=5", "p=7", "p=11", "p=13"]
+    for line, p, exact in zip(lines, (5, 7, 11, 13), (0, 0, 0, 1)):
+        assert re.fullmatch(r"p=%d: %d splits, %d exact, \d+\.\d\d s" % (p, p, exact), line)
+    code, out, err = run_cli(["check-condition", "--prime", "13"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_check_condition_extended_small_range():
@@ -887,17 +951,23 @@ def test_cli_check_condition_rejects_jobs_below_one(capsys, extra):
 
 @pytest.mark.parametrize("budget", ["-1", "0"])
 def test_cli_check_condition_rejects_budget_at_or_below_zero(monkeypatch, capsys, budget):
-    def no_split(args):
+    def no_split(*args):
         raise AssertionError("split computed for %r" % (args,))
 
     # refused before the first split is computed
-    monkeypatch.setattr(reports, "_condition_values", no_split)
+    monkeypatch.setattr(reports, "eisenstein_sweep", no_split)
     code, out, err = run_cli(
         ["check-condition", "--prime", "5", "--budget-seconds", budget], capsys
     )
     assert code == 3
     assert out == ""
     assert err.startswith("error: budget_seconds must be > 0, got %s" % budget)
+
+
+def test_cli_prime_beyond_the_primality_bound_exits_3(capsys):
+    code, out, err = run_cli(["check-condition", "--prime", str(10**30)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: primality is decided below")
 
 
 def test_cli_missing_input_file(capsys):

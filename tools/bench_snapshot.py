@@ -12,7 +12,9 @@ the `meta` line (backend, Python version, CPU count, commit, src/ lines) and
 the final JSON line (the `<workload>.<metric>` values). It also records the
 cold start: `bare_start_s`, the median wall time of 11 fresh `python -c pass`
 processes, and `import_s`, that of `python -c "import katzexp, katzexp.cli"`
-with PYTHONPATH=src.
+with PYTHONPATH=src. Beyond perfbench's p = 13, `condition_29_s` is the
+median wall time of 3 cold `python -m katzexp.cli check-condition --prime 29`
+runs.
 """
 
 from __future__ import annotations
@@ -44,23 +46,37 @@ def parse_run_output(text: str) -> dict:
     return snapshot
 
 
-def median_start_s(code: str, runs: int = 11, env=None) -> float:
-    """Median wall time of `runs` fresh `python -c code` processes."""
+def median_wall_s(argv, runs: int, env=None) -> float:
+    """Median wall time of `runs` fresh processes of argv, stdout discarded."""
     times = []
     for _ in range(runs):
         started = time.perf_counter()
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
         times.append(time.perf_counter() - started)
     return statistics.median(times)
 
 
+def median_start_s(code: str, runs: int = 11, env=None) -> float:
+    """Median wall time of `runs` fresh `python -c code` processes."""
+    return median_wall_s([sys.executable, "-c", code], runs, env)
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.path.abspath("src"))
+
+
 def startup_times(runs: int = 11) -> dict:
     """The bare interpreter's start-up and that plus the package import."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
     return {
         "bare_start_s": median_start_s("pass", runs),
-        "import_s": median_start_s("import katzexp, katzexp.cli", runs, env),
+        "import_s": median_start_s("import katzexp, katzexp.cli", runs, _src_env()),
     }
+
+
+def condition_29_s(runs: int = 3) -> float:
+    """Median wall time of cold `check-condition --prime 29` CLI runs."""
+    argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--prime", "29"]
+    return median_wall_s(argv, runs, _src_env())
 
 
 def main(argv=None) -> int:
@@ -78,7 +94,7 @@ def main(argv=None) -> int:
         sys.stderr.write(proc.stdout + proc.stderr)
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
-    snapshot.update(startup_times())
+    snapshot.update(startup_times(), condition_29_s=condition_29_s())
     path = os.path.join(os.getcwd(), "BENCH_%d.json" % args.pr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
