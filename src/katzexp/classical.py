@@ -14,6 +14,9 @@ from ._rational import QQ, is_prime
 from .errors import InvalidWeight, UnsupportedPrime
 from .series import QSeries, qs_from_nums, qs_mul, qs_pow, qs_scalar_mul, qs_sub
 
+# the primes p >= 5 with X_0(p) of genus zero, where hauptmodul_series is defined
+HAUPTMODUL_PRIMES = (5, 7, 13)
+
 # B_k by even k, one entry per k asked for; odd-index Bernoulli numbers
 # vanish past B_1 = -1/2.
 _bernoulli_memo = {0: QQ(1)}
@@ -217,7 +220,7 @@ def _sparse_div_in_place(c: list, m: int, reps: int):
 def hauptmodul_series(p: int, N: int) -> QSeries:
     """Genus-zero uniformizer t = q * prod (1-q^{pn})^e / prod (1-q^n)^e,
     e = 24/(p-1); available for p in {5, 7, 13}."""
-    if p not in (5, 7, 13):
+    if p not in HAUPTMODUL_PRIMES:
         raise UnsupportedPrime(f"hauptmodul available for p in 5, 7, 13; got {p}")
     if N < 1:
         raise ValueError("need N >= 1")

@@ -16,6 +16,7 @@ import re
 import sys
 
 from ._rational import rational_from_str
+from .classical import HAUPTMODUL_PRIMES
 from .errors import KatzexpError
 from .reports import (
     STATUS_CERTIFIED,
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser(
         "hauptmodul", help="valuation vector of V(E_k)/E_k in the genus-zero coordinate"
     )
-    ph.add_argument("--prime", type=int, required=True, choices=(5, 7, 13))
+    ph.add_argument("--prime", type=int, required=True, choices=HAUPTMODUL_PRIMES)
     ph.add_argument("--weight", type=int, required=True)
     ph.add_argument("--terms", type=int, required=True)
 

@@ -32,7 +32,6 @@ from .series import (
     qs_reduce_mod,
     qs_scalar_mul,
     qs_sub,
-    qs_truncate,
     qs_val,
 )
 
@@ -170,5 +169,4 @@ def estar_family(s: int, p: int, N: int, M: int) -> QSeries:
 
 def agreement_depth(f: QSeries, g: QSeries, p: int):
     """Smallest coefficientwise p-adic distance over the shared range."""
-    n = min(f.prec, g.prec)
-    return qs_val(qs_sub(qs_truncate(f, n), qs_truncate(g, n)), p)
+    return qs_val(qs_sub(f, g), p)

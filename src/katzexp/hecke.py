@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ._rational import QQ, is_prime
+from ._rational import is_prime
 from .classical import eisenstein_series
 from .errors import EllEqualsP, InvalidWeight, PrecisionTooLow
 from .series import (
     QSeries,
     apply_U,
-    apply_V,
     qs_add,
     qs_from_nums,
     qs_mul,
@@ -81,13 +80,7 @@ def t_p_n_one(n: int, p: int, N: int) -> QSeries:
         raise InvalidWeight("defined for n >= 1")
     if N < p:
         raise PrecisionTooLow(f"prec {N} leaves no coefficients after U")
-    scale = QQ(p ** (n * (p - 1) - 1))
-
-    def t_p(g):
-        top = apply_U(g, p)
-        return qs_add(top, qs_scalar_mul(scale, qs_truncate(apply_V(g, p), top.prec)))
-
-    return _twisted(t_p, qs_one(N), n, p)
+    return _twisted(lambda g: hecke_T_ell(g, n * (p - 1), p), qs_one(N), n, p)
 
 
 class HPolynomial(namedtuple("HPolynomial", "coeffs")):

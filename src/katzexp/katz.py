@@ -12,6 +12,7 @@ RateCertificate records the exact per-index comparison v_p(b_i) >= rho*i - c.
 
 from __future__ import annotations
 
+from itertools import count, islice
 from typing import NamedTuple
 
 from ._rational import INF, QQ, int_val, rational_to_str, val
@@ -63,53 +64,37 @@ class KatzExpansion(NamedTuple):
         return self.terms[i]
 
 
-class MillerWindows:
+def miller_windows(p: int, N: int, modulus: int | None = None):
     """The Miller window forms of the greedy split at the prime p, to N
-    coefficients and known mod `modulus` (None: exact). A form is built the
-    first time a split reaches it and kept for every split given this value;
-    the value is the caller's and lives as long as the caller holds it.
+    coefficients and known mod `modulus` (None: exact): the i-th value is
+    the list of window i's forms in order of index j, built when it is drawn.
 
     The form of index j in window i is Delta^j E_4^a E_6^eps of weight
     i(p - 1), integral with leading coefficient 1 at q^j. The windows tile
     j = 0, 1, 2, ..., so Delta^j is one product from Delta^(j-1), and each
     E_4 power is kept once built."""
-
-    def __init__(self, p: int, N: int, modulus: int | None = None):
-        self.p = p
-        self._forms = []
-        self._next = self._build(N, modulus)
-
-    def _build(self, N, modulus):
-        delta, e4, e6 = (qs_reduce_mod(f, modulus) for f in
-                         (delta_series(N), eisenstein_series(4, N), eisenstein_series(6, N)))
-        delta_j, e4_pows = qs_one(N), [qs_one(N), e4]
-        i = 0
-        while True:
-            lo, hi = window_bounds(i, self.p)
-            for j in range(lo, hi):
-                a, eps = miller_exponents(i * (self.p - 1), j)
-                if j:
-                    delta_j = qs_mul(delta_j, delta) if j > 1 else delta
-                while len(e4_pows) <= a:
-                    e4_pows.append(qs_mul(e4_pows[-1], e4))
-                form = qs_mul(delta_j, e4_pows[a]) if a else delta_j
-                yield qs_mul(form, e6) if eps else form
-            i += 1
-
-    def window(self, i: int):
-        """The forms of window i, in order of index j."""
-        lo, hi = window_bounds(i, self.p)
-        while len(self._forms) < hi:
-            self._forms.append(next(self._next))
-        return self._forms[lo:hi]
+    delta, e4, e6 = (qs_reduce_mod(f, modulus) for f in
+                     (delta_series(N), eisenstein_series(4, N), eisenstein_series(6, N)))
+    delta_j, e4_pows = qs_one(N), [qs_one(N), e4]
+    for i in count():
+        forms = []
+        for j in range(*window_bounds(i, p)):
+            a, eps = miller_exponents(i * (p - 1), j)
+            if j:
+                delta_j = qs_mul(delta_j, delta) if j > 1 else delta
+            while len(e4_pows) <= a:
+                e4_pows.append(qs_mul(e4_pows[-1], e4))
+            form = qs_mul(delta_j, e4_pows[a]) if a else delta_j
+            forms.append(qs_mul(form, e6) if eps else form)
+        yield forms
 
 
-def _peel(r: QSeries, E: QSeries, I: int, windows: MillerWindows):
-    """The greedy split loop. At each level i = 0..I, b_i is read off the
-    window [lo_i, hi_i) of the running remainder r_i and subtracted, and the
+def _peel(r: QSeries, E: QSeries, p: int, windows):
+    """The greedy split loop over the given windows. At each level i, b_i is
+    read off window i of the running remainder r_i and subtracted, and the
     rest is multiplied up by E to give r_{i+1}; the remainder keeps the
-    modulus of r, so a capped split reduces as it goes. Returns the terms
-    0..I and the final remainder r_I - b_I.
+    modulus of r, so a capped split reduces as it goes. Returns one term per
+    window and the remainder r_I - b_I left after the last window I.
 
     The Miller forms of `windows` are integral with leading coefficient 1 at
     q^j, so one integer elimination on the numerators of r gives both the
@@ -117,13 +102,12 @@ def _peel(r: QSeries, E: QSeries, I: int, windows: MillerWindows):
     more coefficients than r; the split reads the first r.prec of them."""
     N = r.prec
     terms = []
-    for i in range(I + 1):
+    for i, forms in enumerate(windows):
         if i:
             r = qs_mul(r, E)
-        lo, hi = window_bounds(i, windows.p)
         rest = list(r.nums)
         coords = []
-        for j, form in enumerate(windows.window(i), lo):
+        for j, form in enumerate(forms, window_bounds(i, p)[0]):
             c = rest[j]
             coords.append(QQ(c, r.den))
             if c:
@@ -132,7 +116,7 @@ def _peel(r: QSeries, E: QSeries, I: int, windows: MillerWindows):
                     if fn[m]:
                         rest[m] -= c * fn[m]
         b = qs_from_nums([x - y for x, y in zip(r.nums, rest)], r.den)
-        terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, windows.p), hi == lo))
+        terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, p), not forms))
         r = qs_from_nums(rest, r.den, r.modulus)
     return tuple(terms), r
 
@@ -155,7 +139,7 @@ def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
     if N < d_top:
         raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
     E = eisenstein_series(p - 1, N)
-    terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, n, MillerWindows(p, N))
+    terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, islice(miller_windows(p, N), n + 1))
     _check_rest(rest, n, p)
     return KatzExpansion(p, terms, n, INF)
 
@@ -168,25 +152,27 @@ def eisenstein_sweep(p: int, qprecs, M: int):
 
     Every split runs mod p^M, and the generator holds what they share while
     it lives: E_{p-1} mod p^M and its inverse at the largest precision,
-    E_{p-1}^-n as E_{p-1}^-(n-1) E_{p-1}^-1, one product per n, and one
-    MillerWindows. For (p - 1) | k, E_k is p-integral with constant term 1:
-    by von Staudt-Clausen p divides the denominator of B_k, so never its
-    numerator (otherwise qs_reduce_mod raises NotAUnit). The Miller forms
-    are integral with leading coefficient 1. So the capped split is the
-    exact split reduced mod p^M, and a valuation below M read from it is
-    the exact one. A split with an index outside a structural zero that
-    reads M or more is redone exactly.
+    E_{p-1}^-n as E_{p-1}^-(n-1) E_{p-1}^-1, one product per n, and the
+    Miller windows 0..n, one more drawn per n. For (p - 1) | k, E_k is
+    p-integral with constant term 1: by von Staudt-Clausen p divides the
+    denominator of B_k, so never its numerator (otherwise qs_reduce_mod
+    raises NotAUnit). The Miller forms are integral with leading
+    coefficient 1. So the capped split is the exact split reduced mod p^M,
+    and a valuation below M read from it is the exact one. A split with an
+    index outside a structural zero that reads M or more is redone exactly.
     """
     N, m = max(qprecs), p**M
     E = qs_reduce_mod(eisenstein_series(p - 1, N), m)
     E_inv = qs_inv(E)
-    windows = MillerWindows(p, N, m)
+    more = miller_windows(p, N, m)
+    windows = [next(more)]
     E_neg = E_inv
     for n, qprec in enumerate(qprecs, 1):
+        windows.append(next(more))
         if n > 1:
             E_neg = qs_mul(E_neg, E_inv)
         f = eisenstein_series(n * (p - 1), qprec)
-        terms, rest = _peel(qs_mul(qs_reduce_mod(f, m), E_neg), E, n, windows)
+        terms, rest = _peel(qs_mul(qs_reduce_mod(f, m), E_neg), E, p, windows)
         _check_rest(rest, n, p)
         if all(t.val < M or t.structural_zero for t in terms):
             yield [t.val for t in terms], False
@@ -210,7 +196,7 @@ def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:
     N = f.prec
     if N < d_need:
         raise PrecisionTooLow(f"max index {I} needs {d_need} coefficients, got {N}")
-    terms, _ = _peel(f, eisenstein_series(p - 1, N), I, MillerWindows(p, N))
+    terms, _ = _peel(f, eisenstein_series(p - 1, N), p, islice(miller_windows(p, N), I + 1))
     return KatzExpansion(p, terms, I, INF if f.modulus is None else int_val(f.modulus, p))
 
 

@@ -15,7 +15,7 @@ import time
 from typing import Callable, NamedTuple
 
 from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str
-from .classical import dim_weight, eisenstein_series
+from .classical import HAUPTMODUL_PRIMES, dim_weight, eisenstein_series
 from .errors import InvalidWeight, PrecisionTooLow, ResourceBudgetExceeded, UnsupportedPrime
 from .family import eis_ratio, estar_family
 from .katz import eisenstein_sweep, hauptmodul_valuations, katz_split_classical
@@ -27,8 +27,6 @@ from .series import apply_V, qs_div
 STATUS_CERTIFIED = "certified"
 STATUS_FAILED = "failed"
 STATUS_INCONCLUSIVE = "inconclusive"
-
-_HAUPTMODUL_PRIMES = (5, 7, 13)
 
 
 def _val_str(v):
@@ -474,7 +472,7 @@ def _theorem(params):
         if witness is not None:
             label = _rated(name + ", sharp ", base, 0)
             group.append(_cert(label, "witness", p, base, 0, top, note=witness))
-        if row.hauptmodul and p in _HAUPTMODUL_PRIMES:
+        if row.hauptmodul and p in HAUPTMODUL_PRIMES:
             note = "membership at rate 1/%d would force the floor on every listed coefficient"
             group.append(_hauptmodul(name, 2 * top // (p + 1) + 1, note % (p + 1), floor=True))
         groups.append(group)
@@ -531,7 +529,7 @@ def _hauptmodul_plan(params):
         raise InvalidWeight("need an even weight k >= 4")
     if terms < 1:
         raise PrecisionTooLow("hauptmodul needs --terms >= 1, got %d" % terms)
-    if p not in _HAUPTMODUL_PRIMES:
+    if p not in HAUPTMODUL_PRIMES:
         raise UnsupportedPrime("hauptmodul available for p in 5, 7, 13; got %r" % (p,))
     note = "raw valuation vector; no rate claim attached"
     layout = _hauptmodul("V(E_%d)/E_%d" % (k, k), terms, note)

@@ -146,6 +146,22 @@ def test_split_builds_each_window_form_once(monkeypatch):
     assert calls[0] <= forms + per_n + 12, calls[0]
 
 
+def test_sweep_builds_windows_no_earlier_than_their_split(monkeypatch):
+    # The first split of the p = 29 sweep reads windows 0 and 1 and takes 25
+    # products. Building the windows of every later n up front takes 133, so
+    # a serial sweep's budget check would wait for all of them.
+    calls = [0]
+
+    def counted_mul(a, b):
+        calls[0] += 1
+        return qs_mul(a, b)
+
+    for module in (series, classical, katz):
+        monkeypatch.setattr(module, "qs_mul", counted_mul)
+    next(katz.eisenstein_sweep(29, [qprec_for_split(29, n) for n in range(1, 30)], 33))
+    assert calls[0] <= 40, calls[0]
+
+
 def test_split_precision_too_low():
     with pytest.raises(PrecisionTooLow):
         katz_split_classical(eisenstein_series(24, 2), 6, 5)
