@@ -64,17 +64,15 @@ def val(x, p):
 
 
 def rational_from_str(s):
-    """Parse "num/den" or "num" (decimal strings) into an exact rational.
-
-    Anything else, a zero denominator included, raises ValueError.
-    """
-    if not isinstance(s, str):
-        raise ValueError("expected a rational as a string, got %r" % (s,))
-    num, slash, den = s.strip().partition("/")
-    den = int(den) if slash else 1
-    if den == 0:
-        raise ValueError("zero denominator in %r" % (s,))
-    return QQ(int(num), den)
+    """Parse "num/den" or "num" (decimal strings) into an exact rational;
+    anything else, a zero denominator included, raises ValueError."""
+    try:
+        num, slash, den = s.strip().partition("/")
+        return QQ(int(num), int(den) if slash else 1)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
+    except (AttributeError, TypeError, ValueError):  # not a string, or not of that form
+        raise ValueError('expected a rational "num" or "num/den", got %r' % (s,)) from None
 
 
 def rational_to_str(x):

@@ -220,31 +220,26 @@ class RateCertificate(NamedTuple):
     first_failure: int | None
 
 
-def rate_verdict(val_i, threshold, effective_pprec, structural_zero=False):
-    """One index of the certificate comparison, exact rational arithmetic.
-
-    A structural zero (empty window) passes outright. Otherwise a threshold at
-    or beyond the p-adic working precision is undecidable; below it, val_i is
-    exact knowledge and the comparison is definitive.
-    """
-    if structural_zero:
-        return "pass"
-    if threshold >= effective_pprec:
-        return "inconclusive"
-    return "pass" if val_i >= threshold else "fail"
-
-
 def rate_verdicts(rows, rho, c, effective_pprec):
     """(verdicts, first failing index or None) of rows (index, val, structural_zero)
-    against rho*index - c: the one loop that certifies and revalidates. The
-    rate needs 0 <= rho <= 1 and c >= 0 (ValueError otherwise)."""
+    against rho*index - c, for 0 <= rho <= 1 and c >= 0 (ValueError otherwise):
+    the one loop that certifies and revalidates. A structural zero passes; a
+    threshold at or past the working precision is inconclusive, below it exact."""
     if not 0 <= rho <= 1:
         raise ValueError(f"rate rho = {rational_to_str(rho)} outside [0, 1]")
     if c < 0:
         raise ValueError(f"offset c = {rational_to_str(c)} is negative")
-    verdicts = tuple(rate_verdict(v, rho * i - c, effective_pprec, z) for i, v, z in rows)
+    verdicts = []
+    for i, v, structural_zero in rows:
+        threshold = rho * i - c
+        if structural_zero:
+            verdicts.append("pass")
+        elif threshold >= effective_pprec:
+            verdicts.append("inconclusive")
+        else:
+            verdicts.append("pass" if v >= threshold else "fail")
     fails = (i for (i, _, _), verdict in zip(rows, verdicts) if verdict == "fail")
-    return verdicts, next(fails, None)
+    return tuple(verdicts), next(fails, None)
 
 
 def certify_rate(ke: KatzExpansion, rho, c) -> RateCertificate:

@@ -9,6 +9,7 @@ verdict depends only on min(v, pprec).
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -224,52 +225,47 @@ def _condition_plan(params):
     return Plan(parameters, layouts, _provenance(qprec_for_split(last, last), last))
 
 
-def _condition_values(p):
-    """The splits of E_{n(p-1)} for n = 1..p, one prime's unit of work: a
-    generator of (valuations, whether the split was redone exactly), each as
-    its split ends. They run mod p^(p+4), which every valuation of the sweep
-    at p <= 37 stays below but that of b_1 = 0 at n = 1; see eisenstein_sweep."""
-    return eisenstein_sweep(p, [qprec_for_split(p, n) for n in range(1, p + 1)], p + 4)
+def _condition_prime(p, budget_seconds=None, deadline=None):
+    """The splits of E_{n(p-1)} for n = 1..p, one prime's unit of work, serial
+    or pooled: (valuations, whether the split was redone exactly) per split
+    and the seconds they took. They run mod p^(p+4), which every valuation of
+    the sweep at p <= 37 stays below but that of b_1 = 0 at n = 1; see
+    eisenstein_sweep. No split starts past the time.monotonic() deadline."""
+    started, pairs = time.perf_counter(), []
+    splits = eisenstein_sweep(p, [qprec_for_split(p, n) for n in range(1, p + 1)], p + 4)
+    for n in range(1, p + 1):
+        # time.monotonic is system-wide, so a spawned worker reads its parent's clock
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceBudgetExceeded(
+                "condition sweep exceeded %gs before p=%d, n=%d" % (budget_seconds, p, n))
+        pairs.append(next(splits))
+    return pairs, time.perf_counter() - started
 
 
-def _condition_prime(p):
-    """All splits of one prime and the seconds they took: a worker's unit."""
-    started = time.perf_counter()
-    return list(_condition_values(p)), time.perf_counter() - started
-
-
-def _condition_sweep(primes, jobs, budget_seconds, started):
+def _condition_sweep(primes, jobs, budget_seconds):
     """The valuations of every split at each prime, in order (n = 1..p at
     each), computed one prime at a time: serially, or by the pool.imap of at
-    most one worker per prime. The budget is checked as each split arrives;
-    on overrun ResourceBudgetExceeded is raised and the pool terminated, so
-    a sweep is complete or absent. A sweep over more than one prime writes
-    one line to stderr per finished prime."""
+    most one worker per prime. Every prime checks the budget before each
+    split, in a worker as in a serial run; on overrun ResourceBudgetExceeded
+    is raised and the pool terminated, so a sweep is complete or absent. A
+    sweep over more than one prime writes one line to stderr per prime."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % (jobs,))
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be > 0, got %g" % budget_seconds)
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    sweep = functools.partial(_condition_prime, budget_seconds=budget_seconds, deadline=deadline)
     workers = min(jobs, len(primes))
     if workers > 1:
         import multiprocessing  # loaded for a parallel sweep only
     pool = multiprocessing.get_context("spawn").Pool(workers) if workers > 1 else None
-    # a worker times its own prime; a serial prime is timed as it runs
-    sweeps = pool.imap(_condition_prime, primes) if pool else (
-        (_condition_values(p), None) for p in primes)
-    results, total = [], sum(primes)
+    results = []
     try:
-        for p, (splits, seconds) in zip(primes, sweeps):
-            prime_started, exact = time.perf_counter(), 0
-            for n, (vals, redone) in enumerate(splits, 1):
-                results.append(vals)
-                exact += redone
-                late = budget_seconds is not None and time.perf_counter() - started > budget_seconds
-                if late and len(results) < total:
-                    raise ResourceBudgetExceeded(
-                        "condition sweep exceeded %gs after p=%d, n=%d" % (budget_seconds, p, n))
+        for p, (pairs, seconds) in zip(primes, (pool.imap if pool else map)(sweep, primes)):
+            results += [vals for vals, _ in pairs]
             if len(primes) > 1:
-                seconds = time.perf_counter() - prime_started if seconds is None else seconds
-                print("p=%d: %d splits, %d exact, %.2f s" % (p, n, exact, seconds), file=sys.stderr)
+                exact = sum(redone for _, redone in pairs)
+                print("p=%d: %d splits, %d exact, %.2f s" % (p, p, exact, seconds), file=sys.stderr)
     finally:
         if pool is not None:
             pool.terminate()
@@ -281,7 +277,7 @@ def _condition_report(params, jobs, budget_seconds):
     plan = _condition_plan(params)
     plan = plan._replace(results=list(plan.results))
     primes = list(dict.fromkeys(e["certificate"]["p"] for e in plan.results))
-    values = _condition_sweep(primes, jobs, budget_seconds, started)
+    values = _condition_sweep(primes, jobs, budget_seconds)
     return _assemble("check-condition", plan, values, started)
 
 

@@ -1,5 +1,5 @@
 """The BENCH snapshot tool: its parser on canned perfbench output (perfbench
-itself is never run here), its start-up timer and its condition timer (on a
+itself is never run here), its start-up timer and its condition timers (on a
 stubbed runner: no sweep runs here)."""
 
 from __future__ import annotations
@@ -59,15 +59,30 @@ def test_startup_times_time_the_bare_interpreter_and_the_package_import(monkeypa
     assert all(t > 0 for t in times.values())
 
 
-def test_condition_29_s_times_three_cold_cli_runs(monkeypatch):
+def _stub_runs(monkeypatch):
+    """The calls that median_wall_s makes, recorded instead of run."""
     calls = []
 
-    def stub_run(argv, env=None, check=False, stdout=None):
-        calls.append((argv, env["PYTHONPATH"], check, stdout))
+    def stub_run(argv, env=None, check=False, stdout=None, stderr=None):
+        calls.append((argv, env["PYTHONPATH"], check, stdout, stderr))
         return subprocess.CompletedProcess(argv, 0)
 
     monkeypatch.setattr(bench_snapshot.subprocess, "run", stub_run)
+    return calls
+
+
+def test_condition_29_s_times_three_cold_cli_runs(monkeypatch):
+    calls = _stub_runs(monkeypatch)
     assert bench_snapshot.condition_29_s() >= 0
     argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--prime", "29"]
     src = os.path.abspath("src")
-    assert calls == [(argv, src, True, subprocess.DEVNULL)] * 3
+    assert calls == [(argv, src, True, subprocess.DEVNULL, subprocess.DEVNULL)] * 3
+
+
+def test_extended_37_jobs2_s_times_three_cold_pooled_cli_runs(monkeypatch):
+    calls = _stub_runs(monkeypatch)
+    assert bench_snapshot.extended_37_jobs2_s() >= 0
+    argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--extended",
+            "--prime", "37", "--jobs", "2"]
+    src = os.path.abspath("src")
+    assert calls == [(argv, src, True, subprocess.DEVNULL, subprocess.DEVNULL)] * 3

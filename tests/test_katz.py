@@ -31,7 +31,6 @@ from katzexp.katz import (
     hauptmodul_valuations,
     katz_split_classical,
     katz_split_function,
-    rate_verdict,
     rate_verdicts,
     reconstruct,
     window_bounds,
@@ -271,13 +270,17 @@ def test_certify_zero_expansion_passes_everything():
 
 
 def test_rate_verdict_mechanics():
-    assert rate_verdict(INF, QQ(100), INF, structural_zero=True) == "pass"
-    assert rate_verdict(3, QQ(2), INF) == "pass"
-    assert rate_verdict(1, QQ(2), INF) == "fail"
+    def verdict(i, v, pprec, structural_zero=False):
+        # one row at rho = 1, c = 0, so the threshold is the index i
+        return rate_verdicts([(i, v, structural_zero)], QQ(1), QQ(0), pprec)[0][0]
+
+    assert verdict(100, INF, INF, structural_zero=True) == "pass"
+    assert verdict(2, 3, INF) == "pass"
+    assert verdict(2, 1, INF) == "fail"
     # bound at or past the working p-adic precision is undecidable
-    assert rate_verdict(10, QQ(4), 4) == "inconclusive"
-    assert rate_verdict(1, QQ(5), 4) == "inconclusive"
-    assert rate_verdict(1, QQ(3), 4) == "fail"
+    assert verdict(4, 10, 4) == "inconclusive"
+    assert verdict(5, 1, 4) == "inconclusive"
+    assert verdict(3, 1, 4) == "fail"
 
 
 @pytest.mark.parametrize(

@@ -408,8 +408,9 @@ def test_check_condition_budget():
 
 
 def test_check_condition_parallel_budget_does_not_wait_for_the_sweep():
-    """A parallel overrun raises as the first prime arrives and stops the
-    workers before they finish the primes up to 23."""
+    """Every prime checks the budget before each split, in a worker as in a
+    serial run, so a parallel overrun raises before the first split and the
+    workers stop long before they would finish the primes up to 23."""
     started = time.perf_counter()
     with pytest.raises(ResourceBudgetExceeded):
         cmd_check_condition_extended(23, jobs=2, budget_seconds=1e-9)
@@ -447,17 +448,37 @@ def test_check_condition_pool_never_outnumbers_the_targets(monkeypatch):
     assert ctx.sizes == [4]
 
 
+def test_check_condition_pooled_prime_stops_inside_itself(monkeypatch):
+    """A pooled prime checks the budget before each of its splits, not once it
+    has finished, so at most one split starts past the deadline."""
+    starts = []
+
+    def slow_sweep(p, qprecs, M):
+        for n in range(1, len(qprecs) + 1):
+            starts.append(time.monotonic())
+            time.sleep(0.02)
+            yield [0] * (n + 1), False
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingSerialContext())
+    monkeypatch.setattr(reports, "eisenstein_sweep", slow_sweep)
+    # no later than the sweep's own deadline, and splits are 0.02 s apart
+    deadline = time.monotonic() + 0.15
+    with pytest.raises(ResourceBudgetExceeded):
+        cmd_check_condition_extended(13, jobs=2, budget_seconds=0.15)
+    assert sum(start > deadline for start in starts) <= 1
+
+
 def test_check_condition_sweep_matches_exact_splits():
     """The capped sweep against katz_split_classical, its fallback and oracle."""
     for p in (5, 7, 11, 13, 17, 19, 23):
-        for n, (vals, _) in enumerate(reports._condition_values(p), 1):
+        for n, (vals, _) in enumerate(reports._condition_prime(p)[0], 1):
             f = eisenstein_series(n * (p - 1), qprec_for_split(p, n))
             assert vals == [t.val for t in katz_split_classical(f, n, p).terms], (p, n)
 
 
 def test_check_condition_redoes_only_the_split_of_one():
     # b_1 of E_12 / E_12 = 1 is 0, so "at least p^17" at p = 13
-    redone = [n for n, (_, exact) in enumerate(reports._condition_values(13), 1) if exact]
+    redone = [n for n, (_, exact) in enumerate(reports._condition_prime(13)[0], 1) if exact]
     assert redone == [1]
 
 
@@ -876,10 +897,17 @@ def test_cli_usage_error_exits_3():
          "error: offset c = -1/2 is negative"),
         ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--max-index=-1"],
          "error: max_index must be >= 0, got -1"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "1.5"],
+         """error: expected a rational "num" or "num/den", got '1.5'\n"""),
+        ({"prec": 3, "coeffs": ["1", "0", "0"]}, ["--rho", "abc"],
+         """error: expected a rational "num" or "num/den", got 'abc'\n"""),
+        ({"prec": 3, "coeffs": ["1", "x", "0"]}, [],
+         """error: expected a rational "num" or "num/den", got 'x'\n"""),
     ],
     ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
          "prime-9", "prec-list", "prec-float", "prec-bool", "rho-above-1", "rho-negative", "offset-negative",
-         "rho-negative-fraction", "offset-negative-fraction", "max-index-negative"],
+         "rho-negative-fraction", "offset-negative-fraction", "max-index-negative",
+         "rho-decimal", "rho-word", "coeff-word"],
 )
 def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra, message):
     series_file = tmp_path / "f.json"

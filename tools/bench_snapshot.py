@@ -14,7 +14,8 @@ cold start: `bare_start_s`, the median wall time of 11 fresh `python -c pass`
 processes, and `import_s`, that of `python -c "import katzexp, katzexp.cli"`
 with PYTHONPATH=src. Beyond perfbench's p = 13, `condition_29_s` is the
 median wall time of 3 cold `python -m katzexp.cli check-condition --prime 29`
-runs.
+runs, and `extended_37_jobs2_s` that of 3 cold `check-condition --extended
+--prime 37 --jobs 2` runs, the pooled sweep that no perfbench workload runs.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ def parse_run_output(text: str) -> dict:
 
 
 def median_wall_s(argv, runs: int, env=None) -> float:
-    """Median wall time of `runs` fresh processes of argv, stdout discarded."""
+    """Median wall time of `runs` fresh processes of argv, output discarded."""
     times = []
     for _ in range(runs):
         started = time.perf_counter()
-        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL)
         times.append(time.perf_counter() - started)
     return statistics.median(times)
 
@@ -79,6 +81,14 @@ def condition_29_s(runs: int = 3) -> float:
     return median_wall_s(argv, runs, _src_env())
 
 
+def extended_37_jobs2_s(runs: int = 3) -> float:
+    """Median wall time of cold `check-condition --extended --prime 37 --jobs 2`
+    CLI runs: every prime 5..37, two worker processes."""
+    argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--extended",
+            "--prime", "37", "--jobs", "2"]
+    return median_wall_s(argv, runs, _src_env())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="names the file BENCH_<pr>.json")
@@ -94,7 +104,8 @@ def main(argv=None) -> int:
         sys.stderr.write(proc.stdout + proc.stderr)
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
-    snapshot.update(startup_times(), condition_29_s=condition_29_s())
+    snapshot.update(startup_times(), condition_29_s=condition_29_s(),
+                    extended_37_jobs2_s=extended_37_jobs2_s())
     path = os.path.join(os.getcwd(), "BENCH_%d.json" % args.pr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
