@@ -221,7 +221,8 @@ def hauptmodul_series(p: int, N: int) -> QSeries:
     """Genus-zero uniformizer t = q * prod (1-q^{pn})^e / prod (1-q^n)^e,
     e = 24/(p-1); available for p in {5, 7, 13}."""
     if p not in HAUPTMODUL_PRIMES:
-        raise UnsupportedPrime(f"hauptmodul available for p in 5, 7, 13; got {p}")
+        primes = ", ".join(map(str, HAUPTMODUL_PRIMES))
+        raise UnsupportedPrime(f"hauptmodul available for p in {primes}; got {p}")
     if N < 1:
         raise ValueError("need N >= 1")
     e = 24 // (p - 1)

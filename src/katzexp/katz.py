@@ -12,7 +12,7 @@ RateCertificate records the exact per-index comparison v_p(b_i) >= rho*i - c.
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import accumulate, count, islice, repeat
 from typing import NamedTuple
 
 from ._rational import INF, QQ, int_val, rational_to_str, val
@@ -32,8 +32,6 @@ from .series import (
     qs_one,
     qs_pow,
     qs_reduce_mod,
-    qs_scalar_mul,
-    qs_sub,
     qs_val,
 )
 
@@ -58,10 +56,7 @@ class KatzExpansion(NamedTuple):
     p: int
     terms: tuple
     max_index: int
-    effective_pprec: float = INF
-
-    def term(self, i: int) -> KatzTerm:
-        return self.terms[i]
+    effective_pprec: object  # M for a split known mod p^M, INF when exact
 
 
 def miller_windows(p: int, N: int, modulus: int | None = None):
@@ -89,36 +84,42 @@ def miller_windows(p: int, N: int, modulus: int | None = None):
         yield forms
 
 
-def _peel(r: QSeries, E: QSeries, p: int, windows):
-    """The greedy split loop over the given windows. At each level i, b_i is
-    read off window i of the running remainder r_i and subtracted, and the
-    rest is multiplied up by E to give r_{i+1}; the remainder keeps the
-    modulus of r, so a capped split reduces as it goes. Returns one term per
-    window and the remainder r_I - b_I left after the last window I.
+def _eliminate(rest: list, forms, lo: int) -> list:
+    """Triangular elimination of the int list `rest`, in place, against
+    integral forms with leading coefficient 1 at q^lo, q^(lo+1), ...: the
+    int coordinate of each form, read at its leading exponent before the form
+    is subtracted. The forms may run to more coefficients than `rest`."""
+    coords = []
+    for j, form in enumerate(forms, lo):
+        c = rest[j]
+        coords.append(c)
+        if c:
+            fn = form.nums
+            for m in range(j, len(rest)):
+                if fn[m]:
+                    rest[m] -= c * fn[m]
+    return coords
 
-    The Miller forms of `windows` are integral with leading coefficient 1 at
-    q^j, so one integer elimination on the numerators of r gives both the
-    coordinates c / den and the numerators of r - b_i. The forms may run to
-    more coefficients than r; the split reads the first r.prec of them."""
-    N = r.prec
+
+def _peel(r: QSeries, E: QSeries, p: int, windows):
+    """The greedy split loop over the given windows, the one place a split is
+    built. At each level i, b_i is read off window i of the running remainder
+    r_i by _eliminate on its numerators, which gives both the coordinates
+    c / den and the numerators of r - b_i; the rest is multiplied up by E to
+    give r_{i+1}. The remainder keeps the modulus of r, so a capped split
+    reduces as it goes and is known mod that modulus. Returns the split, one
+    term per window, and the remainder r_I - b_I after the last window I."""
     terms = []
     for i, forms in enumerate(windows):
         if i:
             r = qs_mul(r, E)
         rest = list(r.nums)
-        coords = []
-        for j, form in enumerate(forms, window_bounds(i, p)[0]):
-            c = rest[j]
-            coords.append(QQ(c, r.den))
-            if c:
-                fn = form.nums
-                for m in range(j, N):
-                    if fn[m]:
-                        rest[m] -= c * fn[m]
+        coords = _eliminate(rest, forms, window_bounds(i, p)[0])
         b = qs_from_nums([x - y for x, y in zip(r.nums, rest)], r.den)
-        terms.append(KatzTerm(i, b, tuple(coords), qs_val(b, p), not forms))
+        terms.append(KatzTerm(i, b, tuple(QQ(c, r.den) for c in coords), qs_val(b, p), not forms))
         r = qs_from_nums(rest, r.den, r.modulus)
-    return tuple(terms), r
+    pprec = INF if r.modulus is None else int_val(r.modulus, p)
+    return KatzExpansion(p, tuple(terms), len(terms) - 1, pprec), r
 
 
 def _check_rest(rest: QSeries, n: int, p: int):
@@ -132,16 +133,18 @@ def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
     The terms are those of the greedy split of f / E_{p-1}^n through index
     n. Its final remainder is f - sum_i b_i E_{p-1}^(n-i) mod q^N, which
     vanishes exactly when f lies in the weight-n(p-1) span; otherwise
-    NotAModularForm is raised.
+    NotAModularForm is raised. A series known mod p^M is split mod p^M, as
+    in katz_split_function.
     """
     d_top = dim_weight(n * (p - 1))[0]
     N = f.prec
     if N < d_top:
         raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
-    E = eisenstein_series(p - 1, N)
-    terms, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, islice(miller_windows(p, N), n + 1))
+    E = qs_reduce_mod(eisenstein_series(p - 1, N), f.modulus)
+    windows = islice(miller_windows(p, N, f.modulus), n + 1)
+    ke, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, windows)
     _check_rest(rest, n, p)
-    return KatzExpansion(p, terms, n, INF)
+    return ke
 
 
 def eisenstein_sweep(p: int, qprecs, M: int):
@@ -172,10 +175,10 @@ def eisenstein_sweep(p: int, qprecs, M: int):
         if n > 1:
             E_neg = qs_mul(E_neg, E_inv)
         f = eisenstein_series(n * (p - 1), qprec)
-        terms, rest = _peel(qs_mul(qs_reduce_mod(f, m), E_neg), E, p, windows)
+        ke, rest = _peel(qs_mul(qs_reduce_mod(f, m), E_neg), E, p, windows)
         _check_rest(rest, n, p)
-        if all(t.val < M or t.structural_zero for t in terms):
-            yield [t.val for t in terms], False
+        if all(t.val < ke.effective_pprec or t.structural_zero for t in ke.terms):
+            yield [t.val for t in ke.terms], False
         else:
             yield [t.val for t in katz_split_classical(f, n, p).terms], True
 
@@ -196,8 +199,7 @@ def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:
     N = f.prec
     if N < d_need:
         raise PrecisionTooLow(f"max index {I} needs {d_need} coefficients, got {N}")
-    terms, _ = _peel(f, eisenstein_series(p - 1, N), p, islice(miller_windows(p, N), I + 1))
-    return KatzExpansion(p, terms, I, INF if f.modulus is None else int_val(f.modulus, p))
+    return _peel(f, eisenstein_series(p - 1, N), p, islice(miller_windows(p, N), I + 1))[0]
 
 
 def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:
@@ -254,24 +256,14 @@ def certify_rate(ke: KatzExpansion, rho, c) -> RateCertificate:
 
 def expand_in_hauptmodul(f: QSeries, p: int, terms: int):
     """Coefficients a_0..a_{terms-1} of f as a polynomial prefix in the
-    genus-zero uniformizer t (t leads with q, unit coefficient)."""
-    if f.prec < terms:
-        raise PrecisionTooLow(f"need {terms} coefficients, got {f.prec}")
+    genus-zero uniformizer t, by _eliminate against 1, t, t^2, ... (t^i is
+    integral and leads with q^i); a series known mod m has them mod m."""
     N = f.prec
-    t = hauptmodul_series(p, N)
-    out = []
-    r = f
-    tpow = qs_one(N)
-    for i in range(terms):
-        a = QQ(r.nums[i], r.den)
-        out.append(a)
-        if i + 1 < terms:
-            if a != 0:
-                r = qs_sub(r, qs_scalar_mul(a, tpow))
-            tpow = qs_mul(tpow, t)
-    return tuple(out)
+    if N < terms:
+        raise PrecisionTooLow(f"need {terms} coefficients, got {N}")
+    powers = islice(accumulate(repeat(hauptmodul_series(p, N)), qs_mul, initial=qs_one(N)), terms)
+    return qs_from_nums(_eliminate(list(f.nums), powers, 0), f.den, f.modulus).coeffs
 
 
 def hauptmodul_valuations(f: QSeries, p: int, terms: int):
-    coeffs = expand_in_hauptmodul(f, p, terms)
-    return [val(a, p) for a in coeffs]
+    return [val(a, p) for a in expand_in_hauptmodul(f, p, terms)]

@@ -132,9 +132,10 @@ def deep_recurrence_verify(p, coeffs, seq, t) -> bool:
 # ---------------------------------------------------------------------------
 # sparse rational polynomials: the Newton chain and the diagonal scaling map
 
-# Chain polynomials multiply by adding exponent vectors, so each vector is
-# packed into one integer with 16-bit lanes: vector addition becomes a
-# single integer addition. _pack refuses an exponent a lane cannot hold.
+# Chain polynomials multiply by adding exponent vectors, each packed into
+# one integer with 16-bit lanes. _newton_step adds the keys unchecked: x_n
+# and y_n have weight n (y_i weighs i), so a lane overflows only for
+# n >= 2^16. _pack, which only tests call, refuses an exponent past a lane.
 
 _LANE = 16
 _chain_cache: dict = {}  # p -> (x_0..x_{p+1}, y_0..y_n), y_0 None

@@ -327,7 +327,7 @@ def cmd_reproduce_examples() -> RunReport:
     E24 = eisenstein_series(24, plan.provenance["qprec"])
     ke = katz_split_classical(E24, 6, 5)
     t_vals = hauptmodul_valuations(_vratio(E24, 5), 5, len(_T_VALS_24))
-    vals, b3, b6 = [t.val for t in ke.terms], ke.term(3), ke.term(6)
+    vals, b3, b6 = [t.val for t in ke.terms], ke.terms[3], ke.terms[6]
     values = [rational_to_str(b3.miller_coords[0]), rational_to_str(b6.miller_coords[0]),
               [_val_str(b3.val), _val_str(b6.val)], vals, vals,
               [_val_str(v) for v in t_vals], _floor_violation(t_vals)]
@@ -526,7 +526,8 @@ def _hauptmodul_plan(params):
     if terms < 1:
         raise PrecisionTooLow("hauptmodul needs --terms >= 1, got %d" % terms)
     if p not in HAUPTMODUL_PRIMES:
-        raise UnsupportedPrime("hauptmodul available for p in 5, 7, 13; got %r" % (p,))
+        primes = ", ".join(map(str, HAUPTMODUL_PRIMES))
+        raise UnsupportedPrime("hauptmodul available for p in %s; got %r" % (primes, p))
     note = "raw valuation vector; no rate claim attached"
     layout = _hauptmodul("V(E_%d)/E_%d" % (k, k), terms, note)
     parameters = {"prime": p, "weight": k, "terms": terms}

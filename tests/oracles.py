@@ -7,11 +7,11 @@ differential tests compare the two.
 
 from __future__ import annotations
 
-from katzexp import QQ, dim_weight, eisenstein_series, miller_form
+from katzexp import INF, QQ, dim_weight, eisenstein_series, hauptmodul_series, miller_form
 from katzexp.errors import NotAModularForm, PrecisionTooLow
 from katzexp.katz import KatzExpansion, KatzTerm, window_bounds
 from katzexp.recurrence import _LANE
-from katzexp.series import QSeries, qs_mul, qs_sub, qs_val
+from katzexp.series import QSeries, qs_mul, qs_one, qs_scalar_mul, qs_sub, qs_val
 
 
 def schoolbook_mul(ac, bc):
@@ -236,4 +236,25 @@ def split_dense(f: QSeries, n: int, p: int, window_basis=miller_window) -> KatzE
     c0 = cur.coeffs[0]
     b0 = QSeries((c0,) + (QQ(0),) * (N - 1))
     terms[0] = KatzTerm(0, b0, (c0,), qs_val(b0, p), False)
-    return KatzExpansion(p, tuple(terms[i] for i in range(n + 1)), n)
+    return KatzExpansion(p, tuple(terms[i] for i in range(n + 1)), n, INF)
+
+
+def hauptmodul_by_subtraction(f: QSeries, p: int, terms: int):
+    """Coefficients a_0..a_{terms-1} of f in the genus-zero uniformizer t:
+    a_i is coefficient i of the running series, from which a_i t^i is then
+    subtracted as a series; a series known mod m stays known mod m."""
+    if f.prec < terms:
+        raise PrecisionTooLow(f"need {terms} coefficients, got {f.prec}")
+    N = f.prec
+    t = hauptmodul_series(p, N)
+    out = []
+    r = f
+    tpow = qs_one(N)
+    for i in range(terms):
+        a = QQ(r.nums[i], r.den)
+        out.append(a)
+        if i + 1 < terms:
+            if a != 0:
+                r = qs_sub(r, qs_scalar_mul(a, tpow))
+            tpow = qs_mul(tpow, t)
+    return tuple(out)

@@ -37,7 +37,7 @@ from katzexp.katz import (
 )
 from katzexp.reports import qprec_for_split
 from katzexp.series import apply_V, qs_div, qs_reduce_mod, qs_scalar_mul
-from oracles import split_dense
+from oracles import hauptmodul_by_subtraction, split_dense
 
 C1 = QQ(-340364160000, 236364091)
 C2 = QQ(30710845440000, 236364091)
@@ -65,13 +65,13 @@ def test_window_bounds_p5():
 def test_weight_24_split_coordinates():
     ke = katz_split_classical(eisenstein_series(24, 8), 6, 5)
     assert ke.max_index == 6
-    assert ke.term(0).miller_coords == (QQ(1),)
-    assert ke.term(3).miller_coords == (C1,)
-    assert ke.term(6).miller_coords == (C2,)
+    assert ke.terms[0].miller_coords == (QQ(1),)
+    assert ke.terms[3].miller_coords == (C1,)
+    assert ke.terms[6].miller_coords == (C2,)
     assert [t.val for t in ke.terms] == [0, INF, INF, 4, INF, INF, 4]
     for i in (1, 2, 4, 5):
-        assert ke.term(i).structural_zero
-        assert all(c == 0 for c in ke.term(i).b.coeffs)
+        assert ke.terms[i].structural_zero
+        assert all(c == 0 for c in ke.terms[i].b.coeffs)
 
 
 def test_weight_24_split_series_terms():
@@ -79,8 +79,8 @@ def test_weight_24_split_series_terms():
     N = 10
     ke = katz_split_classical(eisenstein_series(24, N), 6, 5)
     d = delta_series(N)
-    assert ke.term(3).b.coeffs == qs_scalar_mul(C1, d).coeffs
-    assert ke.term(6).b.coeffs == qs_scalar_mul(C2, qs_pow(d, 2)).coeffs
+    assert ke.terms[3].b.coeffs == qs_scalar_mul(C1, d).coeffs
+    assert ke.terms[6].b.coeffs == qs_scalar_mul(C2, qs_pow(d, 2)).coeffs
 
 
 def test_classical_reconstruct_is_exact():
@@ -96,8 +96,8 @@ def test_greedy_matches_classical():
     ke_c = katz_split_classical(eisenstein_series(24, N), 6, 5)
     ke_g = katz_split_function(e_ratio(6, 5, N), 5, 6)
     for i in range(7):
-        assert ke_c.term(i).b.coeffs == ke_g.term(i).b.coeffs
-        assert ke_c.term(i).miller_coords == ke_g.term(i).miller_coords
+        assert ke_c.terms[i].b.coeffs == ke_g.terms[i].b.coeffs
+        assert ke_c.terms[i].miller_coords == ke_g.terms[i].miller_coords
     assert [t.val for t in ke_g.terms] == [t.val for t in ke_c.terms]
 
 
@@ -174,7 +174,7 @@ def test_rank_two_window_and_unimodularity():
     # weight 48 at p=17 reaches a rank-2 window at level 3
     ke = katz_split_classical(eisenstein_series(48, 8), 3, 17)
     assert window_bounds(3, 17) == (3, 5)
-    assert len(ke.term(3).miller_coords) == 2
+    assert len(ke.terms[3].miller_coords) == 2
     assert [t.val for t in ke.terms] == [0, 2, 2, 3]
     for t in ke.terms:
         if not t.structural_zero:
@@ -202,9 +202,9 @@ def test_congruence_transfer_to_expansion(p, n):
     N = 40
     ke = katz_split_function(e_ratio(n, p, N), p, n)
     one = QSeries([QQ(1)] + [QQ(0)] * (N - 1))
-    assert qs_val(qs_sub(ke.term(0).b, one), p) >= 2
+    assert qs_val(qs_sub(ke.terms[0].b, one), p) >= 2
     for i in range(1, n + 1):
-        assert ke.term(i).val >= 2
+        assert ke.terms[i].val >= 2
 
 
 def test_expansion_stability_under_weight_congruence():
@@ -213,7 +213,7 @@ def test_expansion_stability_under_weight_congruence():
     N = 40
     k3 = katz_split_function(e_ratio(3, 5, N), 5, 8)
     k8 = katz_split_function(e_ratio(8, 5, N), 5, 8)
-    diffs = [qs_val(qs_sub(k3.term(i).b, k8.term(i).b), 5) for i in range(9)]
+    diffs = [qs_val(qs_sub(k3.terms[i].b, k8.terms[i].b), 5) for i in range(9)]
     assert all(d >= 2 for d in diffs)
     assert diffs[3] == 4 and diffs[6] == 5
     assert [t.val for t in k8.terms] == [0, INF, INF, 3, INF, INF, 5, INF, INF]
@@ -232,8 +232,8 @@ def test_alternative_complement_gives_same_certificate():
     ke_std = katz_split_classical(f, 6, 5)
     ke_alt = split_dense(f, 6, 5, window_basis=alt_basis)
     assert [t.val for t in ke_alt.terms] == [t.val for t in ke_std.terms]
-    assert ke_alt.term(3).miller_coords == ke_std.term(3).miller_coords
-    assert ke_alt.term(6).miller_coords == ke_std.term(6).miller_coords
+    assert ke_alt.terms[3].miller_coords == ke_std.terms[3].miller_coords
+    assert ke_alt.terms[6].miller_coords == ke_std.terms[6].miller_coords
     for rho, c in [(QQ(5, 6), QQ(1)), (QQ(5, 6), QQ(0))]:
         ca = certify_rate(ke_alt, rho, c)
         cs = certify_rate(ke_std, rho, c)
@@ -336,7 +336,7 @@ def test_v_of_e24_fails_sixth_rate_at_thirty():
     full = certify_rate(ke30, QQ(1, 6), QQ(0))
     assert full.first_failure == 30
     assert full.verdicts[30] == "fail"
-    assert ke30.term(30).val == 4  # needed 30/6 = 5
+    assert ke30.terms[30].val == 4  # needed 30/6 = 5
 
 
 def test_v_of_e24_passes_sixth_rate_with_offset():
@@ -358,6 +358,17 @@ def test_pprec_marks_deep_indices_inconclusive():
     assert set(cert.verdicts) != {"pass"}
 
 
+def test_capped_classical_split_reads_its_precision_from_the_series():
+    # E_24 known mod 5^3 is split mod 5^3. v_5(b_6) = 4 exactly, so b_6 reads
+    # 0 there, and the rate-5/6 threshold 5 at index 6 is past the precision:
+    # inconclusive, not a pass
+    f = eisenstein_series(24, 20)
+    ke = katz_split_classical(qs_reduce_mod(f, 5**3), 6, 5)
+    assert ke.effective_pprec == 3
+    assert certify_rate(ke, QQ(5, 6), 0).verdicts[6] == "inconclusive"
+    assert ke.terms[0] == katz_split_classical(f, 6, 5).terms[0]
+
+
 def test_hauptmodul_expansion_of_simple_functions():
     N = 12
     one = QSeries([QQ(1)] + [QQ(0)] * (N - 1))
@@ -368,6 +379,19 @@ def test_hauptmodul_expansion_of_simple_functions():
     assert expand_in_hauptmodul(t, 5, 6) == (0, 1, 0, 0, 0, 0)
     t2 = qs_mul(t, t)
     assert expand_in_hauptmodul(t2 + qs_scalar_mul(QQ(7), t), 5, 6) == (0, 7, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_hauptmodul_expansion_matches_subtraction(p):
+    # the elimination on numerators against the same loop on series, for
+    # V(E_k)/E_k exact and known mod p^4, at every prefix length
+    for k in (4, 6, 12, 24):
+        for N in (1, 12, 30):
+            f = qs_div(apply_V(eisenstein_series(k, N), p), eisenstein_series(k, N))
+            for g in (f, qs_reduce_mod(f, p**4)):
+                for terms in range(N + 1):
+                    want = hauptmodul_by_subtraction(g, p, terms)
+                    assert expand_in_hauptmodul(g, p, terms) == want, (k, N, g.modulus, terms)
 
 
 def test_hauptmodul_valuations_of_v_e24():
