@@ -5,8 +5,11 @@ There is one rational polynomial type, SymPolyQ, plus the F_p target ring
 BivarPolyModP, a sparse bivariate polynomial over F_p. A SymPolyQ is a
 polynomial in y_1..y_{p+1} (or t_1..t_{p+1} after the scaling map) stored
 as int numerators over one int denominator, keyed by packed exponent
-vectors; the Newton chain builds, caches and returns SymPolyQs directly, so
-its products and sums run on ints.
+vectors; the Newton chain builds, caches and returns SymPolyQs directly.
+Its products run by Kronecker substitution in y_2: the terms that differ
+only in how y_1^2 and y_2 share a weight are packed into one int, y_2's
+exponent selecting the lane, and one big-int product stands for all the
+term products of two such groups.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InsufficientLength
+from .series import _lanes, _pack as _pack_lanes
 
 
 def delta_p(n: int, p: int) -> int:
@@ -133,12 +137,16 @@ def deep_recurrence_verify(p, coeffs, seq, t) -> bool:
 # sparse rational polynomials: the Newton chain and the diagonal scaling map
 
 # Chain polynomials multiply by adding exponent vectors, each packed into
-# one integer with 16-bit lanes. _newton_step adds the keys unchecked: x_n
-# and y_n have weight n (y_i weighs i), so a lane overflows only for
-# n >= 2^16. _pack, which only tests call, refuses an exponent past a lane.
+# one integer with 16-bit lanes. _newton_step adds outer keys unchecked, in
+# which lane y_1 holds e_1 + 2 e_2 (see _Form); x_n and y_n have weight n
+# (y_i weighs i), so that lane, every other lane and the lane sum that
+# _scaled reads all stay below 2^16 - 1 while n does. _pack, which only
+# tests call, refuses an exponent past a lane.
 
 _LANE = 16
-_chain_cache: dict = {}  # p -> (x_0..x_{p+1}, y_0..y_n), y_0 None
+_MASK = (1 << _LANE) - 1
+_FOLD = _MASK - 1  # folding y_2 into y_1^2 takes this off a key
+_chain_cache: dict = {}  # p -> _Chain
 
 
 def _pack(exps):
@@ -191,42 +199,118 @@ def _lowest(nums, den) -> SymPolyQ:
     return SymPolyQ(nums, den)
 
 
-def _newton_step(pairs, n) -> SymPolyQ:
-    """(1/n) sum_i (-1)^(i-1) a_i b_i for the i-th pair (a_i, b_i) of chain
-    polynomials, a_i the one with few terms.
+class _Form(NamedTuple):
+    """A chain polynomial packed for Kronecker products in y_2.
 
-    Both factors of every product are brought over L = lcm_i den(a_i) den(b_i)
-    by scaling the terms of a_i, so the products and the sum run on ints."""
-    L = math.lcm(*(a.den * b.den for a, b in pairs))
+    Its terms are grouped by outer key, the exponent key with y_2 folded into
+    y_1^2 (lane y_2 cleared, 2 e_2 added to lane y_1). Folding is additive,
+    so the outer key of a product is the sum of its factors' outer keys.
+    Within a group e_2 fixes e_1, and the numerators go into one int
+    sum c * 2^(8 w e_2), in signed lanes of w bytes (`series._pack`).
+    """
+
+    poly: SymPolyQ
+    groups: tuple  # (outer key, packed numerators)
+    bits: int  # bit length of the largest |numerator|
+
+
+def _form(a: SymPolyQ, w) -> _Form:
+    lanes = {}
+    for k, c in a.terms.items():
+        e2 = k >> _LANE & _MASK
+        lanes.setdefault(k - e2 * _FOLD, {})[e2] = c
+    groups = tuple(
+        (K, _pack_lanes([g.get(j, 0) for j in range(max(g) + 1)], w)) for K, g in lanes.items()
+    )
+    return _Form(a, groups, max(map(abs, a.terms.values())).bit_length())
+
+
+def _newton_step(pairs, scales, den, w) -> _Form:
+    """sum_i scales[i] a_i b_i / den for the i-th pair (a_i, b_i) of forms in
+    lanes of w bytes, a_i the one with few groups: one big-int product per
+    pair of groups, summed per outer key and decoded once."""
     acc = {}
     get = acc.get
-    for i, (a, b) in enumerate(pairs):
-        s = L // (a.den * b.den)
-        if i % 2:
-            s = -s
-        items_b = list(b.terms.items())
-        for ka, ca in a.terms.items():
-            ca *= s
-            for kb, cb in items_b:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-    return _lowest(acc, L * n)
+    for s, (a, b) in zip(scales, pairs):
+        groups_b = b.groups
+        for Ka, va in a.groups:
+            va *= s
+            for Kb, vb in groups_b:
+                K = Ka + Kb
+                acc[K] = get(K, 0) + va * vb
+    nums = {}
+    for K, v in acc.items():
+        # the folded lane is e_1 + 2 e_2, so e_2 runs up to half of it
+        for e2, c in enumerate(_lanes(v, w, (K & _MASK) // 2 + 1)):
+            if c:
+                nums[K + e2 * _FOLD] = c
+    poly = _lowest(nums, den)
+    # every lane of v is divisible by g, so v is too, and v // g packs the reduced numerators
+    g = den // poly.den
+    groups = tuple((K, v // g) for K, v in acc.items() if v)
+    return _Form(poly, groups, max(map(abs, poly.terms.values())).bit_length())
+
+
+class _Chain:
+    """The Newton chain of one p: x_0..x_{p+1} and y_0..y_n (y_0 None) as
+    SymPolyQs, with the forms of the x's and of the last p+1 y's packed in
+    lanes of w bytes. The lanes widen, and every form is packed again, only
+    when a step's bound no longer fits them."""
+
+    def __init__(self, p):
+        self.p = p
+        gens = [SymPolyQ({1 << (_LANE * i): 1}) for i in range(p + 1)]
+        self.polys = {"x": [SymPolyQ({0: 1})], "y": [None] + gens}
+        self.w = 1
+        self.forms = {}  # (side, index) -> _Form
+        for n in range(1, p + 2):
+            self._append("x", [(("y", i), ("x", n - i)) for i in range(1, n + 1)], n)
+
+    def _form(self, key):
+        side, i = key
+        form = self.forms.get(key)
+        if form is None:
+            form = self.forms[key] = _form(self.polys[side][i], self.w)
+        return form
+
+    def _append(self, side, keys, n):
+        """Append (1/n) sum_i (-1)^(i-1) a_i b_i for the i-th pair of keys."""
+        pairs = [(self._form(a), self._form(b)) for a, b in keys]
+        # both factors of every product over L = lcm_i den(a_i) den(b_i)
+        L = math.lcm(*(a.poly.den * b.poly.den for a, b in pairs))
+        scales = [(-1) ** i * (L // (a.poly.den * b.poly.den)) for i, (a, b) in enumerate(pairs)]
+        # a lane of the sum is at most sum_i |s_i| max|a_i| max|b_i| m_i, with
+        # m_i = min(#a_i, #b_i) bounding the term pairs that meet in one key;
+        # one more bit for the sign
+        bits = len(pairs).bit_length() + 1 + max(
+            abs(s).bit_length() + a.bits + b.bits
+            + min(len(a.poly.terms), len(b.poly.terms)).bit_length()
+            for s, (a, b) in zip(scales, pairs)
+        )
+        w = (bits + 7) // 8
+        if w > self.w:
+            self.w = w + w // 2
+            self.forms = {key: _form(f.poly, self.w) for key, f in self.forms.items()}
+            pairs = [(self.forms[a], self.forms[b]) for a, b in keys]
+        polys = self.polys[side]
+        form = self.forms[side, len(polys)] = _newton_step(pairs, scales, L * n, self.w)
+        polys.append(form.poly)
+
+    def extend(self, n_max):
+        ys = self.polys["y"]
+        while len(ys) <= n_max:
+            n = len(ys)
+            self._append("y", [(("x", i), ("y", n - i)) for i in range(1, self.p + 2)], 1)
+            del self.forms["y", n - self.p - 1]  # no later y reads it
 
 
 def _chain(p: int, n_max: int):
     """x_0..x_{p+1} and y_0..y_{n_max} (y_0 None) as SymPolyQs, cached per p."""
-    xs, ys = _chain_cache.get(p, (None, None))
-    if xs is None:
-        gens = [SymPolyQ({1 << (_LANE * i): 1}) for i in range(p + 1)]
-        xs = [SymPolyQ({0: 1})]
-        for n in range(1, p + 2):
-            xs.append(_newton_step([(gens[i - 1], xs[n - i]) for i in range(1, n + 1)], n))
-        ys = [None] + gens
-    while len(ys) <= n_max:
-        n = len(ys)
-        ys.append(_newton_step([(xs[i], ys[n - i]) for i in range(1, p + 2)], 1))
-    _chain_cache[p] = (xs, ys)
-    return xs, ys
+    chain = _chain_cache.get(p)
+    if chain is None:
+        chain = _chain_cache[p] = _Chain(p)
+    chain.extend(n_max)
+    return chain.polys["x"], chain.polys["y"]
 
 
 def newton_chain(p: int, n_max: int):
@@ -244,7 +328,9 @@ def newton_chain(p: int, n_max: int):
 def _scaled(a: SymPolyQ, p) -> SymPolyQ:
     """The scaling map: variable i <= p picks up one factor of p per power;
     variable p+1 is left alone. Monomials keep their exponents."""
-    return _lowest({k: c * p ** sum(_unpack(k)[:p]) for k, c in a.terms.items()}, a.den)
+    # 2^_LANE is 1 mod _MASK, so k % _MASK is the lane sum; lane p, for
+    # variable p+1, is the top one
+    return _lowest({k: c * p ** (k % _MASK - (k >> _LANE * p)) for k, c in a.terms.items()}, a.den)
 
 
 def phi_image(n: int, p: int) -> SymPolyQ:

@@ -131,6 +131,20 @@ def _pack(nums, w):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _lanes(x, w, N):
+    """The N signed lanes of w bytes in the low 8 w N bits of x: the c[i] of
+    x = sum c[i] * 2^(8 w i) mod 2^(8 w N), for |c[i]| < 2^(8 w - 1)."""
+    # the low N lanes by mask: % on a power of two is a full long division
+    lanes = memoryview((x & ((1 << (8 * w * N)) - 1)).to_bytes(w * N, "little"))
+    out = []
+    borrow = 0
+    for k in range(N):
+        lane = int.from_bytes(lanes[k * w:(k + 1) * w], "little", signed=True)
+        out.append(lane + borrow)
+        borrow = lane < 0
+    return out
+
+
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Product truncated to the smaller input precision N, by Kronecker
     substitution: the numerators of each operand are packed into one int in
@@ -144,15 +158,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     # |c_k| <= N max|a_i| max|b_j|, plus one bit for the sign
     bits = max(map(abs, an)).bit_length() + max(map(abs, bn)).bit_length() + N.bit_length() + 1
     w = (bits + 7) // 8
-    # the low N lanes by mask: % on a power of two is a full long division
-    low = (_pack(an, w) * _pack(bn, w)) & ((1 << (8 * w * N)) - 1)
-    lanes = memoryview(low.to_bytes(w * N, "little"))
-    out = []
-    borrow = 0
-    for k in range(N):
-        lane = int.from_bytes(lanes[k * w:(k + 1) * w], "little", signed=True)
-        out.append(lane + borrow)
-        borrow = lane < 0
+    out = _lanes(_pack(an, w) * _pack(bn, w), w, N)
     return qs_from_nums(out, a.den * b.den, _meet(a.modulus, b.modulus))
 
 
@@ -233,9 +239,10 @@ def apply_U(f: QSeries, p: int) -> QSeries:
 
 
 def qs_val(f: QSeries, p: int):
-    """Minimum p-adic valuation over all known coefficients; +inf if none is nonzero."""
-    vals = [int_val(x, p) for x in f.nums if x]
-    return min(vals) - int_val(f.den, p) if vals else INF
+    """Minimum p-adic valuation over all known coefficients; +inf if none is
+    nonzero. The least v_p of the numerators is v_p of their gcd."""
+    g = math.gcd(*f.nums)
+    return int_val(g, p) - int_val(f.den, p) if g else INF
 
 
 def qs_truncate(f: QSeries, N: int) -> QSeries:

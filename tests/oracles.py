@@ -8,6 +8,7 @@ differential tests compare the two.
 from __future__ import annotations
 
 from katzexp import INF, QQ, dim_weight, eisenstein_series, hauptmodul_series, miller_form
+from katzexp._rational import val
 from katzexp.errors import NotAModularForm, PrecisionTooLow
 from katzexp.katz import KatzExpansion, KatzTerm, window_bounds
 from katzexp.recurrence import _LANE
@@ -258,3 +259,9 @@ def hauptmodul_by_subtraction(f: QSeries, p: int, terms: int):
                 r = qs_sub(r, qs_scalar_mul(a, tpow))
             tpow = qs_mul(tpow, t)
     return tuple(out)
+
+
+def val_per_coefficient(f, p):
+    """The least p-adic valuation over the coefficients of f, one rational at
+    a time; +inf when every coefficient is 0."""
+    return min((val(c, p) for c in f.coeffs), default=INF)

@@ -1,6 +1,6 @@
 """The BENCH snapshot tool: its parser on canned perfbench output (perfbench
-itself is never run here), its start-up timer and its condition timers (on a
-stubbed runner: no sweep runs here)."""
+itself is never run here), its start-up timer and its condition and chain
+timers (on a stubbed runner: no sweep or chain runs here)."""
 
 from __future__ import annotations
 
@@ -84,5 +84,13 @@ def test_extended_37_jobs2_s_times_three_cold_pooled_cli_runs(monkeypatch):
     assert bench_snapshot.extended_37_jobs2_s() >= 0
     argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--extended",
             "--prime", "37", "--jobs", "2"]
+    src = os.path.abspath("src")
+    assert calls == [(argv, src, True, subprocess.DEVNULL, subprocess.DEVNULL)] * 3
+
+
+def test_chain_7_60_s_times_three_cold_phi_image_runs(monkeypatch):
+    calls = _stub_runs(monkeypatch)
+    assert bench_snapshot.chain_7_60_s() >= 0
+    argv = [sys.executable, "-c", "from katzexp import phi_image; phi_image(60, 7)"]
     src = os.path.abspath("src")
     assert calls == [(argv, src, True, subprocess.DEVNULL, subprocess.DEVNULL)] * 3

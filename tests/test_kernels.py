@@ -32,8 +32,9 @@ from katzexp import (
     qs_sub,
 )
 from katzexp import _rational, classical, recurrence
-from katzexp._rational import is_prime
-from katzexp.series import qs_from_nums
+from katzexp._rational import INF, is_prime
+from katzexp.recurrence import _unpack
+from katzexp.series import qs_from_nums, qs_val
 from oracles import (
     bernoulli_even_recurrence,
     bernoulli_even_tangent,
@@ -41,6 +42,7 @@ from oracles import (
     newton_chain_fractions,
     schoolbook_inv,
     schoolbook_mul,
+    val_per_coefficient,
 )
 
 # -- the representation ---------------------------------------------------
@@ -268,13 +270,95 @@ def test_chain_matches_fraction_oracle(monkeypatch, p, n_max):
         assert {k: QQ(c, poly.den) for k, c in poly.terms.items()} == want
 
 
+def plain_kronecker(poly, w):
+    """The window encoding of a chain polynomial in plain arithmetic: per
+    outer key, the sum of c * 2^(8 w e_2) over the terms of that key."""
+    groups = {}
+    for k, c in poly.terms.items():
+        e2 = (_unpack(k) + (0, 0))[1]
+        outer = k - (e2 << recurrence._LANE) + 2 * e2
+        groups[outer] = groups.get(outer, 0) + c * 2 ** (8 * w * e2)
+    return groups
+
+
+def check_window(chain, n):
+    """The window holds x_0..x_{p+1} and y_{n-p}..y_n, each encoded as
+    plain_kronecker does at the chain's lane width."""
+    p = chain.p
+    want_keys = [("x", i) for i in range(p + 2)] + [("y", i) for i in range(n - p, n + 1)]
+    assert sorted(chain.forms) == want_keys
+    for (side, i), form in chain.forms.items():
+        assert form.poly is chain.polys[side][i]
+        assert dict(form.groups) == plain_kronecker(form.poly, chain.w)
+        assert form.bits == max(abs(c) for c in form.poly.terms.values()).bit_length()
+
+
+def test_chain_built_one_n_at_a_time_matches_a_fresh_chain(monkeypatch):
+    # phi_image extends the cached chain by one n per call, reusing its window
+    monkeypatch.setattr(recurrence, "_chain_cache", {})
+    for n in range(1, 41):
+        recurrence.phi_image(n, 5)
+        check_window(recurrence._chain_cache[5], max(n, 6))
+    xs, ys = recurrence._chain(5, 40)
+    monkeypatch.setattr(recurrence, "_chain_cache", {})
+    assert recurrence._chain(5, 40) == (xs, ys)
+
+
+def test_chain_widens_its_lanes_partway_and_stays_exact(monkeypatch):
+    monkeypatch.setattr(recurrence, "_chain_cache", {})
+    widths = []
+    for n in range(8, 31):
+        recurrence._chain(7, n)
+        chain = recurrence._chain_cache[7]
+        check_window(chain, n)
+        widths.append(chain.w)
+    # the lanes widen at least once after the first y past the generators
+    assert widths[1] < widths[-1]
+    want_xs, want_ys = newton_chain_fractions(7, 30)
+    for poly, want in zip(chain.polys["x"] + chain.polys["y"][1:], want_xs + want_ys[1:]):
+        assert {k: QQ(c, poly.den) for k, c in poly.terms.items()} == want
+
+
+def test_scaled_reads_lane_sums_as_unpack_does():
+    _, ys = recurrence._chain(7, 30)
+    for y in ys[1:]:
+        want = {k: c * 7 ** sum(_unpack(k)[:7]) for k, c in y.terms.items()}
+        assert recurrence._scaled(y, 7) == recurrence._lowest(want, y.den)
+
+
+# -- one gcd per valuation ------------------------------------------------
+
+# residues mod 5^M, many of them 0 or divisible by a power of 5
+_capped = st.integers(1, 6).flatmap(
+    lambda M: st.lists(
+        st.one_of(
+            st.just(0),
+            st.integers(0, 5**M - 1),
+            st.builds(lambda u, j: u * 5**j % 5**M, st.integers(1, 99), st.integers(0, M)),
+        ),
+        max_size=30,
+    ).map(lambda nums: qs_from_nums(nums, 1, 5**M))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.one_of(_series, _capped), p=st.sampled_from((2, 3, 5, 7)))
+def test_qs_val_matches_per_coefficient_minimum(f, p):
+    assert qs_val(f, p) == val_per_coefficient(f, p)
+
+
+def test_qs_val_of_all_zero_series_is_inf():
+    for f in (QSeries([]), QSeries([0, 0]), qs_from_nums((0, 0, 0), 1, 125)):
+        assert qs_val(f, 5) == val_per_coefficient(f, 5) == INF
+
+
 # -- time budgets ---------------------------------------------------------
 # About three times the time measured on a 2-CPU x86-64 VM with Python 3.11
 # and the Fraction backend; CHANGES.md records both numbers.
 
 QS_MUL_E4_BUDGET_S = 0.15  # measured 0.04 s
 BERNOULLI_1876_BUDGET_S = 0.12  # measured 0.037 s
-NEWTON_CHAIN_7_30_BUDGET_S = 0.32  # measured 0.105 s
+NEWTON_CHAIN_7_30_BUDGET_S = 0.21  # measured 0.07 s
 QS_INV_E1876_BUDGET_S = 6.0  # measured 1.4 s, and 3.2-3.8 s in a slow phase of a shared host
 
 

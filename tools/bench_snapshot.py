@@ -16,6 +16,9 @@ with PYTHONPATH=src. Beyond perfbench's p = 13, `condition_29_s` is the
 median wall time of 3 cold `python -m katzexp.cli check-condition --prime 29`
 runs, and `extended_37_jobs2_s` that of 3 cold `check-condition --extended
 --prime 37 --jobs 2` runs, the pooled sweep that no perfbench workload runs.
+Beyond perfbench's chain to n = 30, `chain_7_60_s` is the median wall time
+of 3 cold processes that compute `phi_image(60, 7)`, the Newton chain
+behind the heaviest Tier-1 test.
 """
 
 from __future__ import annotations
@@ -89,6 +92,12 @@ def extended_37_jobs2_s(runs: int = 3) -> float:
     return median_wall_s(argv, runs, _src_env())
 
 
+def chain_7_60_s(runs: int = 3) -> float:
+    """Median wall time of cold processes that build the p = 7 Newton chain
+    to n = 60 and scale y_60."""
+    return median_start_s("from katzexp import phi_image; phi_image(60, 7)", runs, _src_env())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="names the file BENCH_<pr>.json")
@@ -105,7 +114,7 @@ def main(argv=None) -> int:
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
     snapshot.update(startup_times(), condition_29_s=condition_29_s(),
-                    extended_37_jobs2_s=extended_37_jobs2_s())
+                    extended_37_jobs2_s=extended_37_jobs2_s(), chain_7_60_s=chain_7_60_s())
     path = os.path.join(os.getcwd(), "BENCH_%d.json" % args.pr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
