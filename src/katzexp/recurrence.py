@@ -190,8 +190,7 @@ class SymPolyQ(namedtuple("SymPolyQ", "terms den")):
 
 
 def _lowest(nums, den) -> SymPolyQ:
-    """nums/den as a SymPolyQ: zero numerators dropped, one gcd divided out."""
-    nums = {k: c for k, c in nums.items() if c}
+    """nums/den, every numerator nonzero, as a SymPolyQ: one gcd divided out."""
     g = math.gcd(den, *nums.values())
     if g > 1:
         nums = {k: c // g for k, c in nums.items()}
