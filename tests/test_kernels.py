@@ -5,8 +5,9 @@ qs_mul (Kronecker substitution) is compared with the schoolbook convolution,
 qs_inv (the integer recurrence) with the rational schoolbook inverse,
 bernoulli (zeta(k) in integer fixed point over the von Staudt-Clausen
 denominator) with the Fraction recurrence and with the integer tangent
-numbers, is_prime (deterministic Miller-Rabin) with trial division, and the
-Newton chain (int numerators over one denominator) with the Fraction chain;
+numbers, is_prime (deterministic Miller-Rabin) with trial division, qs_val
+(one gcd) with the least valuation of the coefficients, and the Newton chain
+(Kronecker products in y_2 over one denominator) with the Fraction chain;
 see oracles.py.
 """
 

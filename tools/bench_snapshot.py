@@ -18,7 +18,7 @@ runs, and `extended_37_jobs2_s` that of 3 cold `check-condition --extended
 --prime 37 --jobs 2` runs, the pooled sweep that no perfbench workload runs.
 Beyond perfbench's chain to n = 30, `chain_7_60_s` is the median wall time
 of 3 cold processes that compute `phi_image(60, 7)`, the Newton chain
-behind the heaviest Tier-1 test.
+behind the Tier-1 scaled-chain test.
 """
 
 from __future__ import annotations
