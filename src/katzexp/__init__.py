@@ -9,7 +9,6 @@ from .classical import (
     eisenstein_series,
     hauptmodul_series,
     miller_form,
-    sigma_k,
 )
 from .errors import (
     CrossCheckMismatch,
@@ -57,6 +56,7 @@ from .katz import (
     hauptmodul_valuations,
     katz_split_classical,
     katz_split_function,
+    qprec_for_split,
     reconstruct,
     window_bounds,
 )
@@ -79,7 +79,6 @@ from .reports import (
     cmd_katz,
     cmd_reproduce_examples,
     cmd_verify_theorem,
-    qprec_for_split,
     revalidate_report,
 )
 from .series import (

@@ -133,22 +133,6 @@ def bernoulli(k: int):
     return b
 
 
-def sigma_k(n: int, k: int):
-    """Divisor power sum sigma_k(n) = sum of d^k over divisors d of n."""
-    if n < 1:
-        raise ValueError("sigma_k needs n >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-        d += 1
-    return total
-
-
 def eisenstein_series(k: int, N: int) -> QSeries:
     """Normalized E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n to N terms."""
     if k < 4 or k % 2 != 0:
@@ -217,12 +201,17 @@ def _sparse_div_in_place(c: list, m: int, reps: int):
             c[i] = c[i] + c[i - m]
 
 
+def require_hauptmodul_prime(p):
+    """UnsupportedPrime unless p is one of HAUPTMODUL_PRIMES."""
+    if p not in HAUPTMODUL_PRIMES:
+        primes = ", ".join(map(str, HAUPTMODUL_PRIMES))
+        raise UnsupportedPrime(f"hauptmodul available for p in {primes}; got {p!r}")
+
+
 def hauptmodul_series(p: int, N: int) -> QSeries:
     """Genus-zero uniformizer t = q * prod (1-q^{pn})^e / prod (1-q^n)^e,
     e = 24/(p-1); available for p in {5, 7, 13}."""
-    if p not in HAUPTMODUL_PRIMES:
-        primes = ", ".join(map(str, HAUPTMODUL_PRIMES))
-        raise UnsupportedPrime(f"hauptmodul available for p in {primes}; got {p}")
+    require_hauptmodul_prime(p)
     if N < 1:
         raise ValueError("need N >= 1")
     e = 24 // (p - 1)

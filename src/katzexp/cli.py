@@ -112,7 +112,7 @@ def _dispatch(args):
     if args.command == "check-condition":
         if args.extended:
             return cmd_check_condition_extended(
-                args.prime if args.prime is not None else 97,
+                *([] if args.prime is None else [args.prime]),
                 jobs=args.jobs,
                 budget_seconds=args.budget_seconds,
             )

@@ -8,6 +8,13 @@ elimination against the Miller forms, on its integer numerators, and what is
 left is multiplied up by E_{p-1} (Lauder, "Computations with classical and
 p-adic modular forms", 2011). The coefficient valuations v_p(b_i) quantify overconvergence; a
 RateCertificate records the exact per-index comparison v_p(b_i) >= rho*i - c.
+
+One rule sets the precision: every split and t-expansion runs at its
+input's modulus, against E_{p-1}, the Miller forms or the powers of t reduced
+to it. For a series known mod p^M the remainder's numerators are residues,
+so each window coordinate agrees mod p^M with the one exact forms would give:
+a valuation below M is the same, and a window whose coordinates are all 0
+mod p^M has them all exactly 0 (by induction along the window) under either.
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ def window_bounds(i: int, p: int):
     return lo, hi
 
 
+def qprec_for_split(p, max_index):
+    """q-adic precision 8 past the last window, at weight (max_index + 1)(p - 1)."""
+    return dim_weight((max_index + 1) * (p - 1))[0] + 8
+
+
 class KatzTerm(NamedTuple):
     index: int
     b: QSeries
@@ -59,7 +71,7 @@ class KatzExpansion(NamedTuple):
     effective_pprec: object  # M for a split known mod p^M, INF when exact
 
 
-def miller_windows(p: int, N: int, modulus: int | None = None):
+def miller_windows(p: int, N: int, modulus: int | None):
     """The Miller window forms of the greedy split at the prime p, to N
     coefficients and known mod `modulus` (None: exact): the i-th value is
     the list of window i's forms in order of index j, built when it is drawn.
@@ -127,6 +139,18 @@ def _check_rest(rest: QSeries, n: int, p: int):
         raise NotAModularForm(f"input is not in the weight-{n * (p - 1)} span mod q^{rest.prec}")
 
 
+def _split(f: QSeries, p: int, I: int, n: int = 0):
+    """The one split setup: _peel of f / E_{p-1}^n through window I, with
+    E_{p-1} and the windows to the precision of f and reduced to its modulus."""
+    d_need, N = dim_weight(I * (p - 1))[0], f.prec
+    if N < d_need:
+        raise PrecisionTooLow(f"max index {I} needs {d_need} coefficients, got {N}")
+    E = qs_reduce_mod(eisenstein_series(p - 1, N), f.modulus)
+    if n:
+        f = qs_mul(f, qs_pow(E, -n))
+    return _peel(f, E, p, islice(miller_windows(p, N, f.modulus), I + 1))
+
+
 def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
     """Finite decomposition of a genuine weight-n(p-1) form.
 
@@ -136,45 +160,35 @@ def katz_split_classical(f: QSeries, n: int, p: int) -> KatzExpansion:
     NotAModularForm is raised. A series known mod p^M is split mod p^M, as
     in katz_split_function.
     """
-    d_top = dim_weight(n * (p - 1))[0]
-    N = f.prec
-    if N < d_top:
-        raise PrecisionTooLow(f"need at least {d_top} coefficients, got {N}")
-    E = qs_reduce_mod(eisenstein_series(p - 1, N), f.modulus)
-    windows = islice(miller_windows(p, N, f.modulus), n + 1)
-    ke, rest = _peel(qs_mul(f, qs_pow(E, -n)), E, p, windows)
+    ke, rest = _split(f, p, n, n)
     _check_rest(rest, n, p)
     return ke
 
 
-def eisenstein_sweep(p: int, qprecs, M: int):
-    """The splits of E_{n(p-1)} to qprecs[n - 1] coefficients for
-    n = 1, 2, ..., len(qprecs), one per step of the generator: each gives
-    the valuations v_p(b_0), ..., v_p(b_n), all exact, and whether the split
-    was redone by katz_split_classical.
+def eisenstein_sweep(p: int, M: int):
+    """The splits of E_{n(p-1)} to qprec_for_split(p, n) coefficients for
+    n = 1, 2, ..., p, one per step of the generator: each gives the
+    valuations v_p(b_0), ..., v_p(b_n), all exact, and whether the split was
+    redone by katz_split_classical.
 
-    Every split runs mod p^M, and the generator holds what they share while
-    it lives: E_{p-1} mod p^M and its inverse at the largest precision,
-    E_{p-1}^-n as E_{p-1}^-(n-1) E_{p-1}^-1, one product per n, and the
-    Miller windows 0..n, one more drawn per n. For (p - 1) | k, E_k is
-    p-integral with constant term 1: by von Staudt-Clausen p divides the
-    denominator of B_k, so never its numerator (otherwise qs_reduce_mod
-    raises NotAUnit). The Miller forms are integral with leading
-    coefficient 1. So the capped split is the exact split reduced mod p^M,
-    and a valuation below M read from it is the exact one. A split with an
-    index outside a structural zero that reads M or more is redone exactly.
+    Each split is that of katz_split_classical on E_{n(p-1)} mod p^M: for
+    (p - 1) | k, E_k is p-integral with constant term 1 (by von
+    Staudt-Clausen p never divides the numerator of B_k), so a valuation
+    below M is exact, and a split with an index outside a structural zero
+    that reads M or more is redone exactly. The generator shares E_{p-1} mod
+    p^M and its inverse, E_{p-1}^-n as one product per n, and the windows.
     """
-    N, m = max(qprecs), p**M
+    N, m = qprec_for_split(p, p), p**M
     E = qs_reduce_mod(eisenstein_series(p - 1, N), m)
     E_inv = qs_inv(E)
     more = miller_windows(p, N, m)
     windows = [next(more)]
     E_neg = E_inv
-    for n, qprec in enumerate(qprecs, 1):
+    for n in range(1, p + 1):
         windows.append(next(more))
         if n > 1:
             E_neg = qs_mul(E_neg, E_inv)
-        f = eisenstein_series(n * (p - 1), qprec)
+        f = eisenstein_series(n * (p - 1), qprec_for_split(p, n))
         ke, rest = _peel(qs_mul(qs_reduce_mod(f, m), E_neg), E, p, windows)
         _check_rest(rest, n, p)
         if all(t.val < ke.effective_pprec or t.structural_zero for t in ke.terms):
@@ -195,11 +209,7 @@ def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:
     effective_pprec so downstream certificates know which thresholds are
     decidable; an exact series has effective_pprec INF.
     """
-    d_need = dim_weight(I * (p - 1))[0]
-    N = f.prec
-    if N < d_need:
-        raise PrecisionTooLow(f"max index {I} needs {d_need} coefficients, got {N}")
-    return _peel(f, eisenstein_series(p - 1, N), p, islice(miller_windows(p, N), I + 1))[0]
+    return _split(f, p, I)[0]
 
 
 def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:
@@ -257,11 +267,13 @@ def certify_rate(ke: KatzExpansion, rho, c) -> RateCertificate:
 def expand_in_hauptmodul(f: QSeries, p: int, terms: int):
     """Coefficients a_0..a_{terms-1} of f as a polynomial prefix in the
     genus-zero uniformizer t, by _eliminate against 1, t, t^2, ... (t^i is
-    integral and leads with q^i); a series known mod m has them mod m."""
+    integral and leads with q^i); a series known mod m has them mod m, from
+    the powers of t reduced mod m."""
     N = f.prec
     if N < terms:
         raise PrecisionTooLow(f"need {terms} coefficients, got {N}")
-    powers = islice(accumulate(repeat(hauptmodul_series(p, N)), qs_mul, initial=qs_one(N)), terms)
+    t = qs_reduce_mod(hauptmodul_series(p, N), f.modulus)
+    powers = islice(accumulate(repeat(t), qs_mul, initial=qs_one(N)), terms)
     return qs_from_nums(_eliminate(list(f.nums), powers, 0), f.den, f.modulus).coeffs
 
 

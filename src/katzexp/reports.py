@@ -16,11 +16,11 @@ import time
 from typing import Callable, NamedTuple
 
 from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str
-from .classical import HAUPTMODUL_PRIMES, dim_weight, eisenstein_series
+from .classical import HAUPTMODUL_PRIMES, eisenstein_series, require_hauptmodul_prime
 from .errors import InvalidWeight, PrecisionTooLow, ResourceBudgetExceeded, UnsupportedPrime
 from .family import eis_ratio, estar_family
 from .katz import eisenstein_sweep, hauptmodul_valuations, katz_split_classical
-from .katz import katz_split_function
+from .katz import katz_split_function, qprec_for_split
 from .katz import rate_verdicts, window_bounds
 from .recurrence import delta_p
 from .series import apply_V, qs_div
@@ -42,11 +42,6 @@ def _floor_violation(t_vals):
     """First j whose t-coefficient sits below the rate-1/(p+1) floor j/2."""
     bad = (j for j, v in enumerate(t_vals) if v != INF and QQ(v) < QQ(j, 2))
     return next(bad, None)
-
-
-def qprec_for_split(p, max_index):
-    """q-adic precision 8 past the last window, at weight (max_index + 1)(p - 1)."""
-    return dim_weight((max_index + 1) * (p - 1))[0] + 8
 
 
 class RunReport(NamedTuple):
@@ -232,7 +227,7 @@ def _condition_prime(p, budget_seconds=None, deadline=None):
     the sweep at p <= 37 stays below but that of b_1 = 0 at n = 1; see
     eisenstein_sweep. No split starts past the time.monotonic() deadline."""
     started, pairs = time.perf_counter(), []
-    splits = eisenstein_sweep(p, [qprec_for_split(p, n) for n in range(1, p + 1)], p + 4)
+    splits = eisenstein_sweep(p, p + 4)
     for n in range(1, p + 1):
         # time.monotonic is system-wide, so a spawned worker reads its parent's clock
         if deadline is not None and time.monotonic() > deadline:
@@ -525,9 +520,7 @@ def _hauptmodul_plan(params):
         raise InvalidWeight("need an even weight k >= 4")
     if terms < 1:
         raise PrecisionTooLow("hauptmodul needs --terms >= 1, got %d" % terms)
-    if p not in HAUPTMODUL_PRIMES:
-        primes = ", ".join(map(str, HAUPTMODUL_PRIMES))
-        raise UnsupportedPrime("hauptmodul available for p in %s; got %r" % (primes, p))
+    require_hauptmodul_prime(p)
     note = "raw valuation vector; no rate claim attached"
     layout = _hauptmodul("V(E_%d)/E_%d" % (k, k), terms, note)
     parameters = {"prime": p, "weight": k, "terms": terms}

@@ -252,8 +252,10 @@ def qs_truncate(f: QSeries, N: int) -> QSeries:
 
 
 def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
-    """f known mod modulus (and its own): p-integral coefficients as residues."""
-    return qs_from_nums(f.nums, f.den, _meet(f.modulus, modulus))
+    """f known mod modulus (and its own): p-integral coefficients as residues.
+    f itself when that is its own modulus, as every QSeries is canonical."""
+    m = _meet(f.modulus, modulus)
+    return f if m == f.modulus else qs_from_nums(f.nums, f.den, m)
 
 
 def qs_to_json(f: QSeries) -> dict:

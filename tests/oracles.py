@@ -7,12 +7,31 @@ differential tests compare the two.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from katzexp import INF, QQ, dim_weight, eisenstein_series, hauptmodul_series, miller_form
 from katzexp._rational import val
 from katzexp.errors import NotAModularForm, PrecisionTooLow
-from katzexp.katz import KatzExpansion, KatzTerm, window_bounds
+from katzexp.katz import KatzExpansion, KatzTerm, _peel, miller_windows, window_bounds
 from katzexp.recurrence import _LANE
 from katzexp.series import QSeries, qs_mul, qs_one, qs_scalar_mul, qs_sub, qs_val
+
+
+def sigma_k(n: int, k: int):
+    """Divisor power sum sigma_k(n) = sum of d^k over divisors d of n, the
+    sum that eisenstein_series takes by a sieve."""
+    if n < 1:
+        raise ValueError("sigma_k needs n >= 1")
+    total = 0
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            total += d ** k
+            e = n // d
+            if e != d:
+                total += e ** k
+        d += 1
+    return total
 
 
 def schoolbook_mul(ac, bc):
@@ -238,6 +257,14 @@ def split_dense(f: QSeries, n: int, p: int, window_basis=miller_window) -> KatzE
     b0 = QSeries((c0,) + (QQ(0),) * (N - 1))
     terms[0] = KatzTerm(0, b0, (c0,), qs_val(b0, p), False)
     return KatzExpansion(p, tuple(terms[i] for i in range(n + 1)), n, INF)
+
+
+def split_exact_windows(f: QSeries, p: int, I: int) -> KatzExpansion:
+    """The greedy split of f through index I against the exact E_{p-1} and
+    the exact Miller windows, whatever the modulus of f: a capped remainder
+    is reduced at each level, but the forms it meets are not."""
+    N = f.prec
+    return _peel(f, eisenstein_series(p - 1, N), p, islice(miller_windows(p, N, None), I + 1))[0]
 
 
 def hauptmodul_by_subtraction(f: QSeries, p: int, terms: int):

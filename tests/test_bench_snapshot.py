@@ -1,6 +1,7 @@
 """The BENCH snapshot tool: its parser on canned perfbench output (perfbench
-itself is never run here), its start-up timer and its condition and chain
-timers (on a stubbed runner: no sweep or chain runs here)."""
+itself is never run here), its line count per source file (on a temporary
+tree), its start-up timer and its condition and chain timers (on a stubbed
+runner: no sweep or chain runs here)."""
 
 from __future__ import annotations
 
@@ -44,6 +45,18 @@ def test_parse_run_output_reads_meta_and_final_line():
 def test_parse_run_output_rejects_output_without_meta():
     with pytest.raises(ValueError):
         bench_snapshot.parse_run_output(json.dumps(FINAL) + "\n")
+
+
+def test_src_lines_by_module_counts_each_python_file(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (pkg / "sub" / "b.py").write_text("w = 4\nlast = 5")  # no final newline
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    got = bench_snapshot.src_lines_by_module(str(tmp_path / "src"))
+    assert got == {"pkg/__init__.py": 0, "pkg/a.py": 3, "pkg/sub/b.py": 1}
+    assert list(got) == sorted(got)
 
 
 def test_median_start_s_times_fresh_processes():

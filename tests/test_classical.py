@@ -23,9 +23,9 @@ from katzexp import (
     qs_pow,
     qs_sub,
     qs_val,
-    sigma_k,
 )
 from katzexp.errors import InvalidWeight, UnsupportedPrime
+from oracles import sigma_k
 
 
 def eta_quotient_pentagonal(N):

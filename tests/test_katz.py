@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katzexp import (
     INF,
@@ -31,13 +33,14 @@ from katzexp.katz import (
     hauptmodul_valuations,
     katz_split_classical,
     katz_split_function,
+    miller_windows,
     rate_verdicts,
     reconstruct,
     window_bounds,
 )
 from katzexp.reports import qprec_for_split
-from katzexp.series import apply_V, qs_div, qs_reduce_mod, qs_scalar_mul
-from oracles import hauptmodul_by_subtraction, split_dense
+from katzexp.series import apply_V, qs_div, qs_from_nums, qs_inv, qs_reduce_mod, qs_scalar_mul
+from oracles import hauptmodul_by_subtraction, split_dense, split_exact_windows
 
 C1 = QQ(-340364160000, 236364091)
 C2 = QQ(30710845440000, 236364091)
@@ -157,7 +160,7 @@ def test_sweep_builds_windows_no_earlier_than_their_split(monkeypatch):
 
     for module in (series, classical, katz):
         monkeypatch.setattr(module, "qs_mul", counted_mul)
-    next(katz.eisenstein_sweep(29, [qprec_for_split(29, n) for n in range(1, 30)], 33))
+    next(katz.eisenstein_sweep(29, 33))
     assert calls[0] <= 40, calls[0]
 
 
@@ -367,6 +370,69 @@ def test_capped_classical_split_reads_its_precision_from_the_series():
     assert ke.effective_pprec == 3
     assert certify_rate(ke, QQ(5, 6), 0).verdicts[6] == "inconclusive"
     assert ke.terms[0] == katz_split_classical(f, 6, 5).terms[0]
+
+
+def _residue_series(p, M, N):
+    """N residues mod p^M, many of them 0 or a power of p."""
+    m = p**M
+    coeff = st.one_of(st.just(0), st.integers(0, M).map(lambda e: p**e % m), st.integers(0, m - 1))
+    return st.lists(coeff, min_size=N, max_size=N).map(lambda nums: qs_from_nums(nums, 1, m))
+
+
+def _built_series(data, p, M, I, N):
+    """(f, valuations): f = sum_i b_i / E_{p-1}^i exact, with b_i of Miller
+    coordinates p^e u / w for units u, w, so v_p(b_i) is the least e of its
+    window; a window drawn as deep has every e >= M, nonzero but 0 mod p^M."""
+    windows = miller_windows(p, N, None)
+    inv_e = qs_inv(eisenstein_series(p - 1, N))
+    bs, vals = [], []
+    for i, forms in zip(range(I + 1), windows):
+        low = M if data.draw(st.booleans()) else 0
+        es = [data.draw(st.integers(low, low + 2)) for _ in forms]
+        b = QSeries([0] * N)
+        for e, form in zip(es, forms):
+            u = data.draw(st.integers(1, 50).filter(lambda u: u % p)) * data.draw(st.sampled_from([1, -1]))
+            b = b + qs_scalar_mul(QQ(p**e * u, data.draw(st.sampled_from([1, 2, 3, 7]))), form)
+        bs.append(b)
+        vals.append(min(es, default=INF))
+    f = bs[I]
+    for b in reversed(bs[:I]):
+        f = qs_mul(f, inv_e) + b
+    return f, vals
+
+
+@pytest.mark.parametrize("p, top", [(5, 12), (11, 5), (17, 4)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), M=st.integers(1, 4))
+def test_capped_split_reads_the_exact_window_valuations(p, top, data, M):
+    """A split of a series known mod p^M, against E_{p-1} and the windows
+    reduced mod p^M, reads the valuations of the split against exact forms:
+    on residue series and on sums whose deep windows are 0 mod p^M but not
+    0, which read inf under both. A finite valuation is below M."""
+    I = data.draw(st.integers(1, top))
+    N = qprec_for_split(p, I)
+    f, want = _built_series(data, p, M, I, N)
+    built = qs_reduce_mod(f, p**M)
+    for g in (data.draw(_residue_series(p, M, N)), built):
+        ke = katz_split_function(g, p, I)
+        assert ke.effective_pprec == M
+        assert [t.val for t in ke.terms] == [t.val for t in split_exact_windows(g, p, I).terms]
+        assert all(t.val < M or t.val == INF for t in ke.terms)
+    got = [t.val for t in katz_split_function(built, p, I).terms]
+    assert got == [v if v < M else INF for v in want]
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), M=st.integers(1, 4))
+def test_capped_hauptmodul_expansion_is_the_exact_one_reduced(p, data, M):
+    """Eliminating against the powers of t mod p^M gives the expansion
+    against the exact powers, reduced mod p^M."""
+    N = data.draw(st.integers(1, 30))
+    g = data.draw(_residue_series(p, M, N))
+    terms = data.draw(st.integers(0, N))
+    exact = expand_in_hauptmodul(qs_from_nums(g.nums), p, terms)
+    assert expand_in_hauptmodul(g, p, terms) == tuple(QQ(a % p**M) for a in exact)
 
 
 def test_hauptmodul_expansion_of_simple_functions():

@@ -453,8 +453,8 @@ def test_check_condition_pooled_prime_stops_inside_itself(monkeypatch):
     has finished, so at most one split starts past the deadline."""
     starts = []
 
-    def slow_sweep(p, qprecs, M):
-        for n in range(1, len(qprecs) + 1):
+    def slow_sweep(p, M):
+        for n in range(1, p + 1):
             starts.append(time.monotonic())
             time.sleep(0.02)
             yield [0] * (n + 1), False
@@ -488,8 +488,8 @@ def test_check_condition_reports_survive_escalating_every_split(monkeypatch, cap
     "at least 1", so every split that has one is redone exactly."""
     redone, have_window = [], []
 
-    def cap_at_1(p, qprecs, M):
-        for n, (vals, exact) in enumerate(eisenstein_sweep(p, qprecs, 1), 1):
+    def cap_at_1(p, M):
+        for n, (vals, exact) in enumerate(eisenstein_sweep(p, 1), 1):
             redone.append(exact)
             have_window.append(any(lo < hi for lo, hi in (window_bounds(i, p) for i in range(1, n + 1))))
             yield vals, exact

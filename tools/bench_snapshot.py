@@ -18,7 +18,8 @@ runs, and `extended_37_jobs2_s` that of 3 cold `check-condition --extended
 --prime 37 --jobs 2` runs, the pooled sweep that no perfbench workload runs.
 Beyond perfbench's chain to n = 30, `chain_7_60_s` is the median wall time
 of 3 cold processes that compute `phi_image(60, 7)`, the Newton chain
-behind the Tier-1 scaled-chain test.
+behind the Tier-1 scaled-chain test. `src_lines_by_module` splits perfbench's
+`src_lines` by file, so the trajectory shows where lines went.
 """
 
 from __future__ import annotations
@@ -48,6 +49,19 @@ def parse_run_output(text: str) -> dict:
         metrics={name: m["value"] for name, m in final["metrics"].items()},
     )
     return snapshot
+
+
+def src_lines_by_module(root: str = "src") -> dict:
+    """The newline count of each .py file under root, keyed by its path
+    relative to root with / separators, counted as perfbench counts src_lines."""
+    counts = {}
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as fh:
+                    counts[os.path.relpath(path, root).replace(os.sep, "/")] = fh.read().count(b"\n")
+    return dict(sorted(counts.items()))
 
 
 def median_wall_s(argv, runs: int, env=None) -> float:
@@ -113,7 +127,8 @@ def main(argv=None) -> int:
         sys.stderr.write(proc.stdout + proc.stderr)
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
-    snapshot.update(startup_times(), condition_29_s=condition_29_s(),
+    snapshot.update(startup_times(), src_lines_by_module=src_lines_by_module(),
+                    condition_29_s=condition_29_s(),
                     extended_37_jobs2_s=extended_37_jobs2_s(), chain_7_60_s=chain_7_60_s())
     path = os.path.join(os.getcwd(), "BENCH_%d.json" % args.pr)
     with open(path, "w", encoding="utf-8") as fh:
