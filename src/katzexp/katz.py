@@ -205,9 +205,10 @@ def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:
     katz_split_classical runs the same loop. The reconstruction sum
     b_i / E_{p-1}^i matches f on q^0..q^(d_{I(p-1)}-1).
 
-    A series known mod p^M is split mod p^M, and M is recorded as
-    effective_pprec so downstream certificates know which thresholds are
-    decidable; an exact series has effective_pprec INF.
+    The split runs at the modulus of f, by the module's one rule: a series
+    known mod p^M is split against E_{p-1} and the Miller forms mod p^M, and
+    M is recorded as effective_pprec so downstream certificates know which
+    thresholds are decidable; an exact series has effective_pprec INF.
     """
     return _split(f, p, I)[0]
 
