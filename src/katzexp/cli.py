@@ -16,7 +16,6 @@ import re
 import sys
 
 from ._rational import rational_from_str
-from .classical import HAUPTMODUL_PRIMES
 from .errors import KatzexpError
 from .reports import (
     STATUS_CERTIFIED,
@@ -77,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser(
         "verify-theorem", help="certify one theorem-shaped rate statement"
     )
-    pv.add_argument("--id", required=True, choices=list("ABCEF"), help="which statement")
+    pv.add_argument("--id", required=True, help="which statement: A, B, C, E or F (any case)")
     pv.add_argument("--prime", type=int, required=True)
     pv.add_argument("--max-index", type=int, required=True)
     pv.add_argument("--s", type=int, default=None, help="family parameter (A, F)")
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser(
         "hauptmodul", help="valuation vector of V(E_k)/E_k in the genus-zero coordinate"
     )
-    ph.add_argument("--prime", type=int, required=True, choices=HAUPTMODUL_PRIMES)
+    ph.add_argument("--prime", type=int, required=True, help="5, 7 or 13")
     ph.add_argument("--weight", type=int, required=True)
     ph.add_argument("--terms", type=int, required=True)
 

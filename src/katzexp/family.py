@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from ._rational import QQ, int_val
-from .classical import eisenstein_series
+from ._rational import QQ
+from .classical import bernoulli, eisenstein_series
 from .errors import (
     CrossCheckMismatch,
     InvalidWeight,
@@ -26,7 +26,6 @@ from .series import (
     QSeries,
     apply_V,
     qs_from_nums,
-    qs_inv,
     qs_mul,
     qs_pow,
     qs_reduce_mod,
@@ -71,31 +70,25 @@ def teichmuller(d: int, p: int, M: int) -> int:
 def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
     """B_{s, tau^(-s)} as an exact rational, correct mod p^(M+1).
 
-    Computed from the generating identity
-        sum_{a=1}^{p-1} chi(a) t e^{at} / (e^{pt} - 1) = sum B_{s,chi} t^s / s!
-    truncated at degree s, with chi = tau^(-s) evaluated mod p^(M+guard).
-    The result has valuation -1 when s is not divisible by p-1 in the
-    trivial way; callers divide by it, which is why the guard digits exist.
-    The final s!/p costs 1 + v_p(s!) digits, so guard is one more than that.
+    B_{s,chi} = p^(s-1) sum_{a=1}^{p-1} chi(a) B_s(a/p) (Washington,
+    "Introduction to Cyclotomic Fields", Prop. 4.1), with chi = tau^(-s)
+    mod p^(M+2) and B_s(x) = sum_j C(s,j) B_j x^(s-j). Each
+    p^(s-1) B_s(a/p) = sum_j C(s,j) B_j a^(s-j) p^(j-1) has valuation at
+    least -1 (-1 at j = 0, at least 0 for j >= 1 by von Staudt-Clausen), so
+    the error p^(M+2) in chi moves the sum by at most p^(M+1). As
+    chi(a) a^s = 1 mod p, the j = 0 part and so the result have valuation
+    exactly -1; callers divide by it.
     """
     if s < 1:
         raise InvalidWeight("s must be >= 1")
-    guard = 2 + int_val(math.factorial(s), p)
-    big = p ** (M + guard)
-    # t/(e^{pt}-1) = (1/p) * 1/(1 + h) with h = sum_{j>=1} (pt)^j/(j+1)!
-    one_plus_h = (QQ(1),) + tuple(QQ(p ** j, math.factorial(j + 1)) for j in range(1, s + 1))
-    inv = qs_inv(QSeries(one_plus_h)).coeffs
+    big = p ** (M + 2)
+    chis = [pow(teichmuller(a, p, M + 2), -s, big) for a in range(1, p)]
     total = QQ(0)
-    for a in range(1, p):
-        chi = QQ(pow(teichmuller(a, p, M + guard), -s, big))
-        # chi(a) * e^{at} * (above), coefficient of t^s
-        coeff = QQ(0)
-        ap = QQ(1)
-        for j in range(s + 1):
-            coeff += ap / math.factorial(j) * inv[s - j]
-            ap = ap * a
-        total += chi * coeff
-    return total * math.factorial(s) / p
+    for j in (0, 1, *range(2, s + 1, 2)):  # B_j = 0 at odd j > 1
+        # C(s,j) B_j p^(j-1) sum_a chi(a) a^(s-j)
+        S = sum(chi * a ** (s - j) for a, chi in enumerate(chis, 1))
+        total += math.comb(s, j) * (QQ(-1, 2) if j == 1 else bernoulli(j)) * p ** j * S
+    return total / p
 
 
 def classical_limit_weight(s: int, p: int, M: int) -> int:

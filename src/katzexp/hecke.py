@@ -55,13 +55,6 @@ def _twisted(op, f: QSeries, n: int, p: int) -> QSeries:
     return qs_mul(g, qs_pow(qs_truncate(E, g.prec), -n))
 
 
-def twisted_U(f: QSeries, n: int, p: int) -> QSeries:
-    """U twisted into weight 0 by E_{p-1}^n: U(f * E^n) / E^n."""
-    if f.prec < p:
-        raise PrecisionTooLow(f"prec {f.prec} leaves no coefficients after U")
-    return _twisted(lambda g: apply_U(g, p), f, n, p)
-
-
 def twisted_T_ell(f: QSeries, ell: int, n: int, p: int) -> QSeries:
     """T_ell twisted into weight 0 at weight n(p-1): T_ell(f * E^n) / E^n."""
     if ell == p:
@@ -146,6 +139,11 @@ def apply_hpoly(h: HPolynomial, f: QSeries, p: int) -> QSeries:
 def apply_hpoly_twisted(h: HPolynomial, f: QSeries, n: int, p: int) -> QSeries:
     """One step of the twisted projector: H(f * E^n) / E^n."""
     return _twisted(lambda g: apply_hpoly(h, g, p), f, n, p)
+
+
+def twisted_U(f: QSeries, n: int, p: int) -> QSeries:
+    """U twisted into weight 0 by E_{p-1}^n: U(f * E^n) / E^n."""
+    return apply_hpoly_twisted(U_POLY, f, n, p)
 
 
 def iterate_H(h: HPolynomial, n: int, p: int, iters: int, N: int):

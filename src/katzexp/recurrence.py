@@ -15,13 +15,12 @@ term products of two such groups.
 from __future__ import annotations
 
 import math
-import struct
 from collections import namedtuple
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InsufficientLength
-from .series import _lanes, _pack as _pack_lanes
+from .series import _lanes, _pack
 
 
 def delta_p(n: int, p: int) -> int:
@@ -140,8 +139,8 @@ def deep_recurrence_verify(p, coeffs, seq, t) -> bool:
 # one integer with 16-bit lanes. _newton_step adds outer keys unchecked, in
 # which lane y_1 holds e_1 + 2 e_2 (see _Form); x_n and y_n have weight n
 # (y_i weighs i), so that lane, every other lane and the lane sum that
-# _scaled reads all stay below 2^16 - 1 while n does. _pack, which only
-# tests call, refuses an exponent past a lane.
+# _scaled reads all stay below 2^16 - 1 while n does. Every key is a sum of
+# the variables' keys 1 << (_LANE * i), so nothing here checks a lane.
 
 _LANE = 16
 _MASK = (1 << _LANE) - 1
@@ -149,26 +148,10 @@ _FOLD = _MASK - 1  # folding y_2 into y_1^2 takes this off a key
 _chain_cache: dict = {}  # p -> _Chain
 
 
-def _pack(exps):
-    k = 0
-    for i, e in enumerate(exps):
-        if not 0 <= e < 1 << _LANE:
-            raise ValueError(f"exponent {e} outside [0, 2^{_LANE})")
-        k |= e << (_LANE * i)
-    return k
-
-
-def _unpack(k):
-    # one unsigned 16-bit ("H") lane per exponent; the top lane is nonzero,
-    # so the tuple has no trailing zeros
-    n = (k.bit_length() + _LANE - 1) // _LANE
-    return struct.unpack(f"<{n}H", k.to_bytes(2 * n, "little"))
-
-
 class SymPolyQ(namedtuple("SymPolyQ", "terms den")):
-    """sum_k terms[k] / den * y^_unpack(k) in y_1..y_{p+1} (t_1..t_{p+1}
-    after the scaling map), with terms a read-only map from packed exponent
-    vectors to nonzero int numerators.
+    """sum_k terms[k] / den * y^e(k) in y_1..y_{p+1} (t_1..t_{p+1} after
+    the scaling map), with terms a read-only map from packed exponent vectors
+    to nonzero int numerators: lane i of the key k holds e(k)_{i+1}.
 
     Kept in lowest terms: den > 0 and gcd(den, every numerator) == 1, so p
     divides den exactly when some coefficient is not p-integral.
@@ -219,7 +202,7 @@ def _form(a: SymPolyQ, w) -> _Form:
         e2 = k >> _LANE & _MASK
         lanes.setdefault(k - e2 * _FOLD, {})[e2] = c
     groups = tuple(
-        (K, _pack_lanes([g.get(j, 0) for j in range(max(g) + 1)], w)) for K, g in lanes.items()
+        (K, _pack([g.get(j, 0) for j in range(max(g) + 1)], w)) for K, g in lanes.items()
     )
     return _Form(a, groups, max(map(abs, a.terms.values())).bit_length())
 
@@ -355,14 +338,16 @@ def sp_to_bivar_mod_p(a: SymPolyQ, p: int) -> BivarPolyModP:
     if a.den % p == 0:
         raise ValueError(f"denominator {a.den} is divisible by {p}: not {p}-integral")
     inv = pow(a.den, -1, p)
+    low = (1 << _LANE * (p - 1)) - 1  # the lanes of t_1..t_{p-1}
     d = {}
     for k, c in a.terms.items():
         res = c * inv % p
         if res == 0:
             continue
-        exps = _unpack(k)
-        if any(exps[: p - 1]):
+        if k & low:
+            exps = tuple(k >> _LANE * i & _MASK for i in range(-(-k.bit_length() // _LANE)))
             raise ValueError(f"term {exps} survives mod {p} outside (t_p, t_{p+1})")
-        key = (exps + (0,) * (p + 1))[p - 1 : p + 1]
+        # lane p, for t_{p+1}, is the top one
+        key = (k >> _LANE * (p - 1) & _MASK, k >> _LANE * p)
         d[key] = d.get(key, 0) + res
     return BivarPolyModP.from_dict(p, d)

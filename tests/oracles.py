@@ -2,19 +2,24 @@
 
 Each function is the plain textbook algorithm, in exact rationals, that a
 fast kernel, a rerouted product or the greedy Katz split replaced; the
-differential tests compare the two.
+differential tests compare the two. `_pack` and `_unpack` turn an exponent
+tuple into a Newton-chain key and back, for tests that write or read chain
+polynomials term by term.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from itertools import islice
 
 from katzexp import INF, QQ, dim_weight, eisenstein_series, hauptmodul_series, miller_form
-from katzexp._rational import val
-from katzexp.errors import NotAModularForm, PrecisionTooLow
+from katzexp._rational import int_val, val
+from katzexp.errors import InvalidWeight, NotAModularForm, PrecisionTooLow
+from katzexp.family import teichmuller
 from katzexp.katz import KatzExpansion, KatzTerm, _peel, miller_windows, window_bounds
-from katzexp.recurrence import _LANE
-from katzexp.series import QSeries, qs_mul, qs_one, qs_scalar_mul, qs_sub, qs_val
+from katzexp.recurrence import _LANE, BivarPolyModP, SymPolyQ
+from katzexp.series import QSeries, qs_inv, qs_mul, qs_one, qs_scalar_mul, qs_sub, qs_val
 
 
 def sigma_k(n: int, k: int):
@@ -292,3 +297,67 @@ def val_per_coefficient(f, p):
     """The least p-adic valuation over the coefficients of f, one rational at
     a time; +inf when every coefficient is 0."""
     return min((val(c, p) for c in f.coeffs), default=INF)
+
+
+def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
+    """B_{s, tau^(-s)} as an exact rational, correct mod p^(M+1).
+
+    Computed from the generating identity
+        sum_{a=1}^{p-1} chi(a) t e^{at} / (e^{pt} - 1) = sum B_{s,chi} t^s / s!
+    truncated at degree s, with chi = tau^(-s) evaluated mod p^(M+guard).
+    The result has valuation -1 when s is not divisible by p-1 in the
+    trivial way; callers divide by it, which is why the guard digits exist.
+    The final s!/p costs 1 + v_p(s!) digits, so guard is one more than that.
+    """
+    if s < 1:
+        raise InvalidWeight("s must be >= 1")
+    guard = 2 + int_val(math.factorial(s), p)
+    big = p ** (M + guard)
+    # t/(e^{pt}-1) = (1/p) * 1/(1 + h) with h = sum_{j>=1} (pt)^j/(j+1)!
+    one_plus_h = (QQ(1),) + tuple(QQ(p ** j, math.factorial(j + 1)) for j in range(1, s + 1))
+    inv = qs_inv(QSeries(one_plus_h)).coeffs
+    total = QQ(0)
+    for a in range(1, p):
+        chi = QQ(pow(teichmuller(a, p, M + guard), -s, big))
+        # chi(a) * e^{at} * (above), coefficient of t^s
+        coeff = QQ(0)
+        ap = QQ(1)
+        for j in range(s + 1):
+            coeff += ap / math.factorial(j) * inv[s - j]
+            ap = ap * a
+        total += chi * coeff
+    return total * math.factorial(s) / p
+
+
+def _pack(exps):
+    k = 0
+    for i, e in enumerate(exps):
+        if not 0 <= e < 1 << _LANE:
+            raise ValueError(f"exponent {e} outside [0, 2^{_LANE})")
+        k |= e << (_LANE * i)
+    return k
+
+
+def _unpack(k):
+    # one unsigned 16-bit ("H") lane per exponent; the top lane is nonzero,
+    # so the tuple has no trailing zeros
+    n = (k.bit_length() + _LANE - 1) // _LANE
+    return struct.unpack(f"<{n}H", k.to_bytes(2 * n, "little"))
+
+
+def sp_to_bivar_by_unpack(a: SymPolyQ, p: int) -> BivarPolyModP:
+    """sp_to_bivar_mod_p with each key unpacked into its exponent tuple."""
+    if a.den % p == 0:
+        raise ValueError(f"denominator {a.den} is divisible by {p}: not {p}-integral")
+    inv = pow(a.den, -1, p)
+    d = {}
+    for k, c in a.terms.items():
+        res = c * inv % p
+        if res == 0:
+            continue
+        exps = _unpack(k)
+        if any(exps[: p - 1]):
+            raise ValueError(f"term {exps} survives mod {p} outside (t_p, t_{p+1})")
+        key = (exps + (0,) * (p + 1))[p - 1 : p + 1]
+        d[key] = d.get(key, 0) + res
+    return BivarPolyModP.from_dict(p, d)

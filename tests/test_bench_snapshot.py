@@ -1,7 +1,8 @@
 """The BENCH snapshot tool: its parser on canned perfbench output (perfbench
 itself is never run here), its line count per source file (on a temporary
-tree), its start-up timer and its condition and chain timers (on a stubbed
-runner: no sweep or chain runs here)."""
+tree), its timer of fresh processes (on `pass` and on a failing command) and
+each entry of its table of cold timings (on a stubbed runner: no sweep or
+chain runs here)."""
 
 from __future__ import annotations
 
@@ -59,51 +60,33 @@ def test_src_lines_by_module_counts_each_python_file(tmp_path):
     assert list(got) == sorted(got)
 
 
-def test_median_start_s_times_fresh_processes():
-    assert bench_snapshot.median_start_s("pass", runs=3) > 0
+def test_median_wall_s_times_fresh_processes():
+    assert bench_snapshot.median_wall_s([sys.executable, "-c", "pass"], runs=3) > 0
     with pytest.raises(subprocess.CalledProcessError):
-        bench_snapshot.median_start_s("raise SystemExit(1)", runs=1)
+        bench_snapshot.median_wall_s([sys.executable, "-c", "raise SystemExit(1)"], runs=1)
 
 
-def test_startup_times_time_the_bare_interpreter_and_the_package_import(monkeypatch):
-    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
-    times = bench_snapshot.startup_times(runs=1)
-    assert sorted(times) == ["bare_start_s", "import_s"]
-    assert all(t > 0 for t in times.values())
+# the BENCH keys and run counts that earlier BENCH files recorded
+RUNS = {"bare_start_s": 11, "import_s": 11, "condition_29_s": 3,
+        "extended_37_jobs2_s": 3, "chain_7_60_s": 3}
 
 
-def _stub_runs(monkeypatch):
-    """The calls that median_wall_s makes, recorded instead of run."""
+@pytest.mark.parametrize("name", sorted(bench_snapshot.COLD_TIMINGS))
+def test_cold_times_run_each_entry_in_fresh_processes(monkeypatch, name):
     calls = []
 
     def stub_run(argv, env=None, check=False, stdout=None, stderr=None):
-        calls.append((argv, env["PYTHONPATH"], check, stdout, stderr))
+        calls.append((argv, env and env["PYTHONPATH"], check, stdout, stderr))
         return subprocess.CompletedProcess(argv, 0)
 
     monkeypatch.setattr(bench_snapshot.subprocess, "run", stub_run)
-    return calls
-
-
-def test_condition_29_s_times_three_cold_cli_runs(monkeypatch):
-    calls = _stub_runs(monkeypatch)
-    assert bench_snapshot.condition_29_s() >= 0
-    argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--prime", "29"]
-    src = os.path.abspath("src")
-    assert calls == [(argv, src, True, subprocess.DEVNULL, subprocess.DEVNULL)] * 3
-
-
-def test_extended_37_jobs2_s_times_three_cold_pooled_cli_runs(monkeypatch):
-    calls = _stub_runs(monkeypatch)
-    assert bench_snapshot.extended_37_jobs2_s() >= 0
-    argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--extended",
-            "--prime", "37", "--jobs", "2"]
-    src = os.path.abspath("src")
-    assert calls == [(argv, src, True, subprocess.DEVNULL, subprocess.DEVNULL)] * 3
-
-
-def test_chain_7_60_s_times_three_cold_phi_image_runs(monkeypatch):
-    calls = _stub_runs(monkeypatch)
-    assert bench_snapshot.chain_7_60_s() >= 0
-    argv = [sys.executable, "-c", "from katzexp import phi_image; phi_image(60, 7)"]
-    src = os.path.abspath("src")
-    assert calls == [(argv, src, True, subprocess.DEVNULL, subprocess.DEVNULL)] * 3
+    assert set(bench_snapshot.COLD_TIMINGS) == set(RUNS)
+    args, runs, src = bench_snapshot.COLD_TIMINGS[name]
+    assert runs == RUNS[name]
+    assert src == (name != "bare_start_s")
+    monkeypatch.setattr(bench_snapshot, "COLD_TIMINGS", {name: (args, runs, src)})
+    times = bench_snapshot.cold_times()
+    assert list(times) == [name] and times[name] >= 0
+    pythonpath = os.path.abspath("src") if src else None
+    want = ([sys.executable, *args], pythonpath, True, subprocess.DEVNULL, subprocess.DEVNULL)
+    assert calls == [want] * runs

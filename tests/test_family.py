@@ -33,6 +33,7 @@ from katzexp.family import (
 from katzexp.katz import certify_rate, katz_split_function
 from katzexp.series import apply_V, qs_from_nums, qs_inv, qs_mul, qs_sub
 from katzexp._rational import val
+import oracles
 
 
 def sigma_star(n, k1, p):
@@ -142,8 +143,9 @@ def test_gen_bernoulli_trivial_character_is_exact():
 
 
 def test_gen_bernoulli_guard_digits():
-    # s >= p: s!/p loses 1 + v_p(s!) digits, which the guard now covers, and
-    # each result agrees mod p^(M+1) with one computed at higher precision
+    # s >= p: each p^(s-1) B_s(a/p) has valuation at least -1, so tau^(-s)
+    # mod p^(M+2) leaves the sum correct mod p^(M+1), and each result agrees
+    # to that with one computed at higher precision
     for s, p in [(5, 5), (6, 5), (10, 5), (25, 5), (7, 7)]:
         deep = gen_bernoulli_tau(s, p, 6)
         for M in (1, 2, 3):
@@ -152,6 +154,27 @@ def test_gen_bernoulli_guard_digits():
             assert val(B - deep, p) >= M + 1
     with pytest.raises(InvalidWeight):
         gen_bernoulli_tau(0, 5, 2)
+
+
+def test_gen_bernoulli_matches_the_generating_function_oracle():
+    # the same rationals where tau^(-s) is read mod p^(M+2) by both (s < p)
+    # or is trivial ((p-1) | s); elsewhere the oracle reads it to more
+    # digits, and the two agree to the digits both promise
+    grid = [(p, s, M) for p in (5, 7, 11, 13) for s in range(1, 31) for M in (1, 2, 3, 4, 6)]
+    for p, s, M in grid:
+        B, want = gen_bernoulli_tau(s, p, M), oracles.gen_bernoulli_tau(s, p, M)
+        if s < p or s % (p - 1) == 0:
+            assert B == want, (p, s, M)
+        else:
+            assert val(B, p) == val(want, p) == -1, (p, s, M)
+            assert val(B - want, p) >= M + 1, (p, s, M)
+
+
+def test_direct_construction_is_the_same_with_the_oracle_bernoulli(monkeypatch):
+    cases = [(p, s, M) for p in (5, 7, 11) for s in (*range(1, 8), 10, 13, 25) for M in (1, 2, 3, 4)]
+    built = [estar_family_teichmuller(s, p, 40, M) for p, s, M in cases]
+    monkeypatch.setattr(family, "gen_bernoulli_tau", oracles.gen_bernoulli_tau)
+    assert [estar_family_teichmuller(s, p, 40, M) for p, s, M in cases] == built
 
 
 # ---------------------------------------------------------------- weights

@@ -114,6 +114,17 @@ def test_twisted_U_with_n_zero_is_plain_U():
     assert twisted_U(f, 0, 5).coeffs == apply_U(f, 5).coeffs
 
 
+def test_twisted_U_is_U_of_f_E_n_over_E_n():
+    rng = random.Random(9)
+    for n, p, N in [(0, 5, 30), (2, 5, 60), (1, 7, 50), (3, 13, 40)]:
+        f = rand_series(rng, N)
+        E = eisenstein_series(p - 1, N)
+        g = apply_U(qs_mul(f, qs_pow(E, n)), p)
+        assert twisted_U(f, n, p) == qs_mul(g, qs_pow(qs_truncate(E, g.prec), -n))
+    with pytest.raises(PrecisionTooLow, match="prec 4 exhausted by U"):
+        twisted_U(const_one(4), 2, 5)
+
+
 def test_twisted_eigen_identities():
     # e*_n is fixed by U_n and scaled by 1 + ell^(n(p-1)-1) under T_{ell,n}
     for p in (5, 7):

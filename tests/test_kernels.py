@@ -34,9 +34,9 @@ from katzexp import (
 )
 from katzexp import _rational, classical, recurrence
 from katzexp._rational import INF, is_prime
-from katzexp.recurrence import _unpack
 from katzexp.series import qs_from_nums, qs_val
 from oracles import (
+    _unpack,
     bernoulli_even_recurrence,
     bernoulli_even_tangent,
     is_prime_trial,

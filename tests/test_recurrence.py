@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
 from katzexp import QQ
 from katzexp.errors import InsufficientLength
 from katzexp.recurrence import (
-    _pack,
-    _unpack,
     BivarPolyModP,
     SymPolyQ,
     bp_add,
@@ -33,6 +32,7 @@ from katzexp.recurrence import (
     s_sequence,
     sp_to_bivar_mod_p,
 )
+from oracles import _pack, _unpack, sp_to_bivar_by_unpack
 
 
 def evaluate(a, values):
@@ -222,5 +222,25 @@ def test_scaled_chain_reduces_to_s_sequence():
 def test_bivar_projection_rejects_bad_input():
     with pytest.raises(ValueError):
         sp_to_bivar_mod_p(SymPolyQ({_pack((0, 0, 0, 0, 1)): 1}, 5), 5)  # t_5 / 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"term \(1,\) survives mod 5 outside \(t_p, t_6\)"):
         sp_to_bivar_mod_p(SymPolyQ({_pack((1,)): 1}, 1), 5)  # t_1
+    with pytest.raises(ValueError, match=r"term \(0, 0, 0, 0, 1, 2\) survives mod 7"):
+        sp_to_bivar_mod_p(SymPolyQ({_pack((0, 0, 0, 0, 1, 2)): 1}, 1), 7)  # t_5 t_6^2
+
+
+@pytest.mark.parametrize("p, n_max", [(5, 25), (7, 30), (11, 25)])
+def test_bivar_projection_matches_the_unpacking_oracle(p, n_max):
+    images = [phi_image(n, p) for n in range(1, n_max + 1)]
+    for a in images + [phi_image_x(n, p) for n in range(p + 2)]:
+        assert sp_to_bivar_mod_p(a, p) == sp_to_bivar_by_unpack(a, p)
+    # terms in every lane, the lower ones refused with the oracle's message
+    top, below = (0,) * p, (0,) * (p - 1)
+    for exps in [below + (3,), top + (300,), below + (70, 4), below[1:] + (1,), (0, 2), (1,) * (p + 1)]:
+        a = SymPolyQ({_pack(exps): 3, _pack(below + (1,)): p + 1}, 2)
+        try:
+            want = sp_to_bivar_by_unpack(a, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                sp_to_bivar_mod_p(a, p)
+        else:
+            assert sp_to_bivar_mod_p(a, p) == want

@@ -837,7 +837,8 @@ def test_cli_exit_inconclusive(capsys):
 
 
 def test_cli_theorem_f_at_s_equal_to_p(capsys):
-    # s! carries a factor of p, so the Bernoulli step needs a third guard digit
+    # s = p, the first s with a nontrivial character tau^(-s) whose
+    # B_{s,tau^(-s)} reads a B_j with p in its denominator (B_{p-1})
     code, out, err = run_cli(
         ["verify-theorem", "--id", "F", "--prime", "5", "--s", "5",
          "--max-index", "6", "--pprec", "2"],
@@ -875,6 +876,27 @@ def test_cli_usage_error_exits_3():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "certified"
+
+
+def test_cli_reads_the_theorem_id_in_any_case(capsys):
+    got = []
+    for theorem in ("b", "B"):
+        code, out, err = run_cli(
+            ["verify-theorem", "--id", theorem, "--prime", "5", "--k", "24", "--max-index", "6"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        del report["wall_time"]
+        got.append(report)
+    assert got[0] == got[1]
+
+
+def test_cli_hauptmodul_plan_refuses_a_prime_without_a_hauptmodul(capsys):
+    args = ["hauptmodul", "--prime", "11", "--weight", "24", "--terms", "11"]
+    assert run_cli(args, capsys) == (
+        3, "", "error: hauptmodul available for p in 5, 7, 13; got 11\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -949,10 +971,11 @@ def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
          "error: theorem C is computed exactly and takes no pprec"),
         (["--id", "E", "--k", "24", "--pprec", "4"],
          "error: theorem E is computed exactly and takes no pprec"),
+        (["--id", "Z"], "error: unknown theorem 'Z'\n"),
     ],
     ids=["A-pprec-0", "A-pprec-negative", "F-pprec-0", "F-s-negative", "F-s-0",
          "C-n-negative", "A-stray-k", "B-stray-s-n", "E-stray-s", "B-pprec", "C-pprec",
-         "E-pprec"],
+         "E-pprec", "Z"],
 )
 def test_cli_bad_theorem_input_exits_3(capsys, extra, message):
     code, out, err = run_cli(

@@ -10,16 +10,15 @@ It runs `python3 perfbench/run.py --workload all --seed S --seconds T`, with
 T the `run_seconds` of BENCHMARK.json, and reads two lines of its output:
 the `meta` line (backend, Python version, CPU count, commit, src/ lines) and
 the final JSON line (the `<workload>.<metric>` values). It also records the
-cold start: `bare_start_s`, the median wall time of 11 fresh `python -c pass`
-processes, and `import_s`, that of `python -c "import katzexp, katzexp.cli"`
-with PYTHONPATH=src. Beyond perfbench's p = 13, `condition_29_s` is the
-median wall time of 3 cold `python -m katzexp.cli check-condition --prime 29`
-runs, and `extended_37_jobs2_s` that of 3 cold `check-condition --extended
---prime 37 --jobs 2` runs, the pooled sweep that no perfbench workload runs.
-Beyond perfbench's chain to n = 30, `chain_7_60_s` is the median wall time
-of 3 cold processes that compute `phi_image(60, 7)`, the Newton chain
-behind the Tier-1 scaled-chain test. `src_lines_by_module` splits perfbench's
-`src_lines` by file, so the trajectory shows where lines went.
+median wall time of the cold processes in COLD_TIMINGS: `bare_start_s`, a
+bare `python -c pass`, and `import_s`, `import katzexp, katzexp.cli` with
+PYTHONPATH=src (11 runs each); and 3 runs each of work beyond perfbench's:
+`condition_29_s`, `check-condition --prime 29` (perfbench stops at
+p = 13); `extended_37_jobs2_s`, `check-condition --extended --prime 37
+--jobs 2`, the pooled sweep that no perfbench workload runs; and
+`chain_7_60_s`, `phi_image(60, 7)`, the Newton chain behind the Tier-1
+scaled-chain test (perfbench stops at n = 30). `src_lines_by_module` splits
+perfbench's `src_lines` by file, so the trajectory shows where lines went.
 """
 
 from __future__ import annotations
@@ -75,41 +74,22 @@ def median_wall_s(argv, runs: int, env=None) -> float:
     return statistics.median(times)
 
 
-def median_start_s(code: str, runs: int = 11, env=None) -> float:
-    """Median wall time of `runs` fresh `python -c code` processes."""
-    return median_wall_s([sys.executable, "-c", code], runs, env)
+# name -> (python arguments, run count, whether PYTHONPATH=src is set)
+COLD_TIMINGS = {
+    "bare_start_s": (["-c", "pass"], 11, False),
+    "import_s": (["-c", "import katzexp, katzexp.cli"], 11, True),
+    "condition_29_s": (["-m", "katzexp.cli", "check-condition", "--prime", "29"], 3, True),
+    "extended_37_jobs2_s": (["-m", "katzexp.cli", "check-condition", "--extended",
+                             "--prime", "37", "--jobs", "2"], 3, True),
+    "chain_7_60_s": (["-c", "from katzexp import phi_image; phi_image(60, 7)"], 3, True),
+}
 
 
-def _src_env():
-    return dict(os.environ, PYTHONPATH=os.path.abspath("src"))
-
-
-def startup_times(runs: int = 11) -> dict:
-    """The bare interpreter's start-up and that plus the package import."""
-    return {
-        "bare_start_s": median_start_s("pass", runs),
-        "import_s": median_start_s("import katzexp, katzexp.cli", runs, _src_env()),
-    }
-
-
-def condition_29_s(runs: int = 3) -> float:
-    """Median wall time of cold `check-condition --prime 29` CLI runs."""
-    argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--prime", "29"]
-    return median_wall_s(argv, runs, _src_env())
-
-
-def extended_37_jobs2_s(runs: int = 3) -> float:
-    """Median wall time of cold `check-condition --extended --prime 37 --jobs 2`
-    CLI runs: every prime 5..37, two worker processes."""
-    argv = [sys.executable, "-m", "katzexp.cli", "check-condition", "--extended",
-            "--prime", "37", "--jobs", "2"]
-    return median_wall_s(argv, runs, _src_env())
-
-
-def chain_7_60_s(runs: int = 3) -> float:
-    """Median wall time of cold processes that build the p = 7 Newton chain
-    to n = 60 and scale y_60."""
-    return median_start_s("from katzexp import phi_image; phi_image(60, 7)", runs, _src_env())
+def cold_times() -> dict:
+    """The median wall time of each entry of COLD_TIMINGS, by name."""
+    src_env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
+    return {name: median_wall_s([sys.executable, *args], runs, src_env if src else None)
+            for name, (args, runs, src) in COLD_TIMINGS.items()}
 
 
 def main(argv=None) -> int:
@@ -127,9 +107,7 @@ def main(argv=None) -> int:
         sys.stderr.write(proc.stdout + proc.stderr)
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
-    snapshot.update(startup_times(), src_lines_by_module=src_lines_by_module(),
-                    condition_29_s=condition_29_s(),
-                    extended_37_jobs2_s=extended_37_jobs2_s(), chain_7_60_s=chain_7_60_s())
+    snapshot.update(cold_times(), src_lines_by_module=src_lines_by_module())
     path = os.path.join(os.getcwd(), "BENCH_%d.json" % args.pr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
