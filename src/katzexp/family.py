@@ -67,6 +67,11 @@ def teichmuller(d: int, p: int, M: int) -> int:
     return x
 
 
+def _tau_inv_s(s: int, p: int, M: int) -> list:
+    """tau(a)^(-s) mod p^(M+2), the guarded character, indexed by a mod p."""
+    return [0] + [pow(teichmuller(a, p, M + 2), -s, p ** (M + 2)) for a in range(1, p)]
+
+
 def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
     """B_{s, tau^(-s)} as an exact rational, correct mod p^(M+1).
 
@@ -81,12 +86,11 @@ def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
     """
     if s < 1:
         raise InvalidWeight("s must be >= 1")
-    big = p ** (M + 2)
-    chis = [pow(teichmuller(a, p, M + 2), -s, big) for a in range(1, p)]
+    chis = _tau_inv_s(s, p, M)
     total = QQ(0)
     for j in (0, 1, *range(2, s + 1, 2)):  # B_j = 0 at odd j > 1
         # C(s,j) B_j p^(j-1) sum_a chi(a) a^(s-j)
-        S = sum(chi * a ** (s - j) for a, chi in enumerate(chis, 1))
+        S = sum(chis[a] * a ** (s - j) for a in range(1, p))
         total += math.comb(s, j) * (QQ(-1, 2) if j == 1 else bernoulli(j)) * p ** j * S
     return total / p
 
@@ -138,9 +142,7 @@ def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> QSeries:
     # period p on units, so tau(d) depends only on d mod p
     coeffs = [0] * N
     coeffs[0] = 1
-    tau_inv_s = [0] * p
-    for a in range(1, p):
-        tau_inv_s[a] = pow(teichmuller(a, p, M + 2), -s, big)
+    tau_inv_s = _tau_inv_s(s, p, M)
     for d in range(1, N):
         if d % p == 0:
             continue

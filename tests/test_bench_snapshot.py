@@ -1,8 +1,9 @@
 """The BENCH snapshot tool: its parser on canned perfbench output (perfbench
 itself is never run here), its line count per source file (on a temporary
-tree), its timer of fresh processes (on `pass` and on a failing command) and
-each entry of its table of cold timings (on a stubbed runner: no sweep or
-chain runs here)."""
+tree), its timer of fresh processes (on `pass` and on a failing command), each
+entry of its table of cold timings against the commands earlier BENCH
+files recorded (on a stubbed runner: no sweep or chain runs here) and, in
+real processes once each, its two start-up timings."""
 
 from __future__ import annotations
 
@@ -66,12 +67,23 @@ def test_median_wall_s_times_fresh_processes():
         bench_snapshot.median_wall_s([sys.executable, "-c", "raise SystemExit(1)"], runs=1)
 
 
-# the BENCH keys and run counts that earlier BENCH files recorded
-RUNS = {"bare_start_s": 11, "import_s": 11, "condition_29_s": 3,
-        "extended_37_jobs2_s": 3, "chain_7_60_s": 3}
+# each cold timing as earlier BENCH files recorded it: name -> (python
+# arguments, run count, whether PYTHONPATH=src is set)
+EXPECTED = {
+    "bare_start_s": (["-c", "pass"], 11, False),
+    "import_s": (["-c", "import katzexp, katzexp.cli"], 11, True),
+    "condition_29_s": (["-m", "katzexp.cli", "check-condition", "--prime", "29"], 3, True),
+    "extended_37_jobs2_s": (["-m", "katzexp.cli", "check-condition", "--extended",
+                             "--prime", "37", "--jobs", "2"], 3, True),
+    "chain_7_60_s": (["-c", "from katzexp import phi_image; phi_image(60, 7)"], 3, True),
+}
 
 
-@pytest.mark.parametrize("name", sorted(bench_snapshot.COLD_TIMINGS))
+def test_cold_timings_are_the_recorded_commands():
+    assert bench_snapshot.COLD_TIMINGS == EXPECTED
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_cold_times_run_each_entry_in_fresh_processes(monkeypatch, name):
     calls = []
 
@@ -80,13 +92,21 @@ def test_cold_times_run_each_entry_in_fresh_processes(monkeypatch, name):
         return subprocess.CompletedProcess(argv, 0)
 
     monkeypatch.setattr(bench_snapshot.subprocess, "run", stub_run)
-    assert set(bench_snapshot.COLD_TIMINGS) == set(RUNS)
-    args, runs, src = bench_snapshot.COLD_TIMINGS[name]
-    assert runs == RUNS[name]
-    assert src == (name != "bare_start_s")
-    monkeypatch.setattr(bench_snapshot, "COLD_TIMINGS", {name: (args, runs, src)})
+    monkeypatch.setattr(bench_snapshot, "COLD_TIMINGS",
+                        {name: bench_snapshot.COLD_TIMINGS[name]})
     times = bench_snapshot.cold_times()
     assert list(times) == [name] and times[name] >= 0
+    args, runs, src = EXPECTED[name]
     pythonpath = os.path.abspath("src") if src else None
     want = ([sys.executable, *args], pythonpath, True, subprocess.DEVNULL, subprocess.DEVNULL)
     assert calls == [want] * runs
+
+
+def test_startup_times_time_the_bare_interpreter_and_the_package_import(monkeypatch):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
+    startup = {name: (args, 1, src) for name, (args, _runs, src)
+               in bench_snapshot.COLD_TIMINGS.items() if name in ("bare_start_s", "import_s")}
+    monkeypatch.setattr(bench_snapshot, "COLD_TIMINGS", startup)
+    times = bench_snapshot.cold_times()
+    assert sorted(times) == ["bare_start_s", "import_s"]
+    assert all(t > 0 for t in times.values())
