@@ -3,15 +3,16 @@
 Everything is exact: each Bernoulli number B_k from zeta(k) in integer fixed
 point, rounded over its von Staudt-Clausen denominator, divisor sums by
 direct enumeration, eta-quotient hauptmoduls by sparse products of
-(1 - q^m)^(+-e) factors.
+(1 - q^m)^(+-e) factors. The one exception is bernoulli_p_mod, p B_k mod
+p^R by Voronoi's congruence, for weights whose exact B_k is out of reach.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._rational import QQ, is_prime
-from .errors import InvalidWeight, UnsupportedPrime
+from ._rational import QQ, int_val, is_prime
+from .errors import CrossCheckMismatch, InvalidWeight, UnsupportedPrime
 from .series import QSeries, qs_from_nums, qs_mul, qs_pow, qs_scalar_mul, qs_sub
 
 # the primes p >= 5 with X_0(p) of genus zero, where hauptmodul_series is defined
@@ -131,6 +132,37 @@ def bernoulli(k: int):
     if b is None:
         b = _bernoulli_memo[k] = _bernoulli_even(k)
     return b
+
+
+def bernoulli_p_mod(k: int, p: int, R: int) -> int:
+    """p B_k mod p^R for an odd prime p, even k >= 2 with (p - 1) | k and
+    R >= 1, by Voronoi's congruence, with no exact B_k.
+
+    For gcd(a, N) = 1, (a^k - 1) B_k = k a^(k-1) S mod N with
+    S = sum_{0 <= j < N} j^(k-1) floor(j a / N) (Ireland and Rosen, ch. 15;
+    Harvey, "A multimodular algorithm for computing Bernoulli numbers",
+    2010). Take a the least integer >= 2 prime to p with a^(p-1) != 1 mod
+    p^2: by lifting the exponent a^k - 1 = p^(1+v) w, v = v_p(k), w a unit.
+    With N = p^(R+v), dividing by p^v gives
+    p B_k = (k / p^v) a^(k-1) S / w mod p^R, so S is needed only mod p^R;
+    floor(j a / N) counts the t in 1..a-1 with j >= t N / a. By von
+    Staudt-Clausen p B_k = -1 mod p, and a result that is not raises
+    CrossCheckMismatch instead of being returned.
+    """
+    if p < 3 or k < 2 or k % 2 or k % (p - 1) or R < 1:
+        raise InvalidWeight(f"p B_k mod p^R needs an odd p, even k with (p-1) | k and R >= 1; "
+                            f"got k={k}, p={p}, R={R}")
+    v = int_val(k, p)
+    pv, m = p**v, p**R
+    N = pv * m
+    a = next(a for a in range(2, p * p) if a % p and pow(a, p - 1, p * p) != 1)
+    e = k - 1
+    S = sum(pow(j, e, m) for t in range(1, a) for j in range(-(-t * N // a), N))
+    w = (pow(a, k, p * N) - 1) // (p * pv)
+    pb = k // pv * pow(a, e, m) * S * pow(w, -1, m) % m
+    if pb % p != p - 1:
+        raise CrossCheckMismatch(f"Voronoi's congruence gave p B_{k} = {pb % p} mod {p}, not -1")
+    return pb
 
 
 def eisenstein_series(k: int, N: int) -> QSeries:

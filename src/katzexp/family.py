@@ -3,18 +3,19 @@
 Bernoulli numbers, and classical-limit weights.
 
 The family member is built two independent ways and cross-checked:
-a classical Eisenstein series at a congruent weight reduced mod p^M, and
-the direct divisor-sum formula with Teichmuller character values. Both
-land in integers mod p^M; a mismatch means a precision policy is wrong
-somewhere and is raised loudly rather than papered over.
+a classical Eisenstein series at a congruent weight built mod p^M (its
+B_k by Voronoi's congruence, never exactly), and the direct divisor-sum
+formula with Teichmuller character values. Both land in integers mod p^M;
+a mismatch means a precision policy is wrong somewhere and is raised
+loudly rather than papered over.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._rational import QQ
-from .classical import bernoulli, eisenstein_series
+from ._rational import QQ, int_val
+from .classical import bernoulli, bernoulli_p_mod, eisenstein_series
 from .errors import (
     CrossCheckMismatch,
     InvalidWeight,
@@ -28,7 +29,6 @@ from .series import (
     qs_from_nums,
     qs_mul,
     qs_pow,
-    qs_reduce_mod,
     qs_scalar_mul,
     qs_sub,
     qs_val,
@@ -122,8 +122,27 @@ def delta_weight_sequence(s: int, p: int, count: int, *, t: int = 1):
 
 def estar_family_classical(s: int, p: int, N: int, M: int) -> QSeries:
     """Classical-limit construction: E_k mod p^M at the weight k of
-    classical_limit_weight, congruent to s mod p^M."""
-    return qs_reduce_mod(eisenstein_series(classical_limit_weight(s, p, M), N), p ** M)
+    classical_limit_weight, congruent to s mod p^M, built mod p^M only.
+
+    E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, and with v = v_p(k)
+    2k/B_k = (2k/p^v) p^(1+v) / (p B_k), where p B_k is a p-adic unit (von
+    Staudt-Clausen). So the factor mod p^M needs p B_k only mod p^R,
+    R = M - 1 - v, from Voronoi's congruence (bernoulli_p_mod); at R <= 0
+    it is 0 mod p^M. No exact B_k or E_k is formed.
+    """
+    k = classical_limit_weight(s, p, M)
+    pm, v = p ** M, int_val(k, p)
+    R = M - 1 - v
+    factor = 0
+    if R > 0:
+        inv = pow(bernoulli_p_mod(k, p, R), -1, p ** R)
+        factor = 2 * k // p ** v * p ** (1 + v) * inv % pm
+    sums = [0] * N
+    for d in range(1, N):
+        term = pow(d, k - 1, pm)
+        for n in range(d, N, d):
+            sums[n] += term
+    return qs_from_nums([1] + [-factor * x for x in sums[1:]], 1, pm)
 
 
 def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> QSeries:

@@ -19,6 +19,7 @@ from .series import (
     QSeries,
     apply_U,
     qs_add,
+    qs_div,
     qs_from_nums,
     qs_mul,
     qs_one,
@@ -50,9 +51,9 @@ def hecke_T_ell(f: QSeries, k: int, ell: int) -> QSeries:
 def _twisted(op, f: QSeries, n: int, p: int) -> QSeries:
     """op(f * E^n) / E^n with E = E_{p-1}: an operator at weight n(p-1)
     carried into weight 0. The quotient has op's output precision."""
-    E = eisenstein_series(p - 1, f.prec)
-    g = op(qs_mul(f, qs_pow(E, n)))
-    return qs_mul(g, qs_pow(qs_truncate(E, g.prec), -n))
+    En = qs_pow(eisenstein_series(p - 1, f.prec), n)
+    g = op(qs_mul(f, En))
+    return qs_div(g, qs_truncate(En, g.prec))
 
 
 def twisted_T_ell(f: QSeries, ell: int, n: int, p: int) -> QSeries:

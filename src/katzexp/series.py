@@ -202,19 +202,18 @@ def qs_inv(a: QSeries) -> QSeries:
 
 
 def qs_pow(a: QSeries, n: int) -> QSeries:
-    """a**n by repeated squaring; negative n inverts first."""
+    """a**n by repeated squaring; negative n inverts a**-n, whose
+    coefficients are far smaller than those of a's inverse."""
     if n < 0:
-        return qs_pow(qs_inv(a), -n)
-    result = qs_one(a.prec)
-    base = a
-    e = n
-    while e:
-        if e & 1:
-            result = qs_mul(result, base)
-        e >>= 1
-        if e:
+        return qs_inv(qs_pow(a, -n))
+    result, base = None, a
+    while n:
+        if n & 1:
+            result = base if result is None else qs_mul(result, base)
+        n >>= 1
+        if n:
             base = qs_mul(base, base)
-    return result
+    return qs_one(a.prec) if result is None else result
 
 
 def qs_div(a: QSeries, b: QSeries) -> QSeries:

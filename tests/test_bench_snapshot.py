@@ -76,6 +76,8 @@ EXPECTED = {
     "extended_37_jobs2_s": (["-m", "katzexp.cli", "check-condition", "--extended",
                              "--prime", "37", "--jobs", "2"], 3, True),
     "chain_7_60_s": (["-c", "from katzexp import phi_image; phi_image(60, 7)"], 3, True),
+    "theorem_f_pprec8_s": (["-m", "katzexp.cli", "verify-theorem", "--id", "F", "--prime", "5",
+                            "--s", "1", "--max-index", "21", "--pprec", "8"], 3, True),
 }
 
 

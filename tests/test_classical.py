@@ -1,8 +1,8 @@
 """Eisenstein series, Bernoulli numbers, Miller bases, delta, hauptmoduls.
 
 Reference values come from independent constructions: sympy's Bernoulli
-numbers, the pentagonal number theorem for eta products, and hand-checked
-small q-expansion coefficients.
+numbers, the tangent numbers for p B_k mod p^R, the pentagonal number
+theorem for eta products, and hand-checked small q-expansion coefficients.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from katzexp import (
     qs_sub,
     qs_val,
 )
-from katzexp.errors import InvalidWeight, UnsupportedPrime
-from oracles import sigma_k
+from katzexp import classical
+from katzexp.classical import bernoulli_p_mod
+from katzexp.errors import CrossCheckMismatch, InvalidWeight, UnsupportedPrime
+from oracles import bernoulli_even_tangent, sigma_k
 
 
 def eta_quotient_pentagonal(N):
@@ -68,6 +70,34 @@ def test_von_staudt_clausen(k):
             total += QQ(1, p)
         p += 1
     assert total.denominator == 1
+
+
+def test_bernoulli_p_mod_matches_the_tangent_numbers_to_2000():
+    # every even k <= 2000 with (p - 1) | k, so v_p(k) reaches 4 at p = 5
+    table = bernoulli_even_tangent(2000)
+    for p in (5, 7, 11, 13):
+        for k in range(p - 1, 2001, p - 1):
+            pb = p * table[k // 2]
+            for R in (1, 2, 3):
+                m = p**R
+                assert bernoulli_p_mod(k, p, R) == pb.numerator * pow(pb.denominator, -1, m) % m, (p, k, R)
+
+
+def test_bernoulli_p_mod_rejects_weights_outside_its_domain():
+    for k, p, R in ((6, 5, 2), (5, 5, 2), (0, 5, 2), (4, 5, 0), (4, 2, 2)):
+        with pytest.raises(InvalidWeight):
+            bernoulli_p_mod(k, p, R)
+
+
+def test_bernoulli_p_mod_refuses_a_sum_that_breaks_von_staudt_clausen(monkeypatch):
+    # one corrupted term of the sum moves p B_4 off -1 mod 5; it is raised,
+    # never returned
+    def corrupted_pow(x, e, m=None):
+        return pow(x, e, m) + (x == 4 and e == 3)
+
+    monkeypatch.setattr(classical, "pow", corrupted_pow, raising=False)
+    with pytest.raises(CrossCheckMismatch, match="not -1"):
+        bernoulli_p_mod(4, 5, 1)
 
 
 def test_sigma_k():

@@ -9,6 +9,12 @@ normalization conventions.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
 from katzexp import QQ, INF, eisenstein_series, qs_reduce_mod
@@ -17,7 +23,7 @@ from katzexp.errors import (
     InvalidWeight,
     NotAUnit,
 )
-from katzexp import family
+from katzexp import classical, family
 from katzexp.family import (
     agreement_depth,
     classical_limit_weight,
@@ -34,6 +40,12 @@ from katzexp.katz import certify_rate, katz_split_function
 from katzexp.series import apply_V, qs_from_nums, qs_inv, qs_mul, qs_sub
 from katzexp._rational import val
 import oracles
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+# at most 10 s for a cold CLI run of theorem F at weight 117,140 or
+# 1,171,876: measured 0.13 to 0.4 s on a 2-CPU x86-64 VM with Python 3.11,
+# where the exact B_k took 3.9 GB and did not finish
+FAMILY_CLI_BUDGET_S = 10.0
 
 
 def sigma_star(n, k1, p):
@@ -232,6 +244,56 @@ def test_cross_construction_agreement():
             member = estar_family(s, 5, 50, M)
             assert member.modulus == 5 ** M
             assert all(0 <= c < 5 ** M and c.denominator == 1 for c in member.coeffs)
+
+
+def test_classical_construction_is_the_reduced_exact_series():
+    # E_k mod p^M from Voronoi's congruence against the exact E_k reduced;
+    # the grid reaches v_p(k) = 0 and v_p(k) > 0, each with R = M - 1 - v_p(k)
+    # both above 0 and at or below 0, where the factor 2k/B_k is 0 mod p^M
+    grid = [(s, p, M) for p in (5, 7) for s in (1, 2, 3, p, 2 * p, p * p) for M in (1, 2, 3, 4)]
+    grid = [(s, p, M) for s, p, M in grid if classical_limit_weight(s, p, M) <= 2000]
+    kinds = set()
+    for s, p, M in grid:
+        k = classical_limit_weight(s, p, M)
+        v = val(k, p)
+        kinds.add((v > 0, M - 1 - v > 0))
+        want = qs_reduce_mod(eisenstein_series(k, 30), p ** M)
+        assert estar_family_classical(s, p, 30, M) == want, (s, p, M)
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_classical_construction_never_builds_the_exact_weight(monkeypatch):
+    # --pprec 8 at p = 5, s = 1 is weight k = 1,171,876: the classical side
+    # runs with every exact Bernoulli and Eisenstein entry point disabled and
+    # still equals the Teichmuller side
+    direct = estar_family_teichmuller(1, 5, 50, 8)
+
+    def refuse(*args):
+        raise AssertionError("exact construction called with %r" % (args,))
+
+    for module in (family, classical):
+        monkeypatch.setattr(module, "eisenstein_series", refuse)
+        monkeypatch.setattr(module, "bernoulli", refuse)
+    monkeypatch.setattr(classical, "_bernoulli_even", refuse)
+    assert classical_limit_weight(1, 5, 8) == 1171876
+    assert estar_family_classical(1, 5, 50, 8) == direct
+
+
+@pytest.mark.parametrize("args", [
+    ("--prime", "11", "--s", "12", "--max-index", "12", "--pprec", "4"),
+    ("--prime", "5", "--s", "1", "--max-index", "21", "--pprec", "8"),
+], ids=["p11-s12-pprec4", "p5-s1-pprec8"])
+def test_theorem_f_at_a_huge_classical_limit_weight_certifies_cold(args):
+    # weights 117,140 and 1,171,876, whose exact B_k is out of reach; a
+    # fresh process within FAMILY_CLI_BUDGET_S
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-m", "katzexp.cli", "verify-theorem", "--id", "F", *args]
+    started = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "certified"
+    assert elapsed < FAMILY_CLI_BUDGET_S
 
 
 def test_cross_construction_mismatch_raises(monkeypatch):

@@ -15,10 +15,13 @@ bare `python -c pass`, and `import_s`, `import katzexp, katzexp.cli` with
 PYTHONPATH=src (11 runs each); and 3 runs each of work beyond perfbench's:
 `condition_29_s`, `check-condition --prime 29` (perfbench stops at
 p = 13); `extended_37_jobs2_s`, `check-condition --extended --prime 37
---jobs 2`, the pooled sweep that no perfbench workload runs; and
+--jobs 2`, the pooled sweep that no perfbench workload runs;
 `chain_7_60_s`, `phi_image(60, 7)`, the Newton chain behind the Tier-1
-scaled-chain test (perfbench stops at n = 30). `src_lines_by_module` splits
-perfbench's `src_lines` by file, so the trajectory shows where lines went.
+scaled-chain test (perfbench stops at n = 30); and `theorem_f_pprec8_s`,
+`verify-theorem --id F --prime 5 --s 1 --max-index 21 --pprec 8`, the family
+member at classical-limit weight 1,171,876 (perfbench stops at weight
+1,090). `src_lines_by_module` splits perfbench's `src_lines` by file, so
+the trajectory shows where lines went.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ COLD_TIMINGS = {
     "extended_37_jobs2_s": (["-m", "katzexp.cli", "check-condition", "--extended",
                              "--prime", "37", "--jobs", "2"], 3, True),
     "chain_7_60_s": (["-c", "from katzexp import phi_image; phi_image(60, 7)"], 3, True),
+    "theorem_f_pprec8_s": (["-m", "katzexp.cli", "verify-theorem", "--id", "F", "--prime", "5",
+                            "--s", "1", "--max-index", "21", "--pprec", "8"], 3, True),
 }
 
 
