@@ -1,10 +1,10 @@
 """Classical level-1 modular forms: Eisenstein series, Delta, Miller bases.
 
-Everything is exact: each Bernoulli number B_k from zeta(k) in integer fixed
-point, rounded over its von Staudt-Clausen denominator, divisor sums by
-direct enumeration, eta-quotient hauptmoduls by sparse products of
-(1 - q^m)^(+-e) factors. The one exception is bernoulli_p_mod, p B_k mod
-p^R by Voronoi's congruence, for weights whose exact B_k is out of reach.
+Each Bernoulli number B_k is exact, from zeta(k) in integer fixed point,
+rounded over its von Staudt-Clausen denominator (bernoulli_p_mod gives p B_k
+mod p^R where B_k is out of reach); E_k and Delta come from one divisor-sum
+loop, exact or mod a modulus m with each d^(k-1) reduced mod m; eta-quotient
+hauptmoduls are exact sparse products of (1 - q^m)^(+-e) factors.
 """
 
 from __future__ import annotations
@@ -165,29 +165,34 @@ def bernoulli_p_mod(k: int, p: int, R: int) -> int:
     return pb
 
 
-def eisenstein_series(k: int, N: int) -> QSeries:
-    """Normalized E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n to N terms."""
-    if k < 4 or k % 2 != 0:
-        raise InvalidWeight(f"E_k needs even k >= 4, got {k}")
-    factor = QQ(2 * k) / bernoulli(k)
-    a, b = factor.numerator, factor.denominator
-    # accumulate d^(k-1) into every multiple of d: one big power per divisor
+def _eisenstein(a: int, b: int, k: int, N: int, modulus: int | None) -> QSeries:
+    """1 - (a/b) sum sigma_{k-1}(n) q^n to N terms, mod `modulus` (None: exact)."""
+    # accumulate d^(k-1) into every multiple of d: one power per divisor
     sums = [0] * N
     for d in range(1, N):
-        pw = d ** (k - 1)
+        pw = pow(d, k - 1, modulus)
         for m in range(d, N, d):
             sums[m] += pw
     nums = [-a * x for x in sums]
     nums[0] = b
-    return qs_from_nums(nums, b)
+    return qs_from_nums(nums, b, modulus)
 
 
-def delta_series(N: int) -> QSeries:
-    """The discriminant cusp form (E_4^3 - E_6^2)/1728 to N terms."""
+def eisenstein_series(k: int, N: int, modulus: int | None = None) -> QSeries:
+    """Normalized E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n to N terms, exact or
+    mod `modulus`; NotAUnit where 2k/B_k is not integral, as mod 37 at k = 32."""
+    if k < 4 or k % 2 != 0:
+        raise InvalidWeight(f"E_k needs even k >= 4, got {k}")
+    factor = QQ(2 * k) / bernoulli(k)
+    return _eisenstein(factor.numerator, factor.denominator, k, N, modulus)
+
+
+def delta_series(N: int, modulus: int | None = None) -> QSeries:
+    """Delta = (E_4^3 - E_6^2)/1728 to N terms, exact or mod `modulus` prime to 6."""
     if N < 1:
         raise ValueError("need N >= 1")
-    e4 = eisenstein_series(4, N)
-    e6 = eisenstein_series(6, N)
+    e4 = eisenstein_series(4, N, modulus)
+    e6 = eisenstein_series(6, N, modulus)
     diff = qs_sub(qs_pow(e4, 3), qs_mul(e6, e6))
     return qs_scalar_mul(QQ(1, 1728), diff)
 

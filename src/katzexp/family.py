@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from ._rational import QQ, int_val
-from .classical import bernoulli, bernoulli_p_mod, eisenstein_series
+from .classical import _eisenstein, bernoulli, bernoulli_p_mod, eisenstein_series
 from .errors import (
     CrossCheckMismatch,
     InvalidWeight,
@@ -137,12 +137,7 @@ def estar_family_classical(s: int, p: int, N: int, M: int) -> QSeries:
     if R > 0:
         inv = pow(bernoulli_p_mod(k, p, R), -1, p ** R)
         factor = 2 * k // p ** v * p ** (1 + v) * inv % pm
-    sums = [0] * N
-    for d in range(1, N):
-        term = pow(d, k - 1, pm)
-        for n in range(d, N, d):
-            sums[n] += term
-    return qs_from_nums([1] + [-factor * x for x in sums[1:]], 1, pm)
+    return _eisenstein(factor, 1, k, N, pm)
 
 
 def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> QSeries:

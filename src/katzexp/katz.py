@@ -30,7 +30,7 @@ from .classical import (
     hauptmodul_series,
     miller_exponents,
 )
-from .errors import NotAModularForm, PrecisionTooLow
+from .errors import NotAModularForm, PrecisionTooLow, UnsupportedPrime
 from .series import (
     QSeries,
     qs_from_nums,
@@ -80,8 +80,8 @@ def miller_windows(p: int, N: int, modulus: int | None):
     i(p - 1), integral with leading coefficient 1 at q^j. The windows tile
     j = 0, 1, 2, ..., so Delta^j is one product from Delta^(j-1), and each
     E_4 power is kept once built."""
-    delta, e4, e6 = (qs_reduce_mod(f, modulus) for f in
-                     (delta_series(N), eisenstein_series(4, N), eisenstein_series(6, N)))
+    delta = delta_series(N, modulus)
+    e4, e6 = eisenstein_series(4, N, modulus), eisenstein_series(6, N, modulus)
     delta_j, e4_pows = qs_one(N), [qs_one(N), e4]
     for i in count():
         forms = []
@@ -145,7 +145,9 @@ def _split(f: QSeries, p: int, I: int, n: int = 0):
     d_need, N = dim_weight(I * (p - 1))[0], f.prec
     if N < d_need:
         raise PrecisionTooLow(f"max index {I} needs {d_need} coefficients, got {N}")
-    E = qs_reduce_mod(eisenstein_series(p - 1, N), f.modulus)
+    if f.modulus is not None and p ** int_val(f.modulus, p) != f.modulus:
+        raise UnsupportedPrime(f"a series known mod {f.modulus} cannot be split at p = {p}")
+    E = eisenstein_series(p - 1, N, f.modulus)
     if n:
         f = qs_mul(f, qs_pow(E, -n))
     return _peel(f, E, p, islice(miller_windows(p, N, f.modulus), I + 1))
@@ -179,7 +181,7 @@ def eisenstein_sweep(p: int, M: int):
     p^M and its inverse, E_{p-1}^-n as one product per n, and the windows.
     """
     N, m = qprec_for_split(p, p), p**M
-    E = qs_reduce_mod(eisenstein_series(p - 1, N), m)
+    E = eisenstein_series(p - 1, N, m)
     E_inv = qs_inv(E)
     more = miller_windows(p, N, m)
     windows = [next(more)]
@@ -188,13 +190,13 @@ def eisenstein_sweep(p: int, M: int):
         windows.append(next(more))
         if n > 1:
             E_neg = qs_mul(E_neg, E_inv)
-        f = eisenstein_series(n * (p - 1), qprec_for_split(p, n))
-        ke, rest = _peel(qs_mul(qs_reduce_mod(f, m), E_neg), E, p, windows)
+        f = eisenstein_series(n * (p - 1), qprec_for_split(p, n), m)
+        ke, rest = _peel(qs_mul(f, E_neg), E, p, windows)
         _check_rest(rest, n, p)
-        if all(t.val < ke.effective_pprec or t.structural_zero for t in ke.terms):
-            yield [t.val for t in ke.terms], False
-        else:
-            yield [t.val for t in katz_split_classical(f, n, p).terms], True
+        redo = not all(t.val < ke.effective_pprec or t.structural_zero for t in ke.terms)
+        if redo:
+            ke = katz_split_classical(eisenstein_series(n * (p - 1), f.prec), n, p)
+        yield [t.val for t in ke.terms], redo
 
 
 def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:

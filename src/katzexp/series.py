@@ -258,7 +258,11 @@ def qs_reduce_mod(f: QSeries, modulus: int) -> QSeries:
 
 
 def qs_to_json(f: QSeries) -> dict:
-    return {"prec": f.prec, "coeffs": [rational_to_str(c) for c in f.coeffs]}
+    """{"prec", "coeffs"} as rational strings, plus "modulus" when f has one."""
+    d = {"prec": f.prec, "coeffs": [rational_to_str(c) for c in f.coeffs]}
+    if f.modulus is not None:
+        d["modulus"] = f.modulus
+    return d
 
 
 def qs_from_json(d: dict) -> QSeries:
@@ -273,4 +277,12 @@ def qs_from_json(d: dict) -> QSeries:
             raise ValueError("prec must be an integer, got %r" % (prec,))
         if prec != len(coeffs):
             raise ValueError("prec field disagrees with coefficient count")
-    return QSeries(coeffs)
+    if "modulus" not in d:
+        return QSeries(coeffs)
+    m = d["modulus"]
+    if type(m) is not int or m < 2:
+        raise ValueError("modulus must be an integer > 1, got %r" % (m,))
+    for n, c in enumerate(coeffs):
+        if c.denominator != 1 or not 0 <= c < m:
+            raise ValueError("coefficient of q^%d is not a residue in [0, %d)" % (n, m))
+    return qs_from_nums([c.numerator for c in coeffs], 1, m)

@@ -24,9 +24,10 @@ from katzexp import (
     qs_sub,
     qs_val,
 )
-from katzexp import classical
+from katzexp import classical, katz
 from katzexp.classical import bernoulli_p_mod
-from katzexp.errors import CrossCheckMismatch, InvalidWeight, UnsupportedPrime
+from katzexp.errors import CrossCheckMismatch, InvalidWeight, NotAUnit, UnsupportedPrime
+from katzexp.series import qs_reduce_mod
 from oracles import bernoulli_even_tangent, sigma_k
 
 
@@ -232,3 +233,51 @@ def test_hauptmodul_unsupported_prime():
     for p in (11, 17, 2, 3):
         with pytest.raises(UnsupportedPrime):
             hauptmodul_series(p, 10)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 37])
+@pytest.mark.parametrize("M", [1, 2, 5])
+def test_eisenstein_and_delta_at_a_modulus_equal_the_reduced_exact_series(p, M):
+    """E_k mod p^M from the divisor sums reduced mod p^M equals the exact
+    E_k reduced afterwards, for every even k from 4 to 198; where p divides
+    the denominator of 2k/B_k both refuse. Delta likewise."""
+    m = p**M
+    irregular = []
+    for k in range(4, 200, 2):
+        if (2 * k / bernoulli(k)).denominator % p == 0:
+            irregular.append(k)
+            with pytest.raises(NotAUnit):
+                qs_reduce_mod(eisenstein_series(k, 30), m)
+            with pytest.raises(NotAUnit):
+                eisenstein_series(k, 30, m)
+            continue
+        got = eisenstein_series(k, 30, m)
+        assert got.modulus == m
+        assert got == qs_reduce_mod(eisenstein_series(k, 30), m)
+    assert irregular == ([32, 68, 104, 140, 176] if p == 37 else [])
+    got = delta_series(40, m)
+    assert got.modulus == m
+    assert got == qs_reduce_mod(delta_series(40), m)
+
+
+def test_eisenstein_at_a_modulus_refuses_an_irregular_pair():
+    # 37 divides the numerator of B_32, so 2k/B_k is not 37-integral
+    with pytest.raises(NotAUnit):
+        eisenstein_series(32, 10, 37**3)
+    assert eisenstein_series(32, 10, 41**3).modulus == 41**3
+
+
+def test_condition_sweep_builds_an_exact_eisenstein_series_only_to_redo_a_split(monkeypatch):
+    # at p = 13 only n = 1 is redone; its exact split needs E_12 twice (the
+    # form and E_{p-1}) and the window forms' E_4 and E_6, and nothing else
+    # is built exactly
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eisenstein_series(*args)
+
+    monkeypatch.setattr(katz, "eisenstein_series", counting)
+    sweep = list(katz.eisenstein_sweep(13, 17))
+    assert [redone for _, redone in sweep] == [True] + [False] * 12
+    assert sorted(k for k, _, *m in calls if m in ([], [None])) == [4, 6, 12, 12]

@@ -41,6 +41,7 @@ from katzexp.errors import (
     UnsupportedPrime,
 )
 from katzexp.classical import eisenstein_series
+from katzexp.family import estar_family
 from katzexp.katz import eisenstein_sweep, katz_split_classical, rate_verdicts, window_bounds
 from katzexp.reports import aggregate_status
 from katzexp import cli, reports
@@ -827,6 +828,25 @@ def test_cli_exit_failed(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_katz_reads_a_capped_series_at_its_modulus(tmp_path, capsys):
+    # V(g)/g for the family member g at s = 1, known mod 5^4: indices 6, 9
+    # and 12 are undecidable there, in the report on the series and in the
+    # one on its file alike
+    f = reports._vratio(estar_family(1, 5, 50, 4), 5)
+    want = cmd_katz(f, 5, 12, rho=QQ(5, 6)).dumps() + "\n"
+    series_file = tmp_path / "f.json"
+    series_file.write_text(json.dumps(qs_to_json(f)))
+    args = ["katz", "--input", str(series_file), "--prime", "5", "--max-index", "12", "--rho", "5/6"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (1, "")
+    assert strip_wall_time(out) == strip_wall_time(want)
+    report = json.loads(out)
+    assert report["provenance"]["pprec"] == "4"
+    verdicts = report["results"][0]["certificate"]["verdicts"]
+    assert [i for i, v in enumerate(verdicts) if v != "pass"] == [3, 6, 9, 12]
+    assert [verdicts[i] for i in (3, 6, 9, 12)] == ["fail"] + ["inconclusive"] * 3
+
+
 def test_cli_exit_inconclusive(capsys):
     code, _, _ = run_cli(
         ["verify-theorem", "--id", "F", "--prime", "5", "--s", "1",
@@ -925,11 +945,20 @@ def test_cli_hauptmodul_plan_refuses_a_prime_without_a_hauptmodul(capsys):
          """error: expected a rational "num" or "num/den", got 'abc'\n"""),
         ({"prec": 3, "coeffs": ["1", "x", "0"]}, [],
          """error: expected a rational "num" or "num/den", got 'x'\n"""),
+        ({"prec": 3, "coeffs": ["1", "0", "0"], "modulus": 49}, [],
+         "error: a series known mod 49 cannot be split at p = 5\n"),
+        ({"prec": 3, "coeffs": ["1", "25", "0"], "modulus": 25}, [],
+         "error: coefficient of q^1 is not a residue in [0, 25)\n"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"], "modulus": 1}, [],
+         "error: modulus must be an integer > 1, got 1\n"),
+        ({"prec": 3, "coeffs": ["1", "0", "0"], "modulus": 25.0}, [],
+         "error: modulus must be an integer > 1, got 25.0\n"),
     ],
     ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
          "prime-9", "prec-list", "prec-float", "prec-bool", "rho-above-1", "rho-negative", "offset-negative",
          "rho-negative-fraction", "offset-negative-fraction", "max-index-negative",
-         "rho-decimal", "rho-word", "coeff-word"],
+         "rho-decimal", "rho-word", "coeff-word", "modulus-of-another-prime",
+         "residue-out-of-range", "modulus-1", "modulus-float"],
 )
 def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra, message):
     series_file = tmp_path / "f.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -224,3 +225,62 @@ def test_capped_arithmetic_commutes_with_reduction(a, b, M, K, p, n):
     for op in unary:
         assert op(ra) == qs_reduce_mod(op(a), m)
         assert op(a).modulus is None
+
+
+# an optional modulus: the laws hold exactly and mod 5^M alike
+_modulus = st.one_of(st.none(), st.integers(1, 5).map(lambda M: 5**M))
+
+
+def _capped(f, m):
+    return f if m is None else qs_reduce_mod(f, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_series, b=_series, c=_series, m=_modulus)
+def test_ring_laws(a, b, c, m):
+    a, b, c = (_capped(x, m) for x in (a, b, c))
+    zero = qs_sub(a, a)
+    assert not any(zero.nums) and zero.prec == a.prec
+    assert qs_add(a, zero) == a
+    assert qs_mul(a, qs_one(a.prec)) == a
+    assert qs_add(a, b) == qs_add(b, a)
+    assert qs_mul(a, b) == qs_mul(b, a)
+    assert qs_add(qs_add(a, b), c) == qs_add(a, qs_add(b, c))
+    assert qs_mul(qs_mul(a, b), c) == qs_mul(a, qs_mul(b, c))
+    assert qs_mul(a, qs_add(b, c)) == qs_add(qs_mul(a, b), qs_mul(a, c))
+    assert qs_sub(qs_add(a, b), b) == qs_truncate(a, min(a.prec, b.prec))
+    # a unit constant term: the inverse is two-sided
+    assert qs_mul(a, qs_inv(a)) == _capped(qs_one(a.prec), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_series, p=st.sampled_from([2, 3, 5, 7]), m=_modulus)
+def test_U_after_V_is_the_identity(f, p, m):
+    f = _capped(f, m)
+    assert apply_U(apply_V(f, p), p) == qs_truncate(f, f.prec // p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_series, q=st.sampled_from([5, 11, 13]), M=st.integers(1, 8))
+def test_json_round_trip_keeps_the_modulus(f, q, M):
+    capped = qs_reduce_mod(f, q**M)
+    d = json.loads(json.dumps(qs_to_json(capped)))
+    assert d["modulus"] == q**M
+    assert qs_from_json(d) == capped
+    assert "modulus" not in qs_to_json(f)
+    assert qs_from_json(json.loads(json.dumps(qs_to_json(f)))) == f
+
+
+@pytest.mark.parametrize("modulus, coeffs, message", [
+    (1, ["0"], "modulus must be an integer > 1, got 1"),
+    (25.0, ["0"], "modulus must be an integer > 1, got 25.0"),
+    ("25", ["0"], "modulus must be an integer > 1, got '25'"),
+    (True, ["0"], "modulus must be an integer > 1, got True"),
+    (None, ["0"], "modulus must be an integer > 1, got None"),
+    (25, ["1", "25"], "coefficient of q\\^1 is not a residue in \\[0, 25\\)"),
+    (25, ["-1"], "coefficient of q\\^0 is not a residue"),
+    (25, ["1/2"], "coefficient of q\\^0 is not a residue"),
+])
+def test_json_rejects_a_bad_modulus_or_residue(modulus, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        qs_from_json({"prec": len(coeffs), "coeffs": coeffs, "modulus": modulus})
