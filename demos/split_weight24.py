@@ -15,11 +15,6 @@ from katzexp import (
     eisenstein_series,
     katz_split_classical,
     qprec_for_split,
-    qs_div,
-    qs_pow,
-    qs_sub,
-    qs_val,
-    reconstruct,
 )
 from katzexp._rational import rational_to_str
 
@@ -35,11 +30,9 @@ for term in ke.terms:
     print("  i=%d  v_5(b_i) = %-3s  coords = [%s]%s"
           % (term.index, term.val, coords, marker))
 
-# reconstruct() sums b_i / E_4^i, i.e. the weight-0 function E_24 / E_4^6
-rebuilt = reconstruct(ke)
-e_6 = qs_div(E24, qs_pow(eisenstein_series(4, N), 6))
-assert qs_val(qs_sub(rebuilt, e_6), p) == float("inf")
-print("reconstruction matches E_24 / E_4^6 on all %d computed terms" % rebuilt.prec)
+# katz_split_classical raises NotAModularForm unless the remainder
+# E_24 - sum_i b_i E_4^(6-i) vanishes, so the split holds on every term
+print("E_24 = sum_i b_i E_4^(6-i) on all %d computed terms" % N)
 
 for c in (1, 0):
     cert = certify_rate(ke, QQ(5, 6), c)

@@ -57,7 +57,6 @@ from .katz import (
     katz_split_classical,
     katz_split_function,
     qprec_for_split,
-    reconstruct,
     window_bounds,
 )
 from .recurrence import (

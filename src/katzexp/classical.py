@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._rational import QQ, int_val, is_prime
-from .errors import CrossCheckMismatch, InvalidWeight, UnsupportedPrime
+from .errors import CrossCheckMismatch, InvalidWeight, NotAUnit, UnsupportedPrime
 from .series import QSeries, qs_from_nums, qs_mul, qs_pow, qs_scalar_mul, qs_sub
 
 # the primes p >= 5 with X_0(p) of genus zero, where hauptmodul_series is defined
@@ -184,6 +184,9 @@ def eisenstein_series(k: int, N: int, modulus: int | None = None) -> QSeries:
     if k < 4 or k % 2 != 0:
         raise InvalidWeight(f"E_k needs even k >= 4, got {k}")
     factor = QQ(2 * k) / bernoulli(k)
+    g = math.gcd(factor.denominator, modulus or 1)
+    if g > 1:
+        raise NotAUnit(f"E_{k} is not integral mod {modulus}: {g} divides the numerator of B_{k}")
     return _eisenstein(factor.numerator, factor.denominator, k, N, modulus)
 
 

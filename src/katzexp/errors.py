@@ -11,8 +11,8 @@ class ZeroConstantTerm(KatzexpError, ZeroDivisionError):
 
 class NotAUnit(KatzexpError, ZeroDivisionError):
     """A number that must be a unit mod the working modulus is not: a
-    coefficient denominator in qs_reduce_mod or E_k mod m (mod 37 at k = 32),
-    or a multiple of p given to the Teichmuller lift."""
+    coefficient denominator in qs_reduce_mod, a constant term in qs_inv, 2k/B_k
+    in E_k mod m (mod 37 at k = 32), or a multiple of p given to teichmuller."""
 
 
 class InvalidWeight(KatzexpError, ValueError):

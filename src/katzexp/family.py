@@ -96,15 +96,12 @@ def gen_bernoulli_tau(s: int, p: int, M: int) -> QQ:
 
 
 def classical_limit_weight(s: int, p: int, M: int) -> int:
-    """Smallest weight k >= 4 with k = 0 mod (p-1) and k = s mod p^M."""
+    """The least weight k >= max(s, 4) with k = 0 mod (p-1) and k = s mod p^M."""
     pm = p ** M
-    # p = 1 mod (p-1), so p^M = 1 as well; CRT by hand
-    inv = pow(pm % (p - 1), -1, p - 1)
-    residue = (-s) * inv % (p - 1)
-    k = s + residue * pm
-    L = (p - 1) * pm
+    # p^M = 1 mod (p-1), so s + j p^M = 0 mod (p-1) for j = -s mod (p-1)
+    k = s + (-s) % (p - 1) * pm
     while k < 4:
-        k += L
+        k += (p - 1) * pm
     return k
 
 

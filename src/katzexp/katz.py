@@ -118,17 +118,19 @@ def _peel(r: QSeries, E: QSeries, p: int, windows):
     built. At each level i, b_i is read off window i of the running remainder
     r_i by _eliminate on its numerators, which gives both the coordinates
     c / den and the numerators of r - b_i; the rest is multiplied up by E to
-    give r_{i+1}. The remainder keeps the modulus of r, so a capped split
-    reduces as it goes and is known mod that modulus. Returns the split, one
-    term per window, and the remainder r_I - b_I after the last window I."""
+    give r_{i+1}. b_i, its coordinates and the remainder keep the modulus of
+    r, so a capped split reduces as it goes and is known mod that modulus.
+    Returns the split, one term per window, and the remainder r_I - b_I
+    after the last window I."""
     terms = []
     for i, forms in enumerate(windows):
         if i:
             r = qs_mul(r, E)
         rest = list(r.nums)
         coords = _eliminate(rest, forms, window_bounds(i, p)[0])
-        b = qs_from_nums([x - y for x, y in zip(r.nums, rest)], r.den)
-        terms.append(KatzTerm(i, b, tuple(QQ(c, r.den) for c in coords), qs_val(b, p), not forms))
+        b = qs_from_nums([x - y for x, y in zip(r.nums, rest)], r.den, r.modulus)
+        coords = qs_from_nums(coords, r.den, r.modulus).coeffs
+        terms.append(KatzTerm(i, b, coords, qs_val(b, p), not forms))
         r = qs_from_nums(rest, r.den, r.modulus)
     pprec = INF if r.modulus is None else int_val(r.modulus, p)
     return KatzExpansion(p, tuple(terms), len(terms) - 1, pprec), r
@@ -213,17 +215,6 @@ def katz_split_function(f: QSeries, p: int, I: int) -> KatzExpansion:
     thresholds are decidable; an exact series has effective_pprec INF.
     """
     return _split(f, p, I)[0]
-
-
-def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:
-    """Sum b_i / E_{p-1}^i back into a single q-expansion."""
-    if N is None:
-        N = min(t.b.prec for t in ke.terms)
-    invE = qs_inv(eisenstein_series(ke.p - 1, N))
-    acc = ke.terms[ke.max_index].b
-    for i in range(ke.max_index - 1, -1, -1):
-        acc = qs_mul(acc, invE) + ke.terms[i].b
-    return acc
 
 
 class RateCertificate(NamedTuple):

@@ -15,7 +15,7 @@ term products of two such groups.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -209,8 +209,8 @@ def _form(a: SymPolyQ, w) -> _Form:
 
 def _newton_step(pairs, scales, den, w) -> _Form:
     """sum_i scales[i] a_i b_i / den for the i-th pair (a_i, b_i) of forms in
-    lanes of w bytes, a_i the one with few groups: one big-int product per
-    pair of groups, summed per outer key and decoded once."""
+    lanes of w bytes: one big-int product per pair of groups, summed per
+    outer key and decoded once."""
     acc = {}
     get = acc.get
     for s, (a, b) in zip(scales, pairs):
@@ -234,56 +234,49 @@ def _newton_step(pairs, scales, den, w) -> _Form:
 
 
 class _Chain:
-    """The Newton chain of one p: x_0..x_{p+1} and y_0..y_n (y_0 None) as
-    SymPolyQs, with the forms of the x's and of the last p+1 y's packed in
-    lanes of w bytes. The lanes widen, and every form is packed again, only
-    when a step's bound no longer fits them."""
+    """The Newton chain of one p: xs = x_0..x_{p+1} and ys = y_0..y_n (y_0
+    None) as SymPolyQs, with x_forms the x's and window the last p+1 y's,
+    oldest first, packed in lanes of w bytes. The lanes widen, and both are
+    packed again, only when a step's bound no longer fits them."""
 
     def __init__(self, p):
-        self.p = p
-        gens = [SymPolyQ({1 << (_LANE * i): 1}) for i in range(p + 1)]
-        self.polys = {"x": [SymPolyQ({0: 1})], "y": [None] + gens}
-        self.w = 1
-        self.forms = {}  # (side, index) -> _Form
-        for n in range(1, p + 2):
-            self._append("x", [(("y", i), ("x", n - i)) for i in range(1, n + 1)], n)
+        self.p, self.w = p, 1
+        self.xs = [SymPolyQ({0: 1})]
+        self.ys = [None] + [SymPolyQ({1 << (_LANE * i): 1}) for i in range(p + 1)]
+        self.x_forms = [_form(self.xs[0], 1)]
+        self.window = deque((_form(y, 1) for y in self.ys[1:]), p + 1)
+        for n in range(1, p + 2):  # the window holds y_1..y_{p+1} until extend
+            form = self._step([(n - i, i - 1) for i in range(1, n + 1)], n)
+            self.x_forms.append(form)
+            self.xs.append(form.poly)
 
-    def _form(self, key):
-        side, i = key
-        form = self.forms.get(key)
-        if form is None:
-            form = self.forms[key] = _form(self.polys[side][i], self.w)
-        return form
-
-    def _append(self, side, keys, n):
-        """Append (1/n) sum_i (-1)^(i-1) a_i b_i for the i-th pair of keys."""
-        pairs = [(self._form(a), self._form(b)) for a, b in keys]
+    def _step(self, pairs, n):
+        """The form of (1/n) sum_i (-1)^(i-1) x_forms[j] window[k], (j, k) the i-th pair."""
+        xf, yf = self.x_forms, self.window
+        dens = [xf[j].poly.den * yf[k].poly.den for j, k in pairs]
         # both factors of every product over L = lcm_i den(a_i) den(b_i)
-        L = math.lcm(*(a.poly.den * b.poly.den for a, b in pairs))
-        scales = [(-1) ** i * (L // (a.poly.den * b.poly.den)) for i, (a, b) in enumerate(pairs)]
+        L = math.lcm(*dens)
+        scales = [(-1) ** i * (L // d) for i, d in enumerate(dens)]
         # a lane of the sum is at most sum_i |s_i| max|a_i| max|b_i| m_i, with
         # m_i = min(#a_i, #b_i) bounding the term pairs that meet in one key;
         # one more bit for the sign
         bits = len(pairs).bit_length() + 1 + max(
-            abs(s).bit_length() + a.bits + b.bits
-            + min(len(a.poly.terms), len(b.poly.terms)).bit_length()
-            for s, (a, b) in zip(scales, pairs)
+            abs(s).bit_length() + xf[j].bits + yf[k].bits
+            + min(len(xf[j].poly.terms), len(yf[k].poly.terms)).bit_length()
+            for s, (j, k) in zip(scales, pairs)
         )
         w = (bits + 7) // 8
         if w > self.w:
-            self.w = w + w // 2
-            self.forms = {key: _form(f.poly, self.w) for key, f in self.forms.items()}
-            pairs = [(self.forms[a], self.forms[b]) for a, b in keys]
-        polys = self.polys[side]
-        form = self.forms[side, len(polys)] = _newton_step(pairs, scales, L * n, self.w)
-        polys.append(form.poly)
+            self.w = w = w + w // 2
+            self.x_forms = xf = [_form(f.poly, w) for f in xf]
+            self.window = yf = deque((_form(f.poly, w) for f in yf), self.p + 1)
+        return _newton_step([(xf[j], yf[k]) for j, k in pairs], scales, L * n, self.w)
 
     def extend(self, n_max):
-        ys = self.polys["y"]
-        while len(ys) <= n_max:
-            n = len(ys)
-            self._append("y", [(("x", i), ("y", n - i)) for i in range(1, self.p + 2)], 1)
-            del self.forms["y", n - self.p - 1]  # no later y reads it
+        while len(self.ys) <= n_max:
+            form = self._step([(i, -i) for i in range(1, self.p + 2)], 1)
+            self.window.append(form)  # and drops y_{n-p-1}, which no later y reads
+            self.ys.append(form.poly)
 
 
 def _chain(p: int, n_max: int):
@@ -292,7 +285,7 @@ def _chain(p: int, n_max: int):
     if chain is None:
         chain = _chain_cache[p] = _Chain(p)
     chain.extend(n_max)
-    return chain.polys["x"], chain.polys["y"]
+    return chain.xs, chain.ys
 
 
 def newton_chain(p: int, n_max: int):

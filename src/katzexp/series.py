@@ -169,19 +169,23 @@ def qs_inv(a: QSeries) -> QSeries:
     B_0 = 1 and B_n = -sum_{k=1..n} A_k A_0^(k-1) B_(n-k), all in ints; so
     coefficient n of 1/a is D B_n A_0^(N-1-n) / A_0^N, reduced once at the end.
     If a has constant term 1 and p-integral coefficients the inverse does
-    too (1-unit arithmetic); a series known mod m has its inverse mod m.
+    too (1-unit arithmetic). A series known mod m has its inverse mod m, the
+    recurrence run in Z/m: every weight, B_n and power of A_0 reduced mod m.
     """
-    A = a.nums
+    A, m = a.nums, a.modulus
     N = len(A)
     if N == 0 or A[0] == 0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
     a0 = A[0]
+    if m is not None and math.gcd(a0, m) != 1:
+        raise NotAUnit(f"constant term {a0} is not a unit mod {m}")
+    red = (lambda x: x) if m is None else (lambda x: x % m)
     weights = []  # (k, A_k A_0^(k-1)) for the nonzero A_k
     scale = 1
     for k in range(1, N):
         if A[k]:
-            weights.append((k, A[k] * scale))
-        scale *= a0
+            weights.append((k, red(A[k] * scale)))
+        scale = red(scale * a0)
     B = [1] * N
     for n in range(1, N):
         s = 0
@@ -189,16 +193,16 @@ def qs_inv(a: QSeries) -> QSeries:
             if k > n:
                 break
             s += wk * B[n - k]
-        B[n] = -s
+        B[n] = red(-s)
     out = [0] * N
     scale = a.den
     for n in range(N - 1, -1, -1):
-        out[n] = B[n] * scale
-        scale *= a0
-    den = a0**N
+        out[n] = red(B[n] * scale)
+        scale = red(scale * a0)
+    den = a0**N if m is None else pow(a0, N, m)
     if den < 0:
         out, den = [-x for x in out], -den
-    return qs_from_nums(out, den, a.modulus)
+    return qs_from_nums(out, den, m)
 
 
 def qs_pow(a: QSeries, n: int) -> QSeries:

@@ -2,9 +2,10 @@
 
 Each function is the plain textbook algorithm, in exact rationals, that a
 fast kernel, a rerouted product or the greedy Katz split replaced; the
-differential tests compare the two. `_pack` and `_unpack` turn an exponent
-tuple into a Newton-chain key and back, for tests that write or read chain
-polynomials term by term.
+differential tests compare the two. `reconstruct` sums a Katz split back
+into one series, the check that a split is faithful. `_pack` and `_unpack`
+turn an exponent tuple into a Newton-chain key and back, for tests that
+write or read chain polynomials term by term.
 """
 
 from __future__ import annotations
@@ -270,6 +271,18 @@ def split_exact_windows(f: QSeries, p: int, I: int) -> KatzExpansion:
     is reduced at each level, but the forms it meets are not."""
     N = f.prec
     return _peel(f, eisenstein_series(p - 1, N), p, islice(miller_windows(p, N, None), I + 1))[0]
+
+
+def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:
+    """Sum b_i / E_{p-1}^i back into a single q-expansion, with E_{p-1} known
+    mod the modulus of the b_i (None: exact)."""
+    if N is None:
+        N = min(t.b.prec for t in ke.terms)
+    invE = qs_inv(eisenstein_series(ke.p - 1, N, ke.terms[0].b.modulus))
+    acc = ke.terms[ke.max_index].b
+    for i in range(ke.max_index - 1, -1, -1):
+        acc = qs_mul(acc, invE) + ke.terms[i].b
+    return acc
 
 
 def hauptmodul_by_subtraction(f: QSeries, p: int, terms: int):

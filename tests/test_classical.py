@@ -260,11 +260,14 @@ def test_eisenstein_and_delta_at_a_modulus_equal_the_reduced_exact_series(p, M):
     assert got == qs_reduce_mod(delta_series(40), m)
 
 
-def test_eisenstein_at_a_modulus_refuses_an_irregular_pair():
-    # 37 divides the numerator of B_32, so 2k/B_k is not 37-integral
-    with pytest.raises(NotAUnit):
-        eisenstein_series(32, 10, 37**3)
-    assert eisenstein_series(32, 10, 41**3).modulus == 41**3
+@pytest.mark.parametrize("k, p", [(32, 37), (12, 691)])
+def test_eisenstein_at_a_modulus_refuses_an_irregular_pair(k, p):
+    # p divides the numerator of B_k, so 2k/B_k is not p-integral; the
+    # refusal names E_k and p, not the first coefficient it spoils
+    want = f"^E_{k} is not integral mod {p**3}: {p} divides the numerator of B_{k}$"
+    with pytest.raises(NotAUnit, match=want):
+        eisenstein_series(k, 10, p**3)
+    assert eisenstein_series(k, 10, 41**3).modulus == 41**3
 
 
 def test_condition_sweep_builds_an_exact_eisenstein_series_only_to_redo_a_split(monkeypatch):

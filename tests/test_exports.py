@@ -26,7 +26,6 @@ ALLOWED = {
     "deep_recurrence_verify": "paper object: the deep recurrence that criterion 7 says vanishes",
     "projector_poly": "paper object: the stock projector, Serre's 11U(U+5) at p = 13",
     "agreement_depth": "measures an orbit's p-adic convergence to e*_n, the projector claim",
-    "reconstruct": "oracle: rebuilds f from its Katz split, the check that a split is faithful",
     "revalidate_report": "the README's re-check of a stored report without recomputing it",
     "qs_to_json": "writes the series format that `katzexp katz --input` reads",
     "certify_rate": "the README quickstart's certificate of a rate on a split",

@@ -24,6 +24,7 @@ from katzexp import (
     qs_sub,
     qs_val,
 )
+from katzexp._rational import val
 from katzexp.errors import NotAModularForm, PrecisionTooLow
 from katzexp import classical, katz, reports, series
 from katzexp.katz import (
@@ -35,12 +36,11 @@ from katzexp.katz import (
     katz_split_function,
     miller_windows,
     rate_verdicts,
-    reconstruct,
     window_bounds,
 )
 from katzexp.reports import qprec_for_split
 from katzexp.series import apply_V, qs_div, qs_from_nums, qs_inv, qs_reduce_mod, qs_scalar_mul
-from oracles import hauptmodul_by_subtraction, split_dense, split_exact_windows
+from oracles import hauptmodul_by_subtraction, reconstruct, split_dense, split_exact_windows
 
 C1 = QQ(-340364160000, 236364091)
 C2 = QQ(30710845440000, 236364091)
@@ -369,7 +369,26 @@ def test_capped_classical_split_reads_its_precision_from_the_series():
     ke = katz_split_classical(qs_reduce_mod(f, 5**3), 6, 5)
     assert ke.effective_pprec == 3
     assert certify_rate(ke, QQ(5, 6), 0).verdicts[6] == "inconclusive"
-    assert ke.terms[0] == katz_split_classical(f, 6, 5).terms[0]
+    exact = katz_split_classical(f, 6, 5).terms[0]
+    assert ke.terms[0] == exact._replace(b=qs_reduce_mod(exact.b, 5**3))
+
+
+def test_capped_split_terms_carry_the_split_modulus():
+    # b_i of a split mod p^M is known mod p^M, and its coordinates are
+    # residues: the exact split's, reduced, where the exact split is known
+    f = eisenstein_series(24, 20)
+    ke = katz_split_classical(qs_reduce_mod(f, 5**3), 6, 5)
+    for t, e in zip(ke.terms, katz_split_classical(f, 6, 5).terms):
+        assert t.b == qs_reduce_mod(e.b, 5**3)
+        assert t.miller_coords == qs_reduce_mod(QSeries(e.miller_coords), 5**3).coeffs
+    # the coordinates of E_112 mod 29^3 at p = 29 are residues, not the
+    # unreduced integers the elimination runs on
+    m = 29**3
+    ke = katz_split_classical(eisenstein_series(112, qprec_for_split(29, 4), m), 4, 29)
+    for t in ke.terms:
+        assert t.b.modulus == m
+        assert all(c.denominator == 1 and 0 <= c < m for c in t.miller_coords)
+        assert t.val == min((val(c, 29) for c in t.miller_coords), default=INF)
 
 
 def _residue_series(p, M, N):
@@ -420,6 +439,26 @@ def test_capped_split_reads_the_exact_window_valuations(p, top, data, M):
         assert all(t.val < M or t.val == INF for t in ke.terms)
     got = [t.val for t in katz_split_function(built, p, I).terms]
     assert got == [v if v < M else INF for v in want]
+
+
+@pytest.mark.parametrize("p, top", [(5, 8), (11, 4), (13, 3)])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), M=st.integers(1, 4), capped=st.booleans())
+def test_split_of_a_drawn_sum_reads_its_valuations_and_sums_back_to_it(p, top, data, M, capped):
+    """f = sum_i b_i / E_{p-1}^i with b_i drawn in their windows, exact or
+    known mod p^M: each v_p(b_i) is the least valuation of its coordinates,
+    the drawn one (or inf if that is M or more, mod p^M), and the split sums
+    back to f on the prefix its windows warrant."""
+    I = data.draw(st.integers(1, top))
+    f, want = _built_series(data, p, M, I, qprec_for_split(p, I))
+    if capped:
+        f, want = qs_reduce_mod(f, p**M), [v if v < M else INF for v in want]
+    ke = katz_split_function(f, p, I)
+    for t, v in zip(ke.terms, want):
+        assert t.b.modulus == f.modulus
+        assert t.val == v == min((val(c, p) for c in t.miller_coords), default=INF)
+    d_top = window_bounds(I, p)[1]
+    assert reconstruct(ke).coeffs[:d_top] == f.coeffs[:d_top]
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])

@@ -2,7 +2,8 @@
 budgets.
 
 qs_mul (Kronecker substitution) is compared with the schoolbook convolution,
-qs_inv (the integer recurrence) with the rational schoolbook inverse,
+qs_inv (the integer recurrence) with the rational schoolbook inverse, and
+mod p^M with the exact inverse reduced,
 bernoulli (zeta(k) in integer fixed point over the von Staudt-Clausen
 denominator) with the Fraction recurrence and with the integer tangent
 numbers, is_prime (deterministic Miller-Rabin) with trial division, qs_val
@@ -30,10 +31,13 @@ from katzexp import (
     qs_add,
     qs_inv,
     qs_mul,
+    qs_one,
+    qs_reduce_mod,
     qs_sub,
 )
 from katzexp import _rational, classical, recurrence
 from katzexp._rational import INF, is_prime
+from katzexp.errors import NotAUnit
 from katzexp.series import qs_from_nums, qs_val
 from oracles import (
     _unpack,
@@ -172,6 +176,27 @@ def test_qs_inv_of_eisenstein_series(half):
     check_inv_against_oracle(eisenstein_series(2 * half, 30))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 97)), M=st.integers(1, 12))
+def test_capped_qs_inv_is_the_exact_inverse_reduced(data, p, M):
+    """qs_inv of a series known mod p^M, run in Z/p^M, equals the exact
+    inverse reduced mod p^M; a constant term p^e u with 0 < e < M is not a
+    unit, and both sides raise NotAUnit."""
+    m = p**M
+    coeff = st.builds(QQ, st.one_of(st.just(0), _small, _huge), st.sampled_from((1, 7, 11, 13)))
+    e = data.draw(st.integers(0, min(M - 1, 2)))
+    c0 = p**e * data.draw(coeff.filter(lambda c: c.numerator % p))
+    a = QSeries([c0] + data.draw(st.lists(coeff, max_size=39)))
+    capped = qs_reduce_mod(a, m)
+    if e:
+        with pytest.raises(NotAUnit, match=f"constant term {capped.nums[0]} is not a unit mod {m}"):
+            qs_inv(capped)
+        with pytest.raises(NotAUnit):
+            qs_reduce_mod(qs_inv(a), m)
+    else:
+        assert qs_inv(capped) == qs_reduce_mod(qs_inv(a), m)
+
+
 # -- bernoulli ------------------------------------------------------------
 
 _ORACLE_K = 600
@@ -283,13 +308,16 @@ def plain_kronecker(poly, w):
 
 
 def check_window(chain, n):
-    """The window holds x_0..x_{p+1} and y_{n-p}..y_n, each encoded as
+    """The chain holds x_0..x_{p+1} and y_0..y_n, with the forms of the x's
+    and, in its window, of y_{n-p}..y_n oldest first, each encoded as
     plain_kronecker does at the chain's lane width."""
     p = chain.p
-    want_keys = [("x", i) for i in range(p + 2)] + [("y", i) for i in range(n - p, n + 1)]
-    assert sorted(chain.forms) == want_keys
-    for (side, i), form in chain.forms.items():
-        assert form.poly is chain.polys[side][i]
+    assert len(chain.xs) == p + 2 and len(chain.ys) == n + 1
+    forms = list(chain.x_forms) + list(chain.window)
+    want = chain.xs + chain.ys[n - p :]
+    assert len(forms) == len(want)
+    for form, poly in zip(forms, want):
+        assert form.poly is poly
         assert dict(form.groups) == plain_kronecker(form.poly, chain.w)
         assert form.bits == max(abs(c) for c in form.poly.terms.values()).bit_length()
 
@@ -316,7 +344,7 @@ def test_chain_widens_its_lanes_partway_and_stays_exact(monkeypatch):
     # the lanes widen at least once after the first y past the generators
     assert widths[1] < widths[-1]
     want_xs, want_ys = newton_chain_fractions(7, 30)
-    for poly, want in zip(chain.polys["x"] + chain.polys["y"][1:], want_xs + want_ys[1:]):
+    for poly, want in zip(chain.xs + chain.ys[1:], want_xs + want_ys[1:]):
         assert {k: QQ(c, poly.den) for k, c in poly.terms.items()} == want
 
 
@@ -361,6 +389,7 @@ QS_MUL_E4_BUDGET_S = 0.15  # measured 0.04 s
 BERNOULLI_1876_BUDGET_S = 0.12  # measured 0.037 s
 NEWTON_CHAIN_7_30_BUDGET_S = 0.21  # measured 0.07 s
 QS_INV_E1876_BUDGET_S = 6.0  # measured 1.4 s, and 3.2-3.8 s in a slow phase of a shared host
+QS_INV_CAPPED_P97_BUDGET_S = 2.0  # measured 0.40-0.43 s
 
 
 def test_qs_mul_e4_squared_at_3750_within_budget():
@@ -405,3 +434,14 @@ def test_qs_inv_e1876_within_budget():
     identity, seconds = proc.stdout.split()
     assert identity == "True"
     assert float(seconds) < QS_INV_E1876_BUDGET_S
+
+
+def test_capped_qs_inv_at_the_p97_sweep_size_within_budget():
+    # the p = 97 condition sweep's one inverse: E_96 mod 97^101 to 793 terms,
+    # its recurrence run on residues rather than on ever-growing integers
+    E = eisenstein_series(96, 793, 97**101)
+    t0 = time.perf_counter()
+    inv = qs_inv(E)
+    seconds = time.perf_counter() - t0
+    assert qs_mul(E, inv) == qs_reduce_mod(qs_one(793), 97**101)
+    assert seconds < QS_INV_CAPPED_P97_BUDGET_S
