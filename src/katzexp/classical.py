@@ -2,9 +2,11 @@
 
 Each Bernoulli number B_k is exact, from zeta(k) in integer fixed point,
 rounded over its von Staudt-Clausen denominator (bernoulli_p_mod gives p B_k
-mod p^R where B_k is out of reach); E_k and Delta come from one divisor-sum
-loop, exact or mod a modulus m with each d^(k-1) reduced mod m; eta-quotient
-hauptmoduls are exact sparse products of (1 - q^m)^(+-e) factors.
+mod p^R where B_k is out of reach); E_k comes from a divisor-sum loop, exact
+or mod a modulus m with each d^(k-1) reduced mod m. Delta and the
+eta-quotient hauptmoduls are eta products, built through the series core
+from Euler's series prod (1 - q^m), which the pentagonal number theorem
+gives exactly; Delta is reduced once to its modulus.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 from ._rational import QQ, int_val, is_prime
 from .errors import CrossCheckMismatch, InvalidWeight, NotAUnit, UnsupportedPrime
-from .series import QSeries, qs_from_nums, qs_mul, qs_pow, qs_scalar_mul, qs_sub
+from .series import QSeries, apply_V, qs_div, qs_from_nums, qs_mul, qs_pow
 
 # the primes p >= 5 with X_0(p) of genus zero, where hauptmodul_series is defined
 HAUPTMODUL_PRIMES = (5, 7, 13)
@@ -190,14 +192,25 @@ def eisenstein_series(k: int, N: int, modulus: int | None = None) -> QSeries:
     return _eisenstein(factor.numerator, factor.denominator, k, N, modulus)
 
 
+def _euler(N: int) -> QSeries:
+    """prod_{m>=1} (1 - q^m) to N terms, exact: by Euler's pentagonal number
+    theorem the sum of (-1)^k q^(k(3k-1)/2) over all integers k."""
+    nums = [0] * N
+    # k(3k - 1)/2 >= k^2, so no k past isqrt(N) reaches below N
+    for k in range(math.isqrt(N) + 1):
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g < N:
+                nums[g] = (-1) ** k
+    return qs_from_nums(nums)
+
+
 def delta_series(N: int, modulus: int | None = None) -> QSeries:
-    """Delta = (E_4^3 - E_6^2)/1728 to N terms, exact or mod `modulus` prime to 6."""
+    """Delta = q prod (1 - q^m)^24 to N terms, exact or mod `modulus`: the
+    integers tau(n) computed exactly and reduced once."""
     if N < 1:
         raise ValueError("need N >= 1")
-    e4 = eisenstein_series(4, N, modulus)
-    e6 = eisenstein_series(6, N, modulus)
-    diff = qs_sub(qs_pow(e4, 3), qs_mul(e6, e6))
-    return qs_scalar_mul(QQ(1, 1728), diff)
+    tau = qs_pow(_euler(N), 24).nums
+    return qs_from_nums((0,) + tau[:N - 1], 1, modulus)
 
 
 def dim_weight(k: int):
@@ -225,22 +238,6 @@ def miller_form(k: int, j: int, N: int) -> QSeries:
     return qs_mul(g, eisenstein_series(6, N)) if eps else g
 
 
-def _sparse_mul_in_place(c: list, m: int, reps: int):
-    # multiply by (1 - q^m)^reps
-    N = len(c)
-    for _ in range(reps):
-        for i in range(N - 1, m - 1, -1):
-            c[i] = c[i] - c[i - m]
-
-
-def _sparse_div_in_place(c: list, m: int, reps: int):
-    # divide by (1 - q^m)^reps, i.e. multiply by the geometric series in q^m
-    N = len(c)
-    for _ in range(reps):
-        for i in range(m, N):
-            c[i] = c[i] + c[i - m]
-
-
 def require_hauptmodul_prime(p):
     """UnsupportedPrime unless p is one of HAUPTMODUL_PRIMES."""
     if p not in HAUPTMODUL_PRIMES:
@@ -249,17 +246,11 @@ def require_hauptmodul_prime(p):
 
 
 def hauptmodul_series(p: int, N: int) -> QSeries:
-    """Genus-zero uniformizer t = q * prod (1-q^{pn})^e / prod (1-q^n)^e,
-    e = 24/(p-1); available for p in {5, 7, 13}."""
+    """Genus-zero uniformizer t = q (V_p(P)/P)^e, P = prod (1 - q^m) and
+    e = 24/(p-1), to N terms; available for p in {5, 7, 13}."""
     require_hauptmodul_prime(p)
     if N < 1:
         raise ValueError("need N >= 1")
-    e = 24 // (p - 1)
-    c = [0] * N
-    if N >= 2:
-        c[1] = 1
-        for m in range(1, N - 1):
-            _sparse_div_in_place(c, m, e)
-        for m in range(1, (N - 1) // p + 1):
-            _sparse_mul_in_place(c, p * m, e)
-    return qs_from_nums(c)
+    P = _euler(N)
+    ratio = qs_pow(qs_div(apply_V(P, p), P), 24 // (p - 1))
+    return qs_from_nums((0,) + ratio.nums[:N - 1])

@@ -157,6 +157,9 @@ def main(argv=None) -> int:
     except (KatzexpError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     except Exception:
         import traceback  # loaded on this path only
 

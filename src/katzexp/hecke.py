@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ._rational import is_prime
+from ._rational import QQ, is_prime
 from .classical import eisenstein_series
 from .errors import EllEqualsP, InvalidWeight, PrecisionTooLow
 from .series import (
     QSeries,
     apply_U,
+    apply_V,
     qs_add,
     qs_div,
-    qs_from_nums,
     qs_mul,
     qs_one,
     qs_pow,
@@ -30,22 +30,16 @@ from .series import (
 
 
 def hecke_T_ell(f: QSeries, k: int, ell: int) -> QSeries:
-    """T_ell at weight k: a_n -> a_{ell*n} + ell^(k-1) * a_{n/ell}.
-
-    The divisor term only contributes when ell | n. Output precision is
-    floor(prec/ell).
+    """T_ell at weight k: U_ell(f) + ell^(k-1) V_ell(f), so a_n -> a_{ell*n}
+    + ell^(k-1) * a_{n/ell}, the second term only when ell | n. Output
+    precision is floor(prec/ell).
     """
     if not is_prime(ell):
         raise InvalidWeight(f"T_ell needs a prime index, got {ell}")
-    N = f.prec
-    M = N // ell
+    M = f.prec // ell
     if M < 1:
-        raise PrecisionTooLow(f"prec {N} leaves no coefficients after T_{ell}")
-    # ell^(k-1) as s / t in ints: t = 1 unless k < 1
-    s, t = (ell ** (k - 1), 1) if k >= 1 else (1, ell ** (1 - k))
-    nums = f.nums
-    out = [nums[ell * n] * t + (s * nums[n // ell] if n % ell == 0 else 0) for n in range(M)]
-    return qs_from_nums(out, f.den * t, f.modulus)
+        raise PrecisionTooLow(f"prec {f.prec} leaves no coefficients after T_{ell}")
+    return qs_add(apply_U(f, ell), qs_scalar_mul(QQ(ell) ** (k - 1), apply_V(qs_truncate(f, M), ell)))
 
 
 def _twisted(op, f: QSeries, n: int, p: int) -> QSeries:

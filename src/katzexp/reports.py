@@ -23,7 +23,7 @@ from .katz import eisenstein_sweep, hauptmodul_valuations, katz_split_classical
 from .katz import katz_split_function, qprec_for_split
 from .katz import rate_verdicts, window_bounds
 from .recurrence import delta_p
-from .series import apply_V, qs_div
+from .series import apply_V, qs_div, qs_pow
 
 STATUS_CERTIFIED = "certified"
 STATUS_FAILED = "failed"
@@ -344,9 +344,15 @@ def _vratio_targets(k, p, max_index, pprec):
     return N, lambda: [_vratio(eisenstein_series(k, N), p)]
 
 
+def _en_targets(n, p, max_index, pprec):
+    """e_n = E_{n(p-1)} / E_{p-1}^n alone, exact."""
+    N = max(qprec_for_split(p, max_index), qprec_for_split(p, n))
+    return N, lambda: [qs_div(eisenstein_series(n * (p - 1), N), qs_pow(eisenstein_series(p - 1, N), n))]
+
+
 def _ladder_targets(n, p, max_index, pprec):
     """e_n and its unit-root counterpart e*_n, exact."""
-    N = max(qprec_for_split(p, max_index), qprec_for_split(p, n))
+    N, _ = _en_targets(n, p, max_index, pprec)
     return N, lambda: list(eis_ratio(n, p, N))
 
 
@@ -403,7 +409,7 @@ THEOREMS = {
     # the digit-sum-gated sharp rates: delta_p(n(p-1)) = p-1, or delta_p(k) = p-1,
     # which also gives (p-1) | k
     ("E", "n"): Theorem(
-        _ladder_targets, (("e_{v}", None),), base_p=True, sharp=True,
+        _en_targets, (("e_{v}", None),), base_p=True, sharp=True,
         gate=lambda n, p: _digit_sum_gate("n(p-1)", n * (p - 1), p),
     ),
     ("E", "k"): Theorem(
@@ -479,8 +485,7 @@ def cmd_verify_theorem(
     params = dict(theorem=theorem, prime=p, max_index=max_index, s=s, k=k, n=n, pprec=pprec)
     plan, series, groups = _theorem(params)
     pprec, values = _val_parse(plan.provenance["pprec"]), []
-    # zip stops at the series the row names: E with n splits e_n alone
-    for f, group in zip(series(), groups):
+    for f, group in zip(series(), groups, strict=True):
         ke = katz_split_function(f, p, max_index)
         if ke.effective_pprec != pprec:
             raise PrecisionTooLow("split known mod p^%s, not p^%s" % (ke.effective_pprec, pprec))

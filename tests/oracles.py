@@ -2,7 +2,9 @@
 
 Each function is the plain textbook algorithm, in exact rationals, that a
 fast kernel, a rerouted product or the greedy Katz split replaced; the
-differential tests compare the two. `reconstruct` sums a Katz split back
+differential tests compare the two. `delta_from_e4_e6` and
+`hauptmodul_by_factors` are the routes that Delta and t took before they
+were built from Euler's series. `reconstruct` sums a Katz split back
 into one series, the check that a split is faithful. `_pack` and `_unpack`
 turn an exponent tuple into a Newton-chain key and back, for tests that
 write or read chain polynomials term by term.
@@ -20,7 +22,7 @@ from katzexp.errors import InvalidWeight, NotAModularForm, PrecisionTooLow
 from katzexp.family import teichmuller
 from katzexp.katz import KatzExpansion, KatzTerm, _peel, miller_windows, window_bounds
 from katzexp.recurrence import _LANE, BivarPolyModP, SymPolyQ
-from katzexp.series import QSeries, qs_inv, qs_mul, qs_one, qs_scalar_mul, qs_sub, qs_val
+from katzexp.series import QSeries, qs_inv, qs_mul, qs_one, qs_pow, qs_scalar_mul, qs_sub, qs_val
 
 
 def sigma_k(n: int, k: int):
@@ -283,6 +285,33 @@ def reconstruct(ke: KatzExpansion, N: int | None = None) -> QSeries:
     for i in range(ke.max_index - 1, -1, -1):
         acc = qs_mul(acc, invE) + ke.terms[i].b
     return acc
+
+
+def delta_from_e4_e6(N: int, modulus: int | None = None) -> QSeries:
+    """Delta = (E_4^3 - E_6^2)/1728 to N terms, exact or mod a modulus prime
+    to 6: the route delta_series took before Euler's series."""
+    e4 = eisenstein_series(4, N, modulus)
+    e6 = eisenstein_series(6, N, modulus)
+    return qs_scalar_mul(QQ(1, 1728), qs_sub(qs_pow(e4, 3), qs_mul(e6, e6)))
+
+
+def hauptmodul_by_factors(p: int, N: int) -> QSeries:
+    """t = q prod (1 - q^(pm))^e / prod (1 - q^m)^e, e = 24/(p-1), to N
+    terms: q multiplied by each factor in place, (1 - q^m)^-1 as the
+    geometric series in q^m."""
+    e = 24 // (p - 1)
+    c = [0] * N
+    if N >= 2:
+        c[1] = 1
+        for m in range(1, N - 1):
+            for _ in range(e):
+                for i in range(m, N):
+                    c[i] += c[i - m]
+        for m in range(p, N, p):
+            for _ in range(e):
+                for i in range(N - 1, m - 1, -1):
+                    c[i] -= c[i - m]
+    return QSeries(c)
 
 
 def hauptmodul_by_subtraction(f: QSeries, p: int, terms: int):

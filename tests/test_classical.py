@@ -28,7 +28,7 @@ from katzexp import classical, katz
 from katzexp.classical import bernoulli_p_mod
 from katzexp.errors import CrossCheckMismatch, InvalidWeight, NotAUnit, UnsupportedPrime
 from katzexp.series import qs_reduce_mod
-from oracles import bernoulli_even_tangent, sigma_k
+from oracles import bernoulli_even_tangent, delta_from_e4_e6, hauptmodul_by_factors, sigma_k
 
 
 def eta_quotient_pentagonal(N):
@@ -240,7 +240,8 @@ def test_hauptmodul_unsupported_prime():
 def test_eisenstein_and_delta_at_a_modulus_equal_the_reduced_exact_series(p, M):
     """E_k mod p^M from the divisor sums reduced mod p^M equals the exact
     E_k reduced afterwards, for every even k from 4 to 198; where p divides
-    the denominator of 2k/B_k both refuse. Delta likewise."""
+    the denominator of 2k/B_k both refuse. Delta likewise, and it equals
+    the E_4/E_6 route at the same modulus."""
     m = p**M
     irregular = []
     for k in range(4, 200, 2):
@@ -257,7 +258,27 @@ def test_eisenstein_and_delta_at_a_modulus_equal_the_reduced_exact_series(p, M):
     assert irregular == ([32, 68, 104, 140, 176] if p == 37 else [])
     got = delta_series(40, m)
     assert got.modulus == m
-    assert got == qs_reduce_mod(delta_series(40), m)
+    assert got == qs_reduce_mod(delta_series(40), m) == delta_from_e4_e6(40, m)
+
+
+def test_delta_matches_the_e4_e6_route():
+    for N in range(1, 201):
+        assert delta_series(N) == delta_from_e4_e6(N)
+
+
+@pytest.mark.parametrize("m", [2**7, 3**4, 6**3, 2**10 * 3**5, 250])
+def test_delta_at_a_modulus_not_prime_to_6_is_the_reduced_exact_series(m):
+    # tau(n) are integers, so Delta is known mod every modulus; the E_4/E_6
+    # route divides by 1728 and cannot reach these
+    got = delta_series(12, m)
+    assert got.modulus == m
+    assert got == qs_reduce_mod(delta_series(12), m)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_hauptmodul_matches_the_in_place_factor_loops(p):
+    for N in (1, 2, 19, 60, 200):
+        assert hauptmodul_series(p, N) == hauptmodul_by_factors(p, N)
 
 
 @pytest.mark.parametrize("k, p", [(32, 37), (12, 691)])

@@ -44,7 +44,7 @@ from katzexp.classical import eisenstein_series
 from katzexp.family import estar_family
 from katzexp.katz import eisenstein_sweep, katz_split_classical, rate_verdicts, window_bounds
 from katzexp.reports import aggregate_status
-from katzexp import cli, reports
+from katzexp import cli, family, reports
 
 T_VALS_24 = ["0", "1", "1", "3", "3", "4", "4", "5", "5", "6", "4"]
 
@@ -592,6 +592,17 @@ def test_theorem_e_gates():
         cmd_verify_theorem("E", 5, 6, k=28, n=7)
 
 
+def test_theorem_e_with_n_builds_e_n_alone(monkeypatch):
+    # the row splits e_n only, so its unit-root twin e*_n is never built
+    def no_twin(*args):
+        raise AssertionError("e*_n built for %r" % (args,))
+
+    monkeypatch.setattr(family, "estar_k", no_twin)
+    r = cmd_verify_theorem("E", 5, 12, n=4)
+    assert r.status == "certified"
+    assert [e["label"] for e in claims(r)] == ["e_4, sharp rate 5/6, no offset"]
+
+
 def test_theorem_f_precision_edge():
     ok = cmd_verify_theorem("F", 5, 21, s=1, pprec=4)
     assert ok.status == "certified"
@@ -970,7 +981,8 @@ def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra, message):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("terms", ["-20", "0"])
+# and a size whose first list no allocation can hold, so it fails at once
+@pytest.mark.parametrize("terms", ["-20", "0", "100000000000"])
 def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
     code, out, err = run_cli(
         ["hauptmodul", "--prime", "5", "--weight", "24", "--terms", terms], capsys
@@ -1001,10 +1013,13 @@ def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
         (["--id", "E", "--k", "24", "--pprec", "4"],
          "error: theorem E is computed exactly and takes no pprec"),
         (["--id", "Z"], "error: unknown theorem 'Z'\n"),
+        # sizes whose first list no allocation can hold, so it fails at once
+        (["--id", "B", "--k", "24", "--max-index", "100000000000"], "error: out of memory\n"),
+        (["--id", "A", "--max-index", "100000000000"], "error: out of memory\n"),
     ],
     ids=["A-pprec-0", "A-pprec-negative", "F-pprec-0", "F-s-negative", "F-s-0",
          "C-n-negative", "A-stray-k", "B-stray-s-n", "E-stray-s", "B-pprec", "C-pprec",
-         "E-pprec", "Z"],
+         "E-pprec", "Z", "B-out-of-memory", "A-out-of-memory"],
 )
 def test_cli_bad_theorem_input_exits_3(capsys, extra, message):
     code, out, err = run_cli(
