@@ -981,7 +981,8 @@ def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra, message):
     assert "Traceback" not in err
 
 
-# and a size whose first list no allocation can hold, so it fails at once
+# two counts below one, and one whose first list no allocation can hold,
+# so that it fails at once
 @pytest.mark.parametrize("terms", ["-20", "0", "100000000000"])
 def test_cli_hauptmodul_rejects_terms_below_one(capsys, terms):
     code, out, err = run_cli(
