@@ -45,6 +45,8 @@ def is_prime(n):
 
 def int_val(n, p):
     """Multiplicity of the prime p in the nonzero integer n."""
+    if p < 2:
+        raise ValueError(f"valuation needs a prime p >= 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is undefined here")
     n = abs(int(n))

@@ -2,8 +2,10 @@
 
 Each Bernoulli number B_k is exact, from zeta(k) in integer fixed point,
 rounded over its von Staudt-Clausen denominator (bernoulli_p_mod gives p B_k
-mod p^R where B_k is out of reach); E_k comes from a divisor-sum loop, exact
-or mod a modulus m with each d^(k-1) reduced mod m. Delta and the
+mod p^R where B_k is out of reach). One divisor sieve, _eisenstein, builds
+every Eisenstein series, E_k here and E*_k and both family members in
+`family`, from a normalizing factor and one weight per divisor, exact or mod
+a modulus m with each weight reduced mod m. Delta and the
 eta-quotient hauptmoduls are eta products, built through the series core
 from Euler's series prod (1 - q^m), which the pentagonal number theorem
 gives exactly; Delta is reduced once to its modulus.
@@ -167,14 +169,19 @@ def bernoulli_p_mod(k: int, p: int, R: int) -> int:
     return pb
 
 
-def _eisenstein(a: int, b: int, k: int, N: int, modulus: int | None) -> QSeries:
-    """1 - (a/b) sum sigma_{k-1}(n) q^n to N terms, mod `modulus` (None: exact)."""
-    # accumulate d^(k-1) into every multiple of d: one power per divisor
+def _eisenstein(factor, power, N: int, modulus: int | None) -> QSeries:
+    """1 - factor sum_n (sum_{d | n} power(d)) q^n to N terms, exact or mod
+    `modulus` (the one divisor sieve behind every Eisenstein series)."""
+    if N < 1:
+        raise ValueError("need N >= 1")
+    # allocated first, so a huge N raises MemoryError before any power(d)
     sums = [0] * N
     for d in range(1, N):
-        pw = pow(d, k - 1, modulus)
-        for m in range(d, N, d):
-            sums[m] += pw
+        pw = power(d)
+        if pw:
+            for m in range(d, N, d):
+                sums[m] += pw
+    a, b = factor.numerator, factor.denominator
     nums = [-a * x for x in sums]
     nums[0] = b
     return qs_from_nums(nums, b, modulus)
@@ -189,7 +196,7 @@ def eisenstein_series(k: int, N: int, modulus: int | None = None) -> QSeries:
     g = math.gcd(factor.denominator, modulus or 1)
     if g > 1:
         raise NotAUnit(f"E_{k} is not integral mod {modulus}: {g} divides the numerator of B_{k}")
-    return _eisenstein(factor.numerator, factor.denominator, k, N, modulus)
+    return _eisenstein(factor, lambda d: pow(d, k - 1, modulus), N, modulus)
 
 
 def _euler(N: int) -> QSeries:

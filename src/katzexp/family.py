@@ -2,12 +2,15 @@
 (s, 0), and the machinery connecting them: Teichmuller lifts, generalized
 Bernoulli numbers, and classical-limit weights.
 
-The family member is built two independent ways and cross-checked:
-a classical Eisenstein series at a congruent weight built mod p^M (its
-B_k by Voronoi's congruence, never exactly), and the direct divisor-sum
-formula with Teichmuller character values. Both land in integers mod p^M;
-a mismatch means a precision policy is wrong somewhere and is raised
-loudly rather than papered over.
+Every series here comes from the one divisor sieve of `classical`, as a
+normalizing factor and one weight per divisor. The family member is built
+two independent ways and cross-checked: a classical Eisenstein series at a
+congruent weight built mod p^M (its B_k by Voronoi's congruence, never
+exactly), and the direct sigma* formula with Teichmuller character values.
+The two share only the sieve; their factors and divisor weights are
+computed independently, and that is what the cross-check compares. Both
+land in integers mod p^M; a mismatch means a precision policy is wrong
+somewhere and is raised loudly rather than papered over.
 """
 
 from __future__ import annotations
@@ -23,24 +26,17 @@ from .errors import (
     PrecisionTooLow,
 )
 from .recurrence import delta_p
-from .series import (
-    QSeries,
-    apply_V,
-    qs_from_nums,
-    qs_mul,
-    qs_pow,
-    qs_scalar_mul,
-    qs_sub,
-    qs_val,
-)
+from .series import QSeries, qs_mul, qs_pow, qs_sub, qs_val
 
 
 def estar_k(k: int, p: int, N: int) -> QSeries:
-    """The ordinary p-stabilization (E_k - p^(k-1) V(E_k)) / (1 - p^(k-1))."""
-    E = eisenstein_series(k, N)
-    scale = QQ(p ** (k - 1))
-    num = qs_sub(E, qs_scalar_mul(scale, apply_V(E, p)))
-    return qs_scalar_mul(1 / (1 - scale), num)
+    """The ordinary p-stabilization (E_k - p^(k-1) V(E_k)) / (1 - p^(k-1)),
+    that is 1 - (2k / ((1 - p^(k-1)) B_k)) sum sigma*_{k-1}(n) q^n with
+    sigma* summing d^(k-1) over the divisors d prime to p (Serre, 1973)."""
+    if k < 4 or k % 2 != 0:
+        raise InvalidWeight(f"E_k needs even k >= 4, got {k}")
+    factor = 2 * k / ((1 - p ** (k - 1)) * bernoulli(k))
+    return _eisenstein(factor, lambda d: d ** (k - 1) if d % p else 0, N, None)
 
 
 def eis_ratio(n: int, p: int, N: int):
@@ -134,33 +130,19 @@ def estar_family_classical(s: int, p: int, N: int, M: int) -> QSeries:
     if R > 0:
         inv = pow(bernoulli_p_mod(k, p, R), -1, p ** R)
         factor = 2 * k // p ** v * p ** (1 + v) * inv % pm
-    return _eisenstein(factor, 1, k, N, pm)
+    return _eisenstein(factor, lambda d: pow(d, k - 1, pm), N, pm)
 
 
 def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> QSeries:
     """Direct construction: 1 - (2s / B_{s,tau^(-s)}) sum sigma*_{s-1}(n) q^n
-    with the divisor sums restricted to divisors prime to p."""
-    if s < 1:
-        raise InvalidWeight("s must be >= 1")
-    big = p ** (M + 2)
-    B = gen_bernoulli_tau(s, p, M)
-    factor = QQ(-2 * s) / B
-    fnum, fden = factor.numerator, factor.denominator
-    if fden % p == 0:
+    with sigma*_{s-1}(n) = sum_{d|n, p nmid d} d^(s-1) tau(d)^(-s); tau has
+    period p on units, so tau(d) depends only on d mod p."""
+    factor = 2 * s / gen_bernoulli_tau(s, p, M)
+    if factor.denominator % p == 0:
         raise PrecisionTooLow("normalization factor lost p-integrality")
-    factor_mod = fnum % big * pow(fden, -1, big) % big
-    # sigma*_{s-1}(n) = sum_{d|n, p nmid d} d^(s-1) tau(d)^(-s); tau has
-    # period p on units, so tau(d) depends only on d mod p
-    coeffs = [0] * N
-    coeffs[0] = 1
-    tau_inv_s = _tau_inv_s(s, p, M)
-    for d in range(1, N):
-        if d % p == 0:
-            continue
-        term = pow(d, s - 1, big) * tau_inv_s[d % p] % big
-        for n in range(d, N, d):
-            coeffs[n] = (coeffs[n] + term) % big
-    return qs_from_nums([1] + [factor_mod * c for c in coeffs[1:]], 1, p ** M)
+    pm, tau_inv_s = p ** M, _tau_inv_s(s, p, M)
+    # tau_inv_s[0] is 0, so the multiples of p drop out
+    return _eisenstein(factor, lambda d: pow(d, s - 1, pm) * tau_inv_s[d % p], N, pm)
 
 
 def estar_family(s: int, p: int, N: int, M: int) -> QSeries:

@@ -224,8 +224,8 @@ def _condition_prime(p, budget_seconds=None, deadline=None):
     """The splits of E_{n(p-1)} for n = 1..p, one prime's unit of work, serial
     or pooled: (valuations, whether the split was redone exactly) per split
     and the seconds they took. They run mod p^(p+4), which every valuation of
-    the sweep at p <= 37 stays below but that of b_1 = 0 at n = 1; see
-    eisenstein_sweep. No split starts past the time.monotonic() deadline."""
+    the sweep at each prime measured, up to p = 83, stays below but that of
+    b_1 = 0 at n = 1; see eisenstein_sweep. No split starts past the time.monotonic() deadline."""
     started, pairs = time.perf_counter(), []
     splits = eisenstein_sweep(p, p + 4)
     for n in range(1, p + 1):

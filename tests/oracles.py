@@ -4,10 +4,14 @@ Each function is the plain textbook algorithm, in exact rationals, that a
 fast kernel, a rerouted product or the greedy Katz split replaced; the
 differential tests compare the two. `delta_from_e4_e6` and
 `hauptmodul_by_factors` are the routes that Delta and t took before they
-were built from Euler's series. `reconstruct` sums a Katz split back
-into one series, the check that a split is faithful. `_pack` and `_unpack`
-turn an exponent tuple into a Newton-chain key and back, for tests that
-write or read chain polynomials term by term.
+were built from Euler's series. `estar_by_stabilization` and
+`estar_teichmuller_by_loop` are the routes that E*_k and the direct family
+member took before one divisor sieve built every Eisenstein series: E*_k
+through V, scalar products and a difference, and the family member by its
+own sieve reducing mod p^(M+2) at every addition. `reconstruct` sums a
+Katz split back into one series, the check that a split is faithful.
+`_pack` and `_unpack` turn an exponent tuple into a Newton-chain key and
+back, for tests that write or read chain polynomials term by term.
 """
 
 from __future__ import annotations
@@ -16,13 +20,24 @@ import math
 import struct
 from itertools import islice
 
-from katzexp import INF, QQ, dim_weight, eisenstein_series, hauptmodul_series, miller_form
+from katzexp import INF, QQ, dim_weight, eisenstein_series, family, hauptmodul_series, miller_form
 from katzexp._rational import int_val, val
 from katzexp.errors import InvalidWeight, NotAModularForm, PrecisionTooLow
-from katzexp.family import teichmuller
+from katzexp.family import _tau_inv_s, teichmuller
 from katzexp.katz import KatzExpansion, KatzTerm, _peel, miller_windows, window_bounds
 from katzexp.recurrence import _LANE, BivarPolyModP, SymPolyQ
-from katzexp.series import QSeries, qs_inv, qs_mul, qs_one, qs_pow, qs_scalar_mul, qs_sub, qs_val
+from katzexp.series import (
+    QSeries,
+    apply_V,
+    qs_from_nums,
+    qs_inv,
+    qs_mul,
+    qs_one,
+    qs_pow,
+    qs_scalar_mul,
+    qs_sub,
+    qs_val,
+)
 
 
 def sigma_k(n: int, k: int):
@@ -312,6 +327,39 @@ def hauptmodul_by_factors(p: int, N: int) -> QSeries:
                 for i in range(N - 1, m - 1, -1):
                     c[i] -= c[i - m]
     return QSeries(c)
+
+
+def estar_by_stabilization(k: int, p: int, N: int) -> QSeries:
+    """The ordinary p-stabilization (E_k - p^(k-1) V(E_k)) / (1 - p^(k-1)),
+    through V, scalar multiplication and subtraction."""
+    E = eisenstein_series(k, N)
+    scale = QQ(p ** (k - 1))
+    num = qs_sub(E, qs_scalar_mul(scale, apply_V(E, p)))
+    return qs_scalar_mul(1 / (1 - scale), num)
+
+
+def estar_teichmuller_by_loop(s: int, p: int, N: int, M: int) -> QSeries:
+    """1 - (2s / B_{s,tau^(-s)}) sum sigma*_{s-1}(n) q^n mod p^M, by a sieve
+    over the divisors prime to p reducing mod p^(M+2) at every addition."""
+    if s < 1:
+        raise InvalidWeight("s must be >= 1")
+    big = p ** (M + 2)
+    B = family.gen_bernoulli_tau(s, p, M)
+    factor = QQ(-2 * s) / B
+    fnum, fden = factor.numerator, factor.denominator
+    if fden % p == 0:
+        raise PrecisionTooLow("normalization factor lost p-integrality")
+    factor_mod = fnum % big * pow(fden, -1, big) % big
+    coeffs = [0] * N
+    coeffs[0] = 1
+    tau_inv_s = _tau_inv_s(s, p, M)
+    for d in range(1, N):
+        if d % p == 0:
+            continue
+        term = pow(d, s - 1, big) * tau_inv_s[d % p] % big
+        for n in range(d, N, d):
+            coeffs[n] = (coeffs[n] + term) % big
+    return qs_from_nums([1] + [factor_mod * c for c in coeffs[1:]], 1, p ** M)
 
 
 def hauptmodul_by_subtraction(f: QSeries, p: int, terms: int):

@@ -81,6 +81,25 @@ def test_eis_ratio_degenerate_and_errors():
         eis_ratio(0, 5, 30)
 
 
+def test_estar_matches_the_stabilization_oracle():
+    for p in (5, 7, 11, 13):
+        for k in range(4, 60, 2):
+            assert estar_k(k, p, 40) == oracles.estar_by_stabilization(k, p, 40), (k, p)
+
+
+@pytest.mark.parametrize("build", [
+    lambda N: eisenstein_series(4, N),
+    lambda N: estar_k(4, 5, N),
+    lambda N: estar_family(1, 5, N, 2),
+    lambda N: estar_family_teichmuller(1, 5, N, 2),
+    lambda N: eis_ratio(1, 5, N),
+], ids=["eisenstein_series", "estar_k", "estar_family", "estar_family_teichmuller", "eis_ratio"])
+@pytest.mark.parametrize("N", [0, -1])
+def test_eisenstein_builders_refuse_no_terms(build, N):
+    with pytest.raises(ValueError, match="need N >= 1"):
+        build(N)
+
+
 def test_elementary_congruence_sweep():
     # e_n = e*_n = 1 (mod p^2) coefficientwise, far past the first window
     for p in (5, 7, 11, 13):
@@ -187,6 +206,14 @@ def test_direct_construction_is_the_same_with_the_oracle_bernoulli(monkeypatch):
     built = [estar_family_teichmuller(s, p, 40, M) for p, s, M in cases]
     monkeypatch.setattr(family, "gen_bernoulli_tau", oracles.gen_bernoulli_tau)
     assert [estar_family_teichmuller(s, p, 40, M) for p, s, M in cases] == built
+
+
+def test_direct_construction_matches_the_loop_oracle():
+    for p in (5, 7, 11, 13):
+        for s in range(1, 12):
+            for M in (1, 2, 4):
+                want = oracles.estar_teichmuller_by_loop(s, p, 40, M)
+                assert estar_family_teichmuller(s, p, 40, M) == want, (p, s, M)
 
 
 # ---------------------------------------------------------------- weights

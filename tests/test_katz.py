@@ -131,8 +131,9 @@ def test_split_builds_each_window_form_once(monkeypatch):
     # check-condition builds each form once for all n, so its products are
     # at most: one per form up to the top window, and per n one per level
     # moving the remainder up by E_12, one for E_12^(-n) from E_12^(-(n-1))
-    # and one for f * E_12^(-n); plus four for Delta and the exact split of
-    # n = 1 (see test_check_condition_redoes_only_the_split_of_one). Forms
+    # and one for f * E_12^(-n); plus five for Delta (four squarings and one
+    # product in Euler's series to the 24th) and the exact split of n = 1
+    # (see test_check_condition_redoes_only_the_split_of_one). Forms
     # built per split, or a Delta^j rebuilt from scratch, overrun it.
     calls = [0]
 

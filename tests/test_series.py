@@ -15,6 +15,7 @@ from katzexp import (
     QSeries,
     apply_U,
     apply_V,
+    eisenstein_series,
     qs_add,
     qs_from_json,
     qs_inv,
@@ -27,6 +28,7 @@ from katzexp import (
     qs_val,
 )
 from katzexp.series import qs_from_nums, qs_truncate
+from katzexp._rational import int_val, val
 from katzexp.errors import NotAUnit, ZeroConstantTerm
 
 
@@ -137,6 +139,17 @@ def test_val_examples():
     assert qs_val(QSeries([0] * 4), 5) == INF
     assert qs_val(QSeries([0, 25, 5]), 5) == 1
     assert qs_val(QSeries([QQ(1, 5), 25]), 5) == -1
+
+
+@pytest.mark.parametrize("read", [
+    lambda p: int_val(12, p),
+    lambda p: val(QQ(3, 4), p),
+    lambda p: qs_val(eisenstein_series(12, 10), p),
+], ids=["int_val", "val", "qs_val"])
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_val_refuses_p_below_two(read, p):
+    with pytest.raises(ValueError, match="prime p >= 2"):
+        read(p)
 
 
 def test_val_submultiplicative():
