@@ -245,6 +245,12 @@ def miller_form(k: int, j: int, N: int) -> QSeries:
     return qs_mul(g, eisenstein_series(6, N)) if eps else g
 
 
+def require_prime(p):
+    """UnsupportedPrime unless p is a prime p >= 5."""
+    if not is_prime(p) or p < 5:
+        raise UnsupportedPrime("need a prime p >= 5, got %r" % (p,))
+
+
 def require_hauptmodul_prime(p):
     """UnsupportedPrime unless p is one of HAUPTMODUL_PRIMES."""
     if p not in HAUPTMODUL_PRIMES:

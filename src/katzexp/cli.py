@@ -15,19 +15,8 @@ import os
 import re
 import sys
 
-from ._rational import rational_from_str
 from .errors import KatzexpError
-from .reports import (
-    STATUS_CERTIFIED,
-    STATUS_FAILED,
-    STATUS_INCONCLUSIVE,
-    cmd_check_condition,
-    cmd_check_condition_extended,
-    cmd_hauptmodul,
-    cmd_katz,
-    cmd_reproduce_examples,
-    cmd_verify_theorem,
-)
+from .reports import COMMANDS, STATUS_CERTIFIED, STATUS_FAILED, STATUS_INCONCLUSIVE, run
 from .series import qs_from_json
 
 EXIT_CODES = {STATUS_CERTIFIED: 0, STATUS_FAILED: 1, STATUS_INCONCLUSIVE: 2}
@@ -49,99 +38,12 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="katzexp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    pc = sub.add_parser(
-        "check-condition",
-        help="certify the coefficient-valuation condition for one prime or a range",
-    )
-    pc.add_argument("--prime", type=int, help="prime p >= 5 (default 97 with --extended)")
-    pc.add_argument(
-        "--extended",
-        action="store_true",
-        help="sweep every prime from 5 up to --prime instead of just one",
-    )
-    pc.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    pc.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="abort (exit > 2) instead of running past this wall-clock budget",
-    )
-
-    pr = sub.add_parser(
-        "reproduce-examples",
-        help="replay the published p=5 weight-24 computations",
-    )
-
-    pv = sub.add_parser(
-        "verify-theorem", help="certify one theorem-shaped rate statement"
-    )
-    pv.add_argument("--id", required=True, help="which statement: A, B, C, E or F (any case)")
-    pv.add_argument("--prime", type=int, required=True)
-    pv.add_argument("--max-index", type=int, required=True)
-    pv.add_argument("--s", type=int, default=None, help="family parameter (A, F)")
-    pv.add_argument("--k", type=int, default=None, help="classical weight (B, E)")
-    pv.add_argument("--n", type=int, default=None, help="Eisenstein ratio index (C, E)")
-    pv.add_argument(
-        "--pprec", type=int, default=None, help="p-adic working precision for A and F (default 4)"
-    )
-
-    pk = sub.add_parser("katz", help="split a weight-0 q-series from a JSON file")
-    pk.add_argument("--input", required=True, help="JSON file with prec and coeffs")
-    pk.add_argument("--prime", type=int, required=True)
-    pk.add_argument("--max-index", type=int, required=True)
-    pk.add_argument("--rho", default=None, help="rate to certify (default p/(p+1))")
-    pk.add_argument("--offset", default="0", help="offset c in v >= rho*i - c")
-
-    ph = sub.add_parser(
-        "hauptmodul", help="valuation vector of V(E_k)/E_k in the genus-zero coordinate"
-    )
-    ph.add_argument("--prime", type=int, required=True, help="5, 7 or 13")
-    ph.add_argument("--weight", type=int, required=True)
-    ph.add_argument("--terms", type=int, required=True)
-
-    for sp in (pc, pr, pv, pk, ph):
-        sp.add_argument(
-            "--out", default=None, help="write the report here instead of stdout"
-        )
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.arguments:
+            sp.add_argument(flag, **keywords)
+        sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
-
-
-def _dispatch(args):
-    if args.command == "check-condition":
-        if args.extended:
-            return cmd_check_condition_extended(
-                *([] if args.prime is None else [args.prime]),
-                jobs=args.jobs,
-                budget_seconds=args.budget_seconds,
-            )
-        if args.prime is None:
-            raise KatzexpError("check-condition needs --prime (or --extended)")
-        return cmd_check_condition(
-            args.prime, jobs=args.jobs, budget_seconds=args.budget_seconds
-        )
-    if args.command == "reproduce-examples":
-        return cmd_reproduce_examples()
-    if args.command == "verify-theorem":
-        return cmd_verify_theorem(
-            args.id,
-            args.prime,
-            args.max_index,
-            s=args.s,
-            k=args.k,
-            n=args.n,
-            pprec=args.pprec,
-        )
-    if args.command == "katz":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            f = qs_from_json(json.load(fh))
-        rho = None if args.rho is None else rational_from_str(args.rho)
-        return cmd_katz(
-            f, args.prime, args.max_index, rho=rho, c=rational_from_str(args.offset)
-        )
-    if args.command == "hauptmodul":
-        return cmd_hauptmodul(args.prime, args.weight, args.terms)
-    raise AssertionError(args.command)
 
 
 def main(argv=None) -> int:
@@ -153,7 +55,10 @@ def main(argv=None) -> int:
             raise KatzexpError("cannot write --out %s: it is a directory" % args.out)
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise KatzexpError("cannot write --out %s: its parent is not a directory" % args.out)
-        report = _dispatch(args)
+        if args.command == "katz":
+            with open(args.input, "r", encoding="utf-8") as fh:
+                args.series = qs_from_json(json.load(fh))
+        report = run(args.command, vars(args))
     except (KatzexpError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from ._rational import QQ, int_val
-from .classical import _eisenstein, bernoulli, bernoulli_p_mod, eisenstein_series
+from .classical import _eisenstein, bernoulli, bernoulli_p_mod, eisenstein_series, require_prime
 from .errors import (
     CrossCheckMismatch,
     InvalidWeight,
@@ -33,6 +33,7 @@ def estar_k(k: int, p: int, N: int) -> QSeries:
     """The ordinary p-stabilization (E_k - p^(k-1) V(E_k)) / (1 - p^(k-1)),
     that is 1 - (2k / ((1 - p^(k-1)) B_k)) sum sigma*_{k-1}(n) q^n with
     sigma* summing d^(k-1) over the divisors d prime to p (Serre, 1973)."""
+    require_prime(p)
     if k < 4 or k % 2 != 0:
         raise InvalidWeight(f"E_k needs even k >= 4, got {k}")
     factor = 2 * k / ((1 - p ** (k - 1)) * bernoulli(k))
@@ -42,6 +43,7 @@ def estar_k(k: int, p: int, N: int) -> QSeries:
 def eis_ratio(n: int, p: int, N: int):
     """(e_n, e*_n): the weight-degree-n Eisenstein series and its p-deprived
     twin, both divided by E_{p-1}^n into weight 0."""
+    require_prime(p)
     if n < 1:
         raise InvalidWeight("n must be >= 1")
     k = n * (p - 1)
@@ -147,6 +149,7 @@ def estar_family_teichmuller(s: int, p: int, N: int, M: int) -> QSeries:
 
 def estar_family(s: int, p: int, N: int, M: int) -> QSeries:
     """Both constructions cross-checked mod p^M; CrossCheckMismatch if they differ."""
+    require_prime(p)
     direct = estar_family_teichmuller(s, p, N, M)
     classical = estar_family_classical(s, p, N, M)
     if classical != direct:

@@ -226,15 +226,20 @@ class RateCertificate(NamedTuple):
     first_failure: int | None
 
 
+def require_rate(rho, c):
+    """ValueError unless 0 <= rho <= 1 and c >= 0, the rates a certificate states."""
+    if not 0 <= rho <= 1:
+        raise ValueError(f"rate rho = {rational_to_str(rho)} outside [0, 1]")
+    if c < 0:
+        raise ValueError(f"offset c = {rational_to_str(c)} is negative")
+
+
 def rate_verdicts(rows, rho, c, effective_pprec):
     """(verdicts, first failing index or None) of rows (index, val, structural_zero)
     against rho*index - c, for 0 <= rho <= 1 and c >= 0 (ValueError otherwise):
     the one loop that certifies and revalidates. A structural zero passes; a
     threshold at or past the working precision is inconclusive, below it exact."""
-    if not 0 <= rho <= 1:
-        raise ValueError(f"rate rho = {rational_to_str(rho)} outside [0, 1]")
-    if c < 0:
-        raise ValueError(f"offset c = {rational_to_str(c)} is negative")
+    require_rate(rho, c)
     verdicts = []
     for i, v, structural_zero in rows:
         threshold = rho * i - c

@@ -1,8 +1,9 @@
 """Reproducible verification runs with machine-readable reports.
 
-Each command is a plan, which maps its parameters to everything its report
-states except the computed values, and a computation, which supplies those
-values (see Plan and revalidate_report). In a capped report a stored
+Each command is one row of COMMANDS: a plan, which maps its parameters to
+everything its report states except the computed values, a computation,
+which supplies those values, and its command-line options; run executes a
+row (see Plan, Command and revalidate_report). In a capped report a stored
 valuation at or above pprec, "inf" included, means "at least pprec"; every
 verdict depends only on min(v, pprec).
 """
@@ -16,12 +17,12 @@ import time
 from typing import Callable, NamedTuple
 
 from ._rational import INF, QQ, is_prime, rational_from_str, rational_to_str
-from .classical import HAUPTMODUL_PRIMES, eisenstein_series, require_hauptmodul_prime
+from .classical import HAUPTMODUL_PRIMES, eisenstein_series, require_hauptmodul_prime, require_prime
 from .errors import InvalidWeight, PrecisionTooLow, ResourceBudgetExceeded, UnsupportedPrime
 from .family import eis_ratio, estar_family
 from .katz import eisenstein_sweep, hauptmodul_valuations, katz_split_classical
 from .katz import katz_split_function, qprec_for_split
-from .katz import rate_verdicts, window_bounds
+from .katz import rate_verdicts, require_rate, window_bounds
 from .recurrence import delta_p
 from .series import apply_V, qs_div, qs_pow
 
@@ -68,6 +69,19 @@ class Plan(NamedTuple):
     parameters: dict
     results: object
     provenance: dict
+
+
+class Command(NamedTuple):
+    """One subcommand as data. plan(parameters) -> Plan refuses parameters
+    outside the command's domain; compute(plan, parameters) -> (the value of
+    each entry of plan.results, in order; the computed provenance fields).
+    arguments holds (flag, argparse keywords) pairs whose destinations are
+    the parameter names the plan and the computation read."""
+
+    plan: Callable
+    compute: Callable
+    help: str
+    arguments: tuple = ()
 
 
 def _provenance(qprec, max_index, pprec=INF):
@@ -147,6 +161,16 @@ def aggregate_status(results) -> str:
     return STATUS_INCONCLUSIVE if saw_inconclusive else STATUS_CERTIFIED
 
 
+def run(name, parameters) -> RunReport:
+    """The report of COMMANDS[name] on parameters: the one place that plans,
+    computes and assembles, timed from before the plan."""
+    started, command = time.perf_counter(), COMMANDS[name]
+    plan = command.plan(parameters)
+    plan = plan._replace(results=list(plan.results))
+    values, computed = command.compute(plan, parameters)
+    return _assemble(name, plan, values, started, **computed)
+
+
 def _assemble(command, plan, values, started=None, **computed):
     """The report of plan filled with values, one per layout (ValueError on
     another count), each filled only as its layout is reached, and with the
@@ -180,7 +204,7 @@ def revalidate_report(report) -> bool:
     if isinstance(report, RunReport):
         report = report.to_json()
     try:
-        plan = PLANS[report["command"]](report["parameters"])
+        plan = COMMANDS[report["command"]].plan(report["parameters"])
         stored = report["provenance"]
         computed = {key: stored[key] for key, v in plan.provenance.items() if v is None}
         values = (_stored_value(entry) for entry in report["results"])
@@ -191,9 +215,8 @@ def revalidate_report(report) -> bool:
         return False
 
 
-def _require_prime(p, max_index=0):
-    if not is_prime(p) or p < 5:
-        raise UnsupportedPrime("need a prime p >= 5, got %r" % (p,))
+def _require_split(p, max_index):
+    require_prime(p)
     if max_index < 0:
         raise ValueError("max_index must be >= 0, got %r" % (max_index,))
 
@@ -203,17 +226,21 @@ def _require_prime(p, max_index=0):
 
 def _condition_plan(params):
     """One claim v_p(b_i) >= pi/(p+1) on the split of E_{n(p-1)} for each
-    n = 1..p, at one prime or (extended) at every prime 5 <= p <= max_prime."""
+    n = 1..p, at one prime or (extended) at every prime 5 <= p <= max_prime,
+    which the command line calls --prime and which defaults to 97."""
     if params.get("extended"):
-        top = params["max_prime"]
+        top = params.get("max_prime", params.get("prime"))
+        top = 97 if top is None else top
         last = next((q for q in range(top, 4, -1) if is_prime(q)), None)
         if last is None:
             raise UnsupportedPrime("no primes in [5, %d]" % top)
         primes = (q for q in range(5, last + 1) if is_prime(q))
         parameters, label = {"extended": True, "max_prime": top}, "p={p}, n={n}"
     else:
-        last = params["prime"]
-        _require_prime(last)
+        last = params.get("prime")
+        if last is None:
+            raise UnsupportedPrime("check-condition needs --prime (or --extended)")
+        require_prime(last)
         primes, parameters, label = [last], {"prime": last, "max_n": last}, "n={n}"
     layouts = (_cert(label.format(p=p, n=n), "claim", p, QQ(p, p + 1), 0, n)
                for p in primes for n in range(1, p + 1))
@@ -223,9 +250,11 @@ def _condition_plan(params):
 def _condition_prime(p, budget_seconds=None, deadline=None):
     """The splits of E_{n(p-1)} for n = 1..p, one prime's unit of work, serial
     or pooled: (valuations, whether the split was redone exactly) per split
-    and the seconds they took. They run mod p^(p+4), which every valuation of
-    the sweep at each prime measured, up to p = 83, stays below but that of
-    b_1 = 0 at n = 1; see eisenstein_sweep. No split starts past the time.monotonic() deadline."""
+    and the seconds they took. They run mod p^M, M = p + 4; see
+    eisenstein_sweep. At every prime from 13 to 97 the one split redone is
+    n = 1, whose b_1 is 0; the largest finite valuation is M - 3 from p = 29
+    to 97 and M - 2 at p = 23. No split starts past the time.monotonic()
+    deadline."""
     started, pairs = time.perf_counter(), []
     splits = eisenstein_sweep(p, p + 4)
     for n in range(1, p + 1):
@@ -267,23 +296,20 @@ def _condition_sweep(primes, jobs, budget_seconds):
     return results
 
 
-def _condition_report(params, jobs, budget_seconds):
-    started = time.perf_counter()
-    plan = _condition_plan(params)
-    plan = plan._replace(results=list(plan.results))
+def _condition_compute(plan, params):
     primes = list(dict.fromkeys(e["certificate"]["p"] for e in plan.results))
-    values = _condition_sweep(primes, jobs, budget_seconds)
-    return _assemble("check-condition", plan, values, started)
+    return _condition_sweep(primes, params.get("jobs", 1), params.get("budget_seconds")), {}
 
 
 def cmd_check_condition(p, *, jobs=1, budget_seconds=None) -> RunReport:
     """Certify v_p(b_i) >= pi/(p+1) for the splits of E_{n(p-1)}, n = 1..p."""
-    return _condition_report({"prime": p}, jobs, budget_seconds)
+    return run("check-condition", {"prime": p, "jobs": jobs, "budget_seconds": budget_seconds})
 
 
-def cmd_check_condition_extended(max_prime=97, *, jobs=1, budget_seconds=None) -> RunReport:
-    """Run the full condition sweep for every prime 5 <= p <= max_prime."""
-    return _condition_report({"extended": True, "max_prime": max_prime}, jobs, budget_seconds)
+def cmd_check_condition_extended(max_prime=None, *, jobs=1, budget_seconds=None) -> RunReport:
+    """Run the full condition sweep for every prime 5 <= p <= max_prime (default 97)."""
+    return run("check-condition", dict(extended=True, max_prime=max_prime, jobs=jobs,
+                                       budget_seconds=budget_seconds))
 
 
 # -- worked examples at p = 5 ----------------------------------------------
@@ -315,10 +341,7 @@ def _examples_plan(params):
     return Plan({"prime": 5}, layouts, _provenance(qprec_for_split(5, 6), 6))
 
 
-def cmd_reproduce_examples() -> RunReport:
-    """Replay the p = 5 weight-24 computations against their published values."""
-    started = time.perf_counter()
-    plan = _examples_plan({"prime": 5})
+def _examples_compute(plan, params):
     E24 = eisenstein_series(24, plan.provenance["qprec"])
     ke = katz_split_classical(E24, 6, 5)
     t_vals = hauptmodul_valuations(_vratio(E24, 5), 5, len(_T_VALS_24))
@@ -326,7 +349,12 @@ def cmd_reproduce_examples() -> RunReport:
     values = [rational_to_str(b3.miller_coords[0]), rational_to_str(b6.miller_coords[0]),
               [_val_str(b3.val), _val_str(b6.val)], vals, vals,
               [_val_str(v) for v in t_vals], _floor_violation(t_vals)]
-    return _assemble("reproduce-examples", plan, values, started)
+    return values, {}
+
+
+def cmd_reproduce_examples() -> RunReport:
+    """Replay the p = 5 weight-24 computations against their published values."""
+    return run("reproduce-examples", {})
 
 
 # -- theorem-shaped claims --------------------------------------------------
@@ -425,13 +453,13 @@ THEOREMS = {
 }
 
 
-def _theorem(params):
-    """(plan, series function, the layouts of each series) of verify-theorem:
-    the row of THEOREMS is picked by the parameter given (s for A and F, k for
-    B, n for C, one of n or k for E); A and F work mod p^pprec (default 4)."""
+def _theorem_plan(params):
+    """The plan of verify-theorem: the row of THEOREMS is picked by the
+    parameter given (s for A and F, k for B, n for C, one of n or k for E);
+    A and F work mod p^pprec (default 4)."""
     theorem = params["theorem"].upper()
     p, top, pprec = params["prime"], params["max_index"], params.get("pprec")
-    _require_prime(p, top)
+    _require_split(p, top)
     rows = {param: row for (thm, param), row in THEOREMS.items() if thm == theorem}
     if not rows:
         raise ValueError("unknown theorem %r" % (theorem,))
@@ -458,64 +486,77 @@ def _theorem(params):
         pprec = parameters["pprec"] = 4 if pprec is None else pprec
         if pprec < 1:
             raise PrecisionTooLow("pprec must be >= 1, got %r" % (pprec,))
-    qprec, series = row.build(value, p, top, pprec)
+    qprec, _ = row.build(value, p, top, pprec)
     base = QQ(p if row.base_p else 1, p + 1)
     rates = ((base, 0),) if row.sharp else ((base, 1), (base * QQ(2, 3), 0))
-    groups = []
+    layouts = []
     for name, witness in row.targets:
         name = name.format(v=value, p=p, pprec=pprec)
         head = name + (", sharp " if row.sharp else ", ")
-        group = [_cert(_rated(head, rho, c), "claim", p, rho, c, top) for rho, c in rates]
+        layouts += [_cert(_rated(head, rho, c), "claim", p, rho, c, top) for rho, c in rates]
         if witness is not None:
             label = _rated(name + ", sharp ", base, 0)
-            group.append(_cert(label, "witness", p, base, 0, top, note=witness))
+            layouts.append(_cert(label, "witness", p, base, 0, top, note=witness))
         if row.hauptmodul and p in HAUPTMODUL_PRIMES:
             note = "membership at rate 1/%d would force the floor on every listed coefficient"
-            group.append(_hauptmodul(name, 2 * top // (p + 1) + 1, note % (p + 1), floor=True))
-        groups.append(group)
-    layouts = [layout for group in groups for layout in group]
-    return Plan(parameters, layouts, _provenance(qprec, top, pprec)), series, groups
+            layouts.append(_hauptmodul(name, 2 * top // (p + 1) + 1, note % (p + 1), floor=True))
+    return Plan(parameters, layouts, _provenance(qprec, top, pprec))
 
 
-def cmd_verify_theorem(
-    theorem, p, max_index, *, s=None, k=None, n=None, pprec=None
-) -> RunReport:
-    """Certify one theorem-shaped overconvergence statement up to max_index."""
-    started = time.perf_counter()
-    params = dict(theorem=theorem, prime=p, max_index=max_index, s=s, k=k, n=n, pprec=pprec)
-    plan, series, groups = _theorem(params)
-    pprec, values = _val_parse(plan.provenance["pprec"]), []
-    for f, group in zip(series(), groups, strict=True):
-        ke = katz_split_function(f, p, max_index)
+def _theorem_compute(plan, params):
+    """One split per series of the plan's THEOREMS row, filling the layouts
+    whose labels begin with that series' name; a hauptmodul layout takes the
+    series' t-valuations."""
+    parameters, pprec = plan.parameters, _val_parse(plan.provenance["pprec"])
+    p, top = parameters["prime"], parameters["max_index"]
+    param = next(q for q in ("s", "k", "n") if q in parameters)
+    row, value = THEOREMS[parameters["theorem"], param], parameters[param]
+    _, series = row.build(value, p, top, pprec)
+    values = []
+    for f, (name, _) in zip(series(), row.targets, strict=True):
+        ke = katz_split_function(f, p, top)
         if ke.effective_pprec != pprec:
             raise PrecisionTooLow("split known mod p^%s, not p^%s" % (ke.effective_pprec, pprec))
-        vals = [t.val for t in ke.terms]
+        vals, name = [t.val for t in ke.terms], name.format(v=value, p=p, pprec=pprec)
         values += [hauptmodul_valuations(f, p, e["size"]) if e["kind"] == "hauptmodul" else vals
-                   for e in group]
-    return _assemble("verify-theorem", plan, values, started)
+                   for e in plan.results if e["label"].startswith(name)]
+    return values, {}
+
+
+def cmd_verify_theorem(theorem, p, max_index, *, s=None, k=None, n=None, pprec=None) -> RunReport:
+    """Certify one theorem-shaped overconvergence statement up to max_index."""
+    return run("verify-theorem", dict(theorem=theorem, prime=p, max_index=max_index,
+                                      s=s, k=k, n=n, pprec=pprec))
 
 
 # -- raw splits and hauptmodul vectors --------------------------------------
 
 
 def _katz_plan(params):
-    """One claim at rate rho (default p/(p+1)) and offset c on a split; the
-    input's q- and p-adic precision are the computation's."""
+    """One claim at rate rho (default p/(p+1)) and offset c, both given as
+    "num" or "num/den", on a split; the input's q- and p-adic precision are
+    the computation's."""
     p, top = params["prime"], params["max_index"]
-    _require_prime(p, top)
-    rho, c = QQ(p, p + 1) if params["rho"] is None else QQ(params["rho"]), QQ(params["c"])
+    rho = None if params["rho"] is None else rational_from_str(params["rho"])
+    c = rational_from_str(params["c"])
+    _require_split(p, top)
+    rho = QQ(p, p + 1) if rho is None else rho
+    require_rate(rho, c)
     parameters = dict(prime=p, max_index=top, rho=rational_to_str(rho), c=rational_to_str(c))
     layout = _cert(_rated("input series, ", rho, c), "claim", p, rho, c, top)
     return Plan(parameters, [layout], {"qprec": None, "pprec": None, "max_index": top})
 
 
+def _katz_compute(plan, params):
+    f = params["series"]
+    ke = katz_split_function(f, plan.parameters["prime"], plan.parameters["max_index"])
+    return [[t.val for t in ke.terms]], {"qprec": f.prec, "pprec": _val_str(ke.effective_pprec)}
+
+
 def cmd_katz(f, p, max_index, *, rho=None, c=0) -> RunReport:
     """Split a weight-0 q-series and certify one rate (default p/(p+1))."""
-    started = time.perf_counter()
-    plan = _katz_plan({"prime": p, "max_index": max_index, "rho": rho, "c": c})
-    ke = katz_split_function(f, p, max_index)
-    values, pprec = [[t.val for t in ke.terms]], _val_str(ke.effective_pprec)
-    return _assemble("katz", plan, values, started, qprec=f.prec, pprec=pprec)
+    return run("katz", dict(series=f, prime=p, max_index=max_index, c=rational_to_str(c),
+                            rho=None if rho is None else rational_to_str(rho)))
 
 
 def _hauptmodul_plan(params):
@@ -532,19 +573,53 @@ def _hauptmodul_plan(params):
     return Plan(parameters, [layout], _provenance(terms + 8, terms - 1))
 
 
+def _hauptmodul_compute(plan, params):
+    p, k, terms = (plan.parameters[key] for key in ("prime", "weight", "terms"))
+    f = _vratio(eisenstein_series(k, plan.provenance["qprec"]), p)
+    return [hauptmodul_valuations(f, p, terms)], {}
+
+
 def cmd_hauptmodul(p, k, terms) -> RunReport:
     """Valuation vector of V(E_k)/E_k in the genus-zero coordinate at p."""
-    started = time.perf_counter()
-    plan = _hauptmodul_plan({"prime": p, "weight": k, "terms": terms})
-    f = _vratio(eisenstein_series(k, plan.provenance["qprec"]), p)
-    return _assemble("hauptmodul", plan, [hauptmodul_valuations(f, p, terms)], started)
+    return run("hauptmodul", {"prime": p, "weight": k, "terms": terms})
 
 
-# the plan of each command, by the name its reports carry
-PLANS = {
-    "check-condition": _condition_plan,
-    "reproduce-examples": _examples_plan,
-    "verify-theorem": lambda params: _theorem(params)[0],
-    "katz": _katz_plan,
-    "hauptmodul": _hauptmodul_plan,
+# every subcommand, by the name its reports carry, in the order --help lists them
+COMMANDS = {
+    "check-condition": Command(
+        _condition_plan, _condition_compute,
+        "certify the coefficient-valuation condition for one prime or a range",
+        (("--prime", dict(type=int, help="prime p >= 5 (default 97 with --extended)")),
+         ("--extended", dict(action="store_true",
+                             help="sweep every prime from 5 up to --prime instead of just one")),
+         ("--jobs", dict(type=int, default=1, help="parallel workers")),
+         ("--budget-seconds", dict(type=float, help="abort (exit > 2) instead of running "
+                                   "past this wall-clock budget")))),
+    "reproduce-examples": Command(
+        _examples_plan, _examples_compute, "replay the published p=5 weight-24 computations"),
+    "verify-theorem": Command(
+        _theorem_plan, _theorem_compute, "certify one theorem-shaped rate statement",
+        (("--id", dict(required=True, dest="theorem", metavar="ID",
+                       help="which statement: A, B, C, E or F (any case)")),
+         ("--prime", dict(type=int, required=True)),
+         ("--max-index", dict(type=int, required=True)),
+         ("--s", dict(type=int, help="family parameter (A, F)")),
+         ("--k", dict(type=int, help="classical weight (B, E)")),
+         ("--n", dict(type=int, help="Eisenstein ratio index (C, E)")),
+         ("--pprec", dict(type=int, help="p-adic working precision for A and F (default 4)")))),
+    # the command line reads --input into the series that the computation splits
+    "katz": Command(
+        _katz_plan, _katz_compute, "split a weight-0 q-series from a JSON file",
+        (("--input", dict(required=True, help="JSON file with prec and coeffs")),
+         ("--prime", dict(type=int, required=True)),
+         ("--max-index", dict(type=int, required=True)),
+         ("--rho", dict(help="rate to certify (default p/(p+1))")),
+         ("--offset", dict(default="0", dest="c", metavar="OFFSET",
+                           help="offset c in v >= rho*i - c")))),
+    "hauptmodul": Command(
+        _hauptmodul_plan, _hauptmodul_compute,
+        "valuation vector of V(E_k)/E_k in the genus-zero coordinate",
+        (("--prime", dict(type=int, required=True, help="5, 7 or 13")),
+         ("--weight", dict(type=int, required=True)),
+         ("--terms", dict(type=int, required=True)))),
 }

@@ -22,6 +22,7 @@ from katzexp.errors import (
     CrossCheckMismatch,
     InvalidWeight,
     NotAUnit,
+    UnsupportedPrime,
 )
 from katzexp import classical, family
 from katzexp.family import (
@@ -98,6 +99,17 @@ def test_estar_matches_the_stabilization_oracle():
 def test_eisenstein_builders_refuse_no_terms(build, N):
     with pytest.raises(ValueError, match="need N >= 1"):
         build(N)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: estar_k(4, p, 6),
+    lambda p: eis_ratio(1, p, 6),
+    lambda p: estar_family(1, p, 6, 2),
+], ids=["estar_k", "eis_ratio", "estar_family"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 9])
+def test_family_entry_points_refuse_p_other_than_a_prime_from_5(build, p):
+    with pytest.raises(UnsupportedPrime, match="need a prime p >= 5, got %d" % p):
+        build(p)
 
 
 def test_elementary_congruence_sweep():

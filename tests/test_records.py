@@ -27,7 +27,7 @@ from katzexp import (
     katz_split_classical,
 )
 from katzexp.recurrence import SymPolyQ
-from katzexp.reports import PLANS, THEOREMS, RunReport, qprec_for_split
+from katzexp.reports import COMMANDS, THEOREMS, RunReport, qprec_for_split
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -44,7 +44,8 @@ RECORDS = {
     "BivarPolyModP": lambda: BivarPolyModP.gen_A(5),
     "Theorem": lambda: THEOREMS[("A", "s")],
     "RunReport": lambda: RunReport("c", {}, [], {}, "certified"),
-    "Plan": lambda: PLANS["hauptmodul"]({"prime": 5, "weight": 24, "terms": 3}),
+    "Plan": lambda: COMMANDS["hauptmodul"].plan({"prime": 5, "weight": 24, "terms": 3}),
+    "Command": lambda: COMMANDS["katz"],
     "HPolynomial": lambda: U_POLY,
     "SymPolyQ": lambda: SymPolyQ({3: 2}, 5),
 }

@@ -358,14 +358,14 @@ def test_theorem_gates_refuse_stored_reports_without_building_series(monkeypatch
     e["parameters"]["k"] = 24  # digit sum 8, not 4
     for report in (b, e):
         with pytest.raises(InvalidWeight):
-            reports.PLANS["verify-theorem"](report["parameters"])
+            reports.COMMANDS["verify-theorem"].plan(report["parameters"])
         assert revalidate_report(report) is False
 
 
 def test_every_cli_subcommand_has_a_plan():
     """A command cannot ship without the plan that re-checks its reports."""
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert sorted(sub.choices) == sorted(reports.PLANS)
+    assert sorted(sub.choices) == sorted(reports.COMMANDS)
 
 
 # -- check-condition --------------------------------------------------------
@@ -650,6 +650,24 @@ def test_cmd_katz_default_rate_is_sharp():
     assert r.status == "certified"
 
 
+@pytest.mark.parametrize(
+    "rho, c, message",
+    [("2", "0", "rate rho = 2 outside [0, 1]"), ("-1/6", "0", "rate rho = -1/6 outside [0, 1]"),
+     (None, "-1", "offset c = -1 is negative")],
+    ids=["rho-2", "rho-negative", "offset-negative"],
+)
+def test_katz_plan_refuses_a_rate_outside_its_domain_before_splitting(monkeypatch, rho, c, message):
+    def no_split(*args):
+        raise AssertionError("a split was computed for %r" % (args,))
+
+    monkeypatch.setattr(reports, "katz_split_function", no_split)
+    e6, _ = eis_ratio(6, 5, 40)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cmd_katz(e6, 5, 6, rho=rho, c=c)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reports.COMMANDS["katz"].plan({"prime": 5, "max_index": 6, "rho": rho, "c": c})
+
+
 def test_cmd_hauptmodul_vector():
     r = cmd_hauptmodul(5, 24, 11)
     assert r.status == "certified"
@@ -775,7 +793,7 @@ def test_cli_unwritable_out_exits_3(tmp_path, capsys, target):
 )
 def test_cli_bad_out_fails_before_the_run(tmp_path, capsys, monkeypatch, target, message):
     runs = []
-    monkeypatch.setattr(cli, "_dispatch", runs.append)
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
     (tmp_path / "a_file").write_text("kept")
     before = sorted(tmp_path.iterdir())
     out_path = tmp_path / target if target else tmp_path
@@ -789,15 +807,64 @@ def test_cli_bad_out_fails_before_the_run(tmp_path, capsys, monkeypatch, target,
 def test_cli_out_check_leaves_an_existing_file_alone(tmp_path, capsys, monkeypatch):
     """A writable --out passes the check untouched: a run that fails keeps it."""
 
-    def failing_run(args):
+    def failing_run(name, parameters):
         raise KatzexpError("stub failure")
 
-    monkeypatch.setattr(cli, "_dispatch", failing_run)
+    monkeypatch.setattr(cli, "run", failing_run)
     out_file = tmp_path / "report.json"
     out_file.write_text("previous report")
     code, _, err = run_cli(["reproduce-examples", "--out", str(out_file)], capsys)
     assert (code, err) == (3, "error: stub failure\n")
     assert out_file.read_text() == "previous report"
+
+
+def _e6():
+    return eis_ratio(6, 5, 40)[0]
+
+
+# one golden parameter set per command, as CLI arguments and as the library
+# call that must write the same report; {f} is a file holding _e6()
+PARITY = [
+    ("check-condition --prime 7", lambda: cmd_check_condition(7)),
+    ("check-condition --extended --prime 7 --jobs 2",
+     lambda: cmd_check_condition_extended(7, jobs=2)),
+    ("reproduce-examples", cmd_reproduce_examples),
+    ("verify-theorem --id B --prime 5 --k 24 --max-index 30",
+     lambda: cmd_verify_theorem("B", 5, 30, k=24)),
+    ("verify-theorem --id c --prime 5 --n 6 --max-index 12",
+     lambda: cmd_verify_theorem("c", 5, 12, n=6)),
+    ("verify-theorem --id A --prime 5 --max-index 10 --pprec 2",
+     lambda: cmd_verify_theorem("A", 5, 10, pprec=2)),
+    ("hauptmodul --prime 5 --weight 24 --terms 11", lambda: cmd_hauptmodul(5, 24, 11)),
+    ("katz --input {f} --prime 5 --max-index 6", lambda: cmd_katz(_e6(), 5, 6)),
+    ("katz --input {f} --prime 5 --max-index 6 --rho 10/12 --offset 1",
+     lambda: cmd_katz(_e6(), 5, 6, rho=QQ(5, 6), c=1)),
+]
+
+
+@pytest.mark.parametrize("command, call", PARITY, ids=[command for command, _ in PARITY])
+def test_cli_and_library_write_the_same_report(tmp_path, capsys, command, call):
+    series_file = tmp_path / "e6.json"
+    series_file.write_text(json.dumps(qs_to_json(_e6())))
+    code, out, _ = run_cli(command.format(f=series_file).split(), capsys)
+    report = call()
+    assert code == cli.EXIT_CODES[report.status]
+    assert strip_wall_time(out) == strip_wall_time(report.dumps() + "\n")
+
+
+def test_extended_sweep_defaults_to_97_on_both_paths(monkeypatch, capsys):
+    swept = []
+
+    def stub_sweep(primes, jobs, budget_seconds):
+        swept.append(primes)
+        return [[INF] * (n + 1) for p in primes for n in range(1, p + 1)]
+
+    monkeypatch.setattr(reports, "_condition_sweep", stub_sweep)
+    code, out, _ = run_cli(["check-condition", "--extended"], capsys)
+    report = cmd_check_condition_extended()
+    assert code == 0 and report.parameters == {"extended": True, "max_prime": 97}
+    assert strip_wall_time(out) == strip_wall_time(report.dumps() + "\n")
+    assert swept[0] == swept[1] == [q for q in range(5, 98) if all(q % d for d in range(2, q))]
 
 
 def test_cli_reproduce_and_out_file(tmp_path, capsys):
