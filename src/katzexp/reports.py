@@ -553,10 +553,15 @@ def _katz_compute(plan, params):
     return [[t.val for t in ke.terms]], {"qprec": f.prec, "pprec": _val_str(ke.effective_pprec)}
 
 
+def _rate_param(x):
+    """An int or rational rate as the plan reads it; anything else goes to the
+    plan unparsed, so a float or "0.5" fails there as on the command line."""
+    return rational_to_str(x) if isinstance(x, (int, QQ)) else x
+
+
 def cmd_katz(f, p, max_index, *, rho=None, c=0) -> RunReport:
     """Split a weight-0 q-series and certify one rate (default p/(p+1))."""
-    return run("katz", dict(series=f, prime=p, max_index=max_index, c=rational_to_str(c),
-                            rho=None if rho is None else rational_to_str(rho)))
+    return run("katz", dict(series=f, prime=p, max_index=max_index, c=_rate_param(c), rho=_rate_param(rho)))
 
 
 def _hauptmodul_plan(params):

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import compress, count, repeat
+from operator import floordiv, mod, mul
 
 from ._rational import INF, QQ, int_val, rational_from_str, rational_to_str
 from .errors import NotAUnit, ZeroConstantTerm
@@ -77,15 +79,17 @@ def qs_from_nums(nums, den=1, modulus=None) -> QSeries:
     # the high coefficients carry the largest denominators (an inverse's
     # grow with the index), so starting there cuts the running gcd down first
     g = math.gcd(den, *reversed(nums))
-    nums, den = tuple(x // g for x in nums) if g != 1 else tuple(nums), den // g
+    nums, den = tuple(map(floordiv, nums, repeat(g)) if g != 1 else nums), den // g
     if modulus is not None:
-        try:
-            inv = pow(den, -1, modulus)
-        except ValueError:
-            # the first coefficient whose reduced denominator den/gcd(x, den) is not a unit
-            n = next(n for n, x in enumerate(nums) if math.gcd(den // math.gcd(x, den), modulus) != 1)
-            raise NotAUnit(f"denominator of q^{n} is not a unit mod {modulus}") from None
-        nums, den = tuple(x * inv % modulus for x in nums), 1
+        if den != 1:
+            try:
+                inv = pow(den, -1, modulus)
+            except ValueError:
+                # the first coefficient whose reduced denominator den/gcd(x, den) is not a unit
+                n = next(n for n, x in enumerate(nums) if math.gcd(den // math.gcd(x, den), modulus) != 1)
+                raise NotAUnit(f"denominator of q^{n} is not a unit mod {modulus}") from None
+            nums = map(mul, nums, repeat(inv))
+        nums, den = tuple(map(mod, nums, repeat(modulus))), 1
     f = QSeries.__new__(QSeries)
     f.__dict__.update(nums=nums, den=den, modulus=modulus)
     return f
@@ -124,18 +128,26 @@ def qs_scalar_mul(c, a: QSeries) -> QSeries:
     return qs_from_nums([num * x for x in a.nums], a.den * c.denominator, a.modulus)
 
 
-def _pack(nums, w):
-    """The integer sum of nums[i] * 2^(8 w i), for |nums[i]| < 2^(8 w)."""
+def _pack(nums, w, signed=True):
+    """The integer sum of nums[i] * 2^(8 w i), for |nums[i]| < 2^(8 w); in one
+    pass when unsigned, for 0 <= nums[i] < 2^(8 w)."""
+    if not signed:
+        return int.from_bytes(b"".join(map(int.to_bytes, nums, repeat(w), repeat("little"))), "little")
     pos = b"".join((x if x > 0 else 0).to_bytes(w, "little") for x in nums)
     neg = b"".join((-x if x < 0 else 0).to_bytes(w, "little") for x in nums)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _lanes(x, w, N):
-    """The N signed lanes of w bytes in the low 8 w N bits of x: the c[i] of
-    x = sum c[i] * 2^(8 w i) mod 2^(8 w N), for |c[i]| < 2^(8 w - 1)."""
+def _lanes(x, w, N, signed=True):
+    """The N lanes of w bytes in the low 8 w N bits of x: the c[i] of
+    x = sum c[i] * 2^(8 w i) mod 2^(8 w N), for |c[i]| < 2^(8 w - 1), or
+    unsigned, for 0 <= c[i] < 2^(8 w), in one pass with no borrow."""
     # the low N lanes by mask: % on a power of two is a full long division
-    lanes = memoryview((x & ((1 << (8 * w * N)) - 1)).to_bytes(w * N, "little"))
+    lanes = (x & ((1 << (8 * w * N)) - 1)).to_bytes(w * N, "little")
+    if not signed:
+        chunks = map(lanes.__getitem__, map(slice, range(0, w * N, w), range(w, w * N + w, w)))
+        return list(map(int.from_bytes, chunks, repeat("little")))
+    lanes = memoryview(lanes)
     out = []
     borrow = 0
     for k in range(N):
@@ -150,16 +162,31 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     substitution: the numerators of each operand are packed into one int in
     lanes of w bytes, a single big-int product yields the convolution lane
     by lane, and the denominator is den_a * den_b.
+
+    With a = q^s a' and b = q^t b', only a'[:L] and b'[:L] are multiplied,
+    L = N - s - t, behind s + t zeros (all zeros when L <= 0): so a peel
+    remainder costs its live tail, and a product with Delta^j one of length
+    N - j. Two capped operands hold residues in [0, m), so their lanes are
+    unsigned, as wide as the moduli need, and packed and read in one pass.
     """
     N = min(a.prec, b.prec)
-    if N == 0:
-        return qs_from_nums((), 1, _meet(a.modulus, b.modulus))
-    an, bn = a.nums[:N], b.nums[:N]
-    # |c_k| <= N max|a_i| max|b_j|, plus one bit for the sign
-    bits = max(map(abs, an)).bit_length() + max(map(abs, bn)).bit_length() + N.bit_length() + 1
+    m = _meet(a.modulus, b.modulus)
+    s = next(compress(count(), a.nums), N)
+    t = next(compress(count(), b.nums), N)
+    L = N - s - t
+    if L <= 0:
+        return qs_from_nums((0,) * N, 1, m)
+    an, bn = a.nums[s:s + L], b.nums[t:t + L]
+    signed = a.modulus is None or b.modulus is None
+    if signed:
+        # |c_k| <= L max|a_i| max|b_j|, plus one bit for the sign
+        bits = max(map(abs, an)).bit_length() + max(map(abs, bn)).bit_length() + L.bit_length() + 1
+    else:
+        # 0 <= c_k <= L (m_a - 1)(m_b - 1)
+        bits = (a.modulus - 1).bit_length() + (b.modulus - 1).bit_length() + L.bit_length()
     w = (bits + 7) // 8
-    out = _lanes(_pack(an, w) * _pack(bn, w), w, N)
-    return qs_from_nums(out, a.den * b.den, _meet(a.modulus, b.modulus))
+    out = _lanes(_pack(an, w, signed) * _pack(bn, w, signed), w, L, signed)
+    return qs_from_nums([0] * (s + t) + out, a.den * b.den, m)
 
 
 def qs_inv(a: QSeries) -> QSeries:

@@ -119,6 +119,60 @@ def test_qs_mul_denominators_growing_with_the_index(nums, other, d):
     check_against_oracle(a, a)
 
 
+# denominators prime to every p drawn below, so an exact operand reduces mod p^M
+_unit_dens = st.sampled_from((1, 3, 7, 11, 121, 10**9 + 7))
+
+
+@st.composite
+def _shifted_operand(draw, N, modulus):
+    """Precision N to N + 3, after a run of 0 to N + 1 leading zeros: exact
+    rationals when modulus is None, else residues in [0, modulus)."""
+    prec = N + draw(st.integers(0, 3))
+    zeros = [0] * draw(st.integers(0, N + 1))
+    if modulus is None:
+        coeff = st.one_of(st.just(0), st.builds(QQ, st.one_of(_small, _huge), _unit_dens))
+        return QSeries((zeros + draw(st.lists(coeff, min_size=prec, max_size=prec)))[:prec])
+    residue = st.one_of(st.just(0), st.just(modulus - 1), st.integers(0, modulus - 1))
+    return qs_from_nums((zeros + draw(st.lists(residue, min_size=prec, max_size=prec)))[:prec], 1, modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from((2, 5, 13)),
+    N=st.one_of(st.just(1), st.integers(1, 30)),
+    moduli=st.sampled_from(("equal", "different", "left exact", "right exact")),
+)
+def test_qs_mul_tails_and_residue_lanes_match_schoolbook(data, p, N, moduli):
+    # only the tails past the leading zeros are multiplied; two capped
+    # operands go through unsigned lanes as wide as their moduli need
+    M = data.draw(st.integers(1, 40))
+    ma, mb = {
+        "equal": (p**M, p**M),
+        "different": (p**M, p ** data.draw(st.integers(1, 40).filter(lambda K: K != M))),
+        "left exact": (None, p**M),
+        "right exact": (p**M, None),
+    }[moduli]
+    a, b = data.draw(_shifted_operand(N, ma)), data.draw(_shifted_operand(N, mb))
+    got = qs_mul(a, b)
+    want = schoolbook_mul(a.coeffs, b.coeffs)
+    m = mb if ma is None else ma if mb is None else math.gcd(ma, mb)
+    assert got.prec == min(a.prec, b.prec)
+    assert got.modulus == m
+    assert got.nums == tuple(c.numerator * pow(c.denominator, -1, m) % m for c in want)
+    assert got.den == 1 and all(0 <= x < m for x in got.nums)
+    check_lowest_terms(got)
+
+
+@pytest.mark.parametrize("m", [2**8, 2**64, 13**17])
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_qs_mul_residue_lanes_hold_their_largest_sums(m, n):
+    # every residue m - 1, so lane k sums k + 1 products (m - 1)^2: 2^8 and
+    # 2^64 leave no spare bit in the width the moduli give without the count
+    a = qs_from_nums([m - 1] * n, 1, m)
+    assert qs_mul(a, a).nums == tuple((k + 1) % m for k in range(n))
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 40])
 def test_qs_mul_borrow_runs_through_every_lane(n):
     # -1 times all ones: every output lane is -1, so a borrow carries into each

@@ -8,7 +8,6 @@ codes.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import multiprocessing
@@ -362,10 +361,21 @@ def test_theorem_gates_refuse_stored_reports_without_building_series(monkeypatch
         assert revalidate_report(report) is False
 
 
-def test_every_cli_subcommand_has_a_plan():
-    """A command cannot ship without the plan that re-checks its reports."""
-    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert sorted(sub.choices) == sorted(reports.COMMANDS)
+# the required options of each subcommand, with small values
+MINIMAL_ARGV = {
+    "check-condition": ["--prime", "5"],
+    "reproduce-examples": [],
+    "verify-theorem": ["--id", "B", "--prime", "5", "--max-index", "4", "--k", "24"],
+    "katz": ["--input", "series.json", "--prime", "5", "--max-index", "4"],
+    "hauptmodul": ["--prime", "5", "--weight", "24", "--terms", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(reports.COMMANDS))
+def test_every_command_plans_the_parameters_its_options_parse_to(name):
+    """A row's options and its plan agree on the parameter names and values."""
+    args = cli.build_parser().parse_args([name] + MINIMAL_ARGV[name])
+    assert isinstance(reports.COMMANDS[name].plan(vars(args)), reports.Plan)
 
 
 # -- check-condition --------------------------------------------------------
@@ -850,6 +860,24 @@ def test_cli_and_library_write_the_same_report(tmp_path, capsys, command, call):
     report = call()
     assert code == cli.EXIT_CODES[report.status]
     assert strip_wall_time(out) == strip_wall_time(report.dumps() + "\n")
+
+
+@pytest.mark.parametrize(
+    "option, rate",
+    [("rho", "0.5"), ("rho", 0.5), ("rho", 0.1), ("c", "0.5"), ("c", 0.25)],
+    ids=["rho-decimal", "rho-float-half", "rho-float-tenth", "offset-decimal", "offset-float"],
+)
+def test_cmd_katz_refuses_the_rates_the_command_line_refuses(tmp_path, capsys, option, rate):
+    series_file = tmp_path / "e6.json"
+    series_file.write_text(json.dumps(qs_to_json(_e6())))
+    flag = {"rho": "--rho", "c": "--offset"}[option]
+    code, out, err = run_cli(
+        ["katz", "--input", str(series_file), "--prime", "5", "--max-index", "6", flag, str(rate)], capsys)
+    message = 'expected a rational "num" or "num/den", got '
+    assert (code, out) == (3, "")
+    assert err == "error: %s%r\n" % (message, str(rate))
+    with pytest.raises(ValueError, match=re.escape(message + repr(rate))):
+        cmd_katz(_e6(), 5, 6, **{option: rate})
 
 
 def test_extended_sweep_defaults_to_97_on_both_paths(monkeypatch, capsys):
