@@ -35,10 +35,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, "%s: error: %s\n" % (self.prog, message))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of names, rows of COMMANDS.
+    Its usage line lists every command either way; the full table keeps the
+    default metavar, which its "invalid choice" and "required" errors read."""
     parser = _Parser(prog="katzexp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, command in COMMANDS.items():
+    metavar = None if len(names) == len(COMMANDS) else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar=metavar)
+    for name in names:
+        command = COMMANDS[name]
         sp = sub.add_parser(name, help=command.help)
         for flag, keywords in command.arguments:
             sp.add_argument(flag, **keywords)
@@ -47,8 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a request builds only its own command's parser; --help, no command or
+    # an unknown one builds the whole table
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(names).parse_args(argv)
     try:
         # fail before the run, creating and truncating nothing
         if args.out and os.path.isdir(args.out):

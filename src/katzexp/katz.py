@@ -267,7 +267,9 @@ def expand_in_hauptmodul(f: QSeries, p: int, terms: int):
     """Coefficients a_0..a_{terms-1} of f as a polynomial prefix in the
     genus-zero uniformizer t, by _eliminate against 1, t, t^2, ... (t^i is
     integral and leads with q^i); a series known mod m has them mod m, from
-    the powers of t reduced mod m."""
+    the powers of t reduced mod m. So on a series known mod p^M, a
+    coefficient that is 0 mod p^M reads 0, whose valuation is INF: that INF
+    means "at least M", as a capped report's does."""
     N = f.prec
     if N < terms:
         raise PrecisionTooLow(f"need {terms} coefficients, got {N}")
@@ -277,4 +279,7 @@ def expand_in_hauptmodul(f: QSeries, p: int, terms: int):
 
 
 def hauptmodul_valuations(f: QSeries, p: int, terms: int):
+    """v_p of each coefficient of expand_in_hauptmodul. On a series known
+    mod p^M a coefficient that is 0 mod p^M reads INF, which means only "at
+    least M", the rule for a capped report's valuations."""
     return [val(a, p) for a in expand_in_hauptmodul(f, p, terms)]

@@ -2,8 +2,10 @@
 itself is never run here), its line count per source file (on a temporary
 tree), its timer of fresh processes (on `pass` and on a failing command), each
 entry of its table of cold timings against the commands earlier BENCH
-files recorded (on a stubbed runner: no sweep or chain runs here) and, in
-real processes once each, its two start-up timings."""
+files recorded (on a stubbed runner: no sweep or chain runs here), the
+alternation of a parent tree with the checkout and the fields it adds (on a
+stubbed timer), the extraction of a parent tree (from a throwaway git
+repository) and, in real processes once each, its two start-up timings."""
 
 from __future__ import annotations
 
@@ -61,10 +63,10 @@ def test_src_lines_by_module_counts_each_python_file(tmp_path):
     assert list(got) == sorted(got)
 
 
-def test_median_wall_s_times_fresh_processes():
-    assert bench_snapshot.median_wall_s([sys.executable, "-c", "pass"], runs=3) > 0
+def test_wall_s_times_a_fresh_process():
+    assert bench_snapshot.wall_s([sys.executable, "-c", "pass"]) > 0
     with pytest.raises(subprocess.CalledProcessError):
-        bench_snapshot.median_wall_s([sys.executable, "-c", "raise SystemExit(1)"], runs=1)
+        bench_snapshot.wall_s([sys.executable, "-c", "raise SystemExit(1)"])
 
 
 # each cold timing as earlier BENCH files recorded it: name -> (python
@@ -112,3 +114,44 @@ def test_startup_times_time_the_bare_interpreter_and_the_package_import(monkeypa
     times = bench_snapshot.cold_times()
     assert sorted(times) == ["bare_start_s", "import_s"]
     assert all(t > 0 for t in times.values())
+
+
+def test_cold_times_alternate_the_parent_tree_with_the_checkout(monkeypatch, tmp_path):
+    parent_src, checkout_src = str(tmp_path / "src"), os.path.abspath("src")
+    calls = []
+
+    def stub_wall_s(argv, env=None):
+        calls.append((argv, env and env["PYTHONPATH"]))
+        return 2.0 if env and env["PYTHONPATH"] == parent_src else 1.0
+
+    monkeypatch.setattr(bench_snapshot, "wall_s", stub_wall_s)
+    monkeypatch.setattr(bench_snapshot, "COLD_TIMINGS", {
+        "condition_29_s": EXPECTED["condition_29_s"],
+        "bare_start_s": (["-c", "pass"], 2, False),
+    })
+    times = bench_snapshot.cold_times(str(tmp_path))
+    condition = [sys.executable, *EXPECTED["condition_29_s"][0]]
+    # the parent goes first on even runs, the checkout on odd ones
+    assert calls == [(condition, parent_src), (condition, checkout_src),
+                     (condition, checkout_src), (condition, parent_src),
+                     (condition, parent_src), (condition, checkout_src)] + [
+        ([sys.executable, "-c", "pass"], None)] * 4
+    assert times == {
+        "condition_29_s": 1.0, "condition_29_s_parent": 2.0, "condition_29_s_ratio": 0.5,
+        "bare_start_s": 1.0, "bare_start_s_parent": 1.0, "bare_start_s_ratio": 1.0,
+    }
+
+
+def test_extract_tree_writes_the_committed_tree(monkeypatch, tmp_path):
+    repo, parent = tmp_path / "repo", tmp_path / "parent"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    parent.mkdir()
+    (repo / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    monkeypatch.chdir(repo)
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "src"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    (repo / "src" / "pkg" / "mod.py").write_text("x = 2\n")  # not committed
+    assert bench_snapshot.extract_tree("HEAD", str(parent)) == str(parent)
+    assert (parent / "src" / "pkg" / "mod.py").read_text() == "x = 1\n"

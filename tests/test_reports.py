@@ -373,8 +373,12 @@ MINIMAL_ARGV = {
 
 @pytest.mark.parametrize("name", sorted(reports.COMMANDS))
 def test_every_command_plans_the_parameters_its_options_parse_to(name):
-    """A row's options and its plan agree on the parameter names and values."""
-    args = cli.build_parser().parse_args([name] + MINIMAL_ARGV[name])
+    """A row's options and its plan agree on the parameter names and values,
+    and the one-command parser that cli.main builds parses them as the full
+    table does."""
+    argv = [name] + MINIMAL_ARGV[name]
+    args = cli.build_parser().parse_args(argv)
+    assert vars(cli.build_parser([name]).parse_args(argv)) == vars(args)
     assert isinstance(reports.COMMANDS[name].plan(vars(args)), reports.Plan)
 
 
@@ -782,6 +786,75 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def parse_outcome(args, capsys):
+    """run_cli for a command line that argparse may end with SystemExit."""
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# command lines that end in the parser or the plan: every --help, no command,
+# an unknown one, a trailing unknown argument for each command, a missing
+# required option, a non-integer --prime and an unknown theorem id
+PARSER_ARGV = (
+    [["--help"], [], ["bogus"]]
+    + [[name, "--help"] for name in reports.COMMANDS]
+    + [[name] + MINIMAL_ARGV[name] + ["--bogus"] for name in reports.COMMANDS]
+    + [["hauptmodul", "--prime", "5", "--weight", "24"],
+       ["check-condition", "--prime", "five"],
+       ["verify-theorem", "--id", "Z", "--prime", "5", "--max-index", "3"]]
+)
+
+
+@pytest.mark.parametrize("args", PARSER_ARGV, ids=lambda args: " ".join(args) or "no-arguments")
+def test_one_command_parser_answers_as_the_full_table(monkeypatch, capsys, args):
+    shipped = parse_outcome(args, capsys)
+    full_table = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names: full_table())
+    assert parse_outcome(args, capsys) == shipped
+
+
+def test_usage_errors_name_the_command_argument(capsys):
+    """The full table's errors read the subparsers' dest, and every usage
+    line lists the commands."""
+    usage = "{%s}" % ",".join(reports.COMMANDS)
+    code, out, err = parse_outcome([], capsys)
+    assert (code, out) == (3, "") and usage in err
+    assert err.endswith("error: the following arguments are required: command\n")
+    code, out, err = parse_outcome(["bogus"], capsys)
+    assert (code, out) == (3, "") and usage in err
+    assert "error: argument command: invalid choice: 'bogus'" in err
+    code, out, err = parse_outcome(["reproduce-examples", "--bogus"], capsys)
+    assert (code, out) == (3, "") and usage in err
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize(
+    "args, built",
+    [([name] + MINIMAL_ARGV[name], [name]) for name in reports.COMMANDS]
+    + [(["--help"], list(reports.COMMANDS))],
+    ids=lambda value: " ".join(value),
+)
+def test_a_request_builds_the_subparser_of_its_command_alone(monkeypatch, capsys, args, built):
+    names = []
+    add_parser = cli.argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **keywords):
+        names.append(name)
+        return add_parser(self, name, **keywords)
+
+    def refusing_run(name, parameters):
+        raise KatzexpError("no run in this test")
+
+    monkeypatch.setattr(cli.argparse._SubParsersAction, "add_parser", counting_add_parser)
+    monkeypatch.setattr(cli, "run", refusing_run)
+    assert parse_outcome(args, capsys)[0] in (0, 3)
+    assert names == built
 
 
 @pytest.mark.parametrize("target", ["", "missing/report.json"], ids=["directory", "missing-parent"])

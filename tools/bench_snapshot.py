@@ -22,16 +22,26 @@ scaled-chain test (perfbench stops at n = 30); and `theorem_f_pprec8_s`,
 member at classical-limit weight 1,171,876 (perfbench stops at weight
 1,090). `src_lines_by_module` splits perfbench's `src_lines` by file, so
 the trajectory shows where lines went.
+
+With `--parent REV` (say `--parent HEAD^`) it also extracts `git archive
+REV` into a temporary directory, byte-compiles the src/ of both trees, and
+runs every cold timing alternately there and in the checkout, the two
+trees taking turns to go first. Beside each `<name>` it then records `<name>_parent`,
+the parent tree's median, and `<name>_ratio`, the checkout's median over
+the parent's, and it records `parent_commit`. A ratio compares the two
+trees on the host's phase at that moment, which a timing alone cannot.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 
@@ -66,15 +76,12 @@ def src_lines_by_module(root: str = "src") -> dict:
     return dict(sorted(counts.items()))
 
 
-def median_wall_s(argv, runs: int, env=None) -> float:
-    """Median wall time of `runs` fresh processes of argv, output discarded."""
-    times = []
-    for _ in range(runs):
-        started = time.perf_counter()
-        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL)
-        times.append(time.perf_counter() - started)
-    return statistics.median(times)
+def wall_s(argv, env=None) -> float:
+    """Wall time of one fresh process of argv, output discarded."""
+    started = time.perf_counter()
+    subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL)
+    return time.perf_counter() - started
 
 
 # name -> (python arguments, run count, whether PYTHONPATH=src is set)
@@ -90,18 +97,44 @@ COLD_TIMINGS = {
 }
 
 
-def cold_times() -> dict:
-    """The median wall time of each entry of COLD_TIMINGS, by name."""
-    src_env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
-    return {name: median_wall_s([sys.executable, *args], runs, src_env if src else None)
-            for name, (args, runs, src) in COLD_TIMINGS.items()}
+def cold_times(parent=None) -> dict:
+    """The median wall time of each entry of COLD_TIMINGS, by name. Given
+    the root of a parent tree, each entry's runs alternate between it and
+    the checkout, the parent first on even runs, and <name>_parent and
+    <name>_ratio (checkout over parent) join <name>."""
+    roots = ["."] if parent is None else [parent, "."]
+    times = {}
+    for name, (args, runs, src) in COLD_TIMINGS.items():
+        envs = {root: dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(root, "src")))
+                if src else None for root in roots}
+        samples = {root: [] for root in roots}
+        for run in range(runs):
+            for root in roots if run % 2 == 0 else roots[::-1]:
+                samples[root].append(wall_s([sys.executable, *args], envs[root]))
+        times[name] = statistics.median(samples["."])
+        if parent is not None:
+            times[name + "_parent"] = statistics.median(samples[parent])
+            times[name + "_ratio"] = times[name] / times[name + "_parent"]
+    return times
+
+
+def extract_tree(rev: str, root: str) -> str:
+    """Write the tree of git revision rev into root and return root."""
+    tar = subprocess.run(["git", "archive", rev], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", root], input=tar, check=True)
+    return root
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="names the file BENCH_<pr>.json")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--parent", metavar="REV",
+                        help="also time each cold command in git archive REV, alternating")
     args = parser.parse_args(argv)
+    parent_commit = args.parent and subprocess.run(
+        ["git", "rev-parse", "--verify", args.parent + "^{commit}"],
+        check=True, capture_output=True, text=True).stdout.strip()
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         seconds = json.load(fh)["run_seconds"]
@@ -112,7 +145,16 @@ def main(argv=None) -> int:
         sys.stderr.write(proc.stdout + proc.stderr)
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
-    snapshot.update(cold_times(), src_lines_by_module=src_lines_by_module())
+    if parent_commit:
+        with tempfile.TemporaryDirectory() as tmp:
+            parent = extract_tree(parent_commit, tmp)
+            # bytecode in both trees, or a ratio would time compilation
+            for root in (parent, "."):
+                compileall.compile_dir(os.path.join(root, "src"), quiet=1)
+            snapshot.update(cold_times(parent), parent_commit=parent_commit)
+    else:
+        snapshot.update(cold_times())
+    snapshot.update(src_lines_by_module=src_lines_by_module())
     path = os.path.join(os.getcwd(), "BENCH_%d.json" % args.pr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
