@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
 import math
+import re
 from fractions import Fraction as QQ
 
 INF = math.inf
@@ -65,20 +67,60 @@ def val(x, p):
     return int_val(x.numerator, p) - int_val(x.denominator, p)
 
 
+_NUMERAL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _int_from_str(s):
+    """int(s); past sys.get_int_max_str_digits(), a plain decimal numeral is
+    read in halves that int() accepts and joined by one product."""
+    try:
+        return int(s)
+    except ValueError:
+        if not _NUMERAL.fullmatch(s):
+            raise
+    s = s.strip()
+    if s[0] in "+-":
+        return (-1 if s[0] == "-" else 1) * _int_from_str(s[1:])
+    k = len(s) // 2
+    return _int_from_str(s[:-k]) * 10**k + _int_from_str(s[-k:])
+
+
+def _int_to_decimal(n, context):
+    """n as an exact Decimal, joined from the two halves of its bits, so
+    that decimal's fast products do the work str(n) does in quadratic time."""
+    bits = n.bit_length()
+    if bits <= 4096:
+        return decimal.Decimal(n)
+    hi = n >> bits // 2
+    lo = _int_to_decimal(n - (hi << bits // 2), context)
+    return context.add(context.multiply(_int_to_decimal(hi, context), context.power(2, bits // 2)), lo)
+
+
+def _int_to_str(n):
+    """str(n), past sys.get_int_max_str_digits() too."""
+    try:
+        return str(n)
+    except ValueError:
+        context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+        return str(_int_to_decimal(n, context))
+
+
 def rational_from_str(s):
-    """Parse "num/den" or "num" (decimal strings) into an exact rational;
-    anything else, a zero denominator included, raises ValueError."""
+    """Parse "num/den" or "num" (decimal strings, of any length) into an exact
+    rational; anything else, a zero denominator included, raises ValueError."""
     try:
         num, slash, den = s.strip().partition("/")
-        return QQ(int(num), int(den) if slash else 1)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (s,)) from None
+        num, den = _int_from_str(num), _int_from_str(den) if slash else 1
     except (AttributeError, TypeError, ValueError):  # not a string, or not of that form
         raise ValueError('expected a rational "num" or "num/den", got %r' % (s,)) from None
+    if den == 0:
+        raise ValueError("zero denominator in %r" % (s,))
+    return QQ(num, den)
 
 
 def rational_to_str(x):
+    """The inverse of rational_from_str, at any size."""
     x = QQ(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+        return _int_to_str(x.numerator)
+    return _int_to_str(x.numerator) + "/" + _int_to_str(x.denominator)

@@ -5,14 +5,17 @@ exits 0 when all claims certified, 1 when some claim failed, 2 when nothing
 failed but some verdict was inconclusive at the working precision, 3 for bad
 input or a domain error (usage, malformed files, unsupported primes or
 weights, an exceeded budget), and 4 only for an internal error.
+
+A request in its canonical form (each option spelled in full and followed
+by its value) is read straight off its row of COMMANDS; any other command
+line, --help included, goes to argparse, which alone prints usage, help
+and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import re
 import sys
 
 from .errors import KatzexpError
@@ -22,24 +25,27 @@ from .series import qs_from_json
 EXIT_CODES = {STATUS_CERTIFIED: 0, STATUS_FAILED: 1, STATUS_INCONCLUSIVE: 2}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage, which collides with "inconclusive"."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # a value such as -1/6 is a negative rational, not an option
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, "%s: error: %s\n" % (self.prog, message))
-
-
-def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS):
     """The parser with a subparser for each of names, rows of COMMANDS.
     Its usage line lists every command either way; the full table keeps the
     default metavar, which its "invalid choice" and "required" errors read."""
-    parser = _Parser(prog="katzexp", description=__doc__)
+    import argparse  # loaded for help and usage errors only
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits 2 on bad usage, which collides with "inconclusive"."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # a value such as -1/6 is a negative rational, not an option
+            self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+    # --help describes the commands and exit codes, not how a request is read
+    parser = _Parser(prog="katzexp", description=__doc__.rsplit("\n\n", 1)[0])
     metavar = None if len(names) == len(COMMANDS) else "{%s}" % ",".join(COMMANDS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
                                 metavar=metavar)
@@ -52,22 +58,58 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(name, argv):
+    """vars(build_parser().parse_args([name, *argv])) when argv is canonical,
+    else None: every token an option of the row of name (or --out) in full,
+    a store_true option alone, every other option followed by a value not
+    starting with "-" that its type accepts, and every required option there."""
+    options = dict(COMMANDS[name].arguments, **{"--out": {}})
+    dests = {flag: kw.get("dest", flag[2:].replace("-", "_")) for flag, kw in options.items()}
+    args = {dests[flag]: kw.get("default", False if kw.get("action") == "store_true" else None)
+            for flag, kw in options.items()}
+    args["command"] = name
+    missing = {flag for flag, kw in options.items() if kw.get("required")}
+    tokens = iter(argv)
+    for flag in tokens:
+        if flag not in options:
+            return None
+        keywords, value = options[flag], True
+        if keywords.get("action") != "store_true":
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+        args[dests[flag]] = value
+        missing.discard(flag)
+    return None if missing else args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a request builds only its own command's parser; --help, no command or
-    # an unknown one builds the whole table
-    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    args = build_parser(names).parse_args(argv)
+    named = argv[:1] if argv and argv[0] in COMMANDS else []
+    args = named and _plain_args(named[0], argv[1:])
+    if not args:
+        # a malformed request builds only its own command's parser; --help,
+        # no command or an unknown one builds the whole table
+        args = vars(build_parser(named or COMMANDS).parse_args(argv))
+    out = args["out"]
     try:
         # fail before the run, creating and truncating nothing
-        if args.out and os.path.isdir(args.out):
-            raise KatzexpError("cannot write --out %s: it is a directory" % args.out)
-        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise KatzexpError("cannot write --out %s: its parent is not a directory" % args.out)
-        if args.command == "katz":
-            with open(args.input, "r", encoding="utf-8") as fh:
-                args.series = qs_from_json(json.load(fh))
-        report = run(args.command, vars(args))
+        if out and os.path.isdir(out):
+            raise KatzexpError("cannot write --out %s: it is a directory" % out)
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise KatzexpError("cannot write --out %s: its parent is not a directory" % out)
+        if args["command"] == "katz":
+            with open(args["input"], "r", encoding="utf-8") as fh:
+                try:
+                    data = json.load(fh)
+                except RecursionError:  # nesting past the decoder's depth
+                    raise ValueError("%s nests too deeply to be a series" % args["input"]) from None
+            args["series"] = qs_from_json(data)
+        report = run(args["command"], args)
     except (KatzexpError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
@@ -80,14 +122,14 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 4
     payload = report.dumps()
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
         except OSError as exc:  # a directory, a missing parent, no permission
             print("error: %s" % exc, file=sys.stderr)
             return 3
-        print("%s (report written to %s)" % (report.status, args.out))
+        print("%s (report written to %s)" % (report.status, out))
     else:
         print(payload)
     return EXIT_CODES[report.status]

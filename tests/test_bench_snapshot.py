@@ -80,6 +80,7 @@ EXPECTED = {
     "chain_7_60_s": (["-c", "from katzexp import phi_image; phi_image(60, 7)"], 3, True),
     "theorem_f_pprec8_s": (["-m", "katzexp.cli", "verify-theorem", "--id", "F", "--prime", "5",
                             "--s", "1", "--max-index", "21", "--pprec", "8"], 3, True),
+    "examples_s": (["-m", "katzexp.cli", "reproduce-examples"], 11, True),
 }
 
 
@@ -155,3 +156,26 @@ def test_extract_tree_writes_the_committed_tree(monkeypatch, tmp_path):
     (repo / "src" / "pkg" / "mod.py").write_text("x = 2\n")  # not committed
     assert bench_snapshot.extract_tree("HEAD", str(parent)) == str(parent)
     assert (parent / "src" / "pkg" / "mod.py").read_text() == "x = 1\n"
+
+
+def test_a_snapshot_compiles_src_before_its_cold_timings(monkeypatch, tmp_path):
+    """Without --parent too, the checkout's src/ is compiled before any
+    cold timing, so that none of them times compilation."""
+    events = []
+    output = "meta %s\n%s\n" % (json.dumps(META), json.dumps(FINAL))
+
+    def stub_cold_times(parent=None):
+        events.append(("time", parent))
+        return {"bare_start_s": 0.05}
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
+    monkeypatch.setattr(bench_snapshot.subprocess, "run",
+                        lambda argv, **kw: subprocess.CompletedProcess(argv, 0, output, ""))
+    monkeypatch.setattr(bench_snapshot.compileall, "compile_dir",
+                        lambda root, quiet=0: events.append(("compile", root)))
+    monkeypatch.setattr(bench_snapshot, "cold_times", stub_cold_times)
+    assert bench_snapshot.main(["--pr", "7"]) == 0
+    assert events == [("compile", "src"), ("time", None)]
+    snapshot = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert snapshot["bare_start_s"] == 0.05 and snapshot["pr"] == 7

@@ -4,6 +4,8 @@ Records are named tuples and QSeries is a plain read-only class, so a cold
 `import katzexp.cli` loads neither dataclasses (with inspect, ast and dis)
 nor multiprocessing (with pickle and socket); only `--jobs > 1` needs the
 latter, and the spawn pool pickles series and splits across processes.
+Nor does it load argparse (with gettext and locale), which only help and
+usage errors need.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def test_make_and_replace_go_through_validation():
 
 
 def test_cli_import_loads_only_what_a_serial_run_uses():
-    heavy = ["dataclasses", "inspect", "multiprocessing", "pickle", "socket", "traceback"]
+    heavy = ["dataclasses", "inspect", "multiprocessing", "pickle", "socket", "traceback",
+             "argparse", "gettext", "locale"]
     code = (
         "import sys; bare = set(sys.modules); import katzexp, katzexp.cli; "
         "print(' '.join(m for m in %r if m in sys.modules and m not in bare))" % heavy

@@ -8,7 +8,10 @@ codes.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import copy
+import io
 import json
 import multiprocessing
 import os
@@ -18,10 +21,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katzexp import (
     INF,
     QQ,
+    QSeries,
     cmd_check_condition,
     cmd_check_condition_extended,
     cmd_hauptmodul,
@@ -379,7 +385,61 @@ def test_every_command_plans_the_parameters_its_options_parse_to(name):
     argv = [name] + MINIMAL_ARGV[name]
     args = cli.build_parser().parse_args(argv)
     assert vars(cli.build_parser([name]).parse_args(argv)) == vars(args)
+    assert cli._plain_args(name, MINIMAL_ARGV[name]) == vars(args)
     assert isinstance(reports.COMMANDS[name].plan(vars(args)), reports.Plan)
+
+
+def command_line(name):
+    """Command lines for the row of name, canonical or not: its required
+    options (one in ten left out) and up to four more chunks, in any order;
+    options in full (--out too), abbreviated or with "=", -h, unknown ones,
+    store_true options followed by a value, repeats, and values that are
+    negative, empty, nan, non-numeric or missing."""
+    options = dict(reports.COMMANDS[name].arguments, **{"--out": {}})
+    flags = sorted(options)
+    value = st.one_of(
+        st.integers(0, 99).map(str),
+        st.one_of(
+            st.integers(-10**6, 10**6).map(str),
+            st.sampled_from(["", "nan", "inf", "abc", "A", "b", "1/2", "-1/6", "1.5", "1e3", " 7", "-", "--"]),
+            st.text(max_size=4),
+        ),
+    )
+    flag = st.one_of(
+        st.sampled_from(flags),
+        st.sampled_from(flags).map(lambda f: f[:-1]),
+        st.sampled_from(["-h", "--help", "--bogus"]),
+    )
+    token = st.one_of(flag, value, st.builds("{}={}".format, st.sampled_from(flags), value))
+
+    def option(f):
+        return st.just((f,)) if options[f].get("action") == "store_true" else st.tuples(st.just(f), value)
+
+    def mostly(f):
+        return st.integers(0, 9).flatmap(lambda i: option(f) if i else st.just(()))
+
+    required = st.tuples(*(mostly(f) for f in flags if options[f].get("required")))
+    chunk = st.one_of(st.sampled_from(flags).flatmap(option), st.tuples(flag, value), st.tuples(token))
+    chunks = st.builds(lambda req, more: [*req, *more], required, st.lists(chunk, max_size=4))
+    return chunks.flatmap(st.permutations).map(lambda chunks: [t for c in chunks for t in c])
+
+
+@pytest.mark.parametrize("name", sorted(reports.COMMANDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_plain_request_parses_as_argparse_parses_it(name, data):
+    """Wherever cli._plain_args reads a command line, argparse reads the
+    same namespace from it (compared by repr, as nan is not nan)."""
+    argv = data.draw(command_line(name))
+    plain = cli._plain_args(name, argv)
+    if plain is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            parsed = vars(cli.build_parser().parse_args([name, *argv]))
+    except SystemExit:
+        pytest.fail("argparse refused %r: %s" % (argv, err.getvalue()))
+    assert repr(sorted(plain.items())) == repr(sorted(parsed.items()))
 
 
 # -- check-condition --------------------------------------------------------
@@ -836,13 +896,16 @@ def test_usage_errors_name_the_command_argument(capsys):
 
 @pytest.mark.parametrize(
     "args, built",
-    [([name] + MINIMAL_ARGV[name], [name]) for name in reports.COMMANDS]
+    [([name] + MINIMAL_ARGV[name], []) for name in reports.COMMANDS]
+    + [([name] + MINIMAL_ARGV[name] + ["--bogus"], [name]) for name in reports.COMMANDS]
     + [(["--help"], list(reports.COMMANDS))],
     ids=lambda value: " ".join(value),
 )
 def test_a_request_builds_the_subparser_of_its_command_alone(monkeypatch, capsys, args, built):
+    """A well-formed request builds no parser, a malformed one only its own
+    command's, and --help the whole table."""
     names = []
-    add_parser = cli.argparse._SubParsersAction.add_parser
+    add_parser = argparse._SubParsersAction.add_parser
 
     def counting_add_parser(self, name, **keywords):
         names.append(name)
@@ -851,7 +914,7 @@ def test_a_request_builds_the_subparser_of_its_command_alone(monkeypatch, capsys
     def refusing_run(name, parameters):
         raise KatzexpError("no run in this test")
 
-    monkeypatch.setattr(cli.argparse._SubParsersAction, "add_parser", counting_add_parser)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
     monkeypatch.setattr(cli, "run", refusing_run)
     assert parse_outcome(args, capsys)[0] in (0, 3)
     assert names == built
@@ -1026,6 +1089,20 @@ def test_cli_katz_reads_a_capped_series_at_its_modulus(tmp_path, capsys):
     assert [verdicts[i] for i in (3, 6, 9, 12)] == ["fail"] + ["inconclusive"] * 3
 
 
+def test_cli_katz_reads_a_numerator_past_the_int_str_digit_limit(tmp_path, capsys):
+    """A 5,001-digit coefficient, past Python's default int/str limit, is
+    split as the series itself is."""
+    f = QSeries([1, 5**7154, 0, 5])
+    assert 10**5000 < 5**7154 < 10**5001
+    want = cmd_katz(f, 5, 2).dumps() + "\n"
+    series_file = tmp_path / "f.json"
+    series_file.write_text(json.dumps(qs_to_json(f)))
+    args = ["katz", "--input", str(series_file), "--prime", "5", "--max-index", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert err == ""
+    assert strip_wall_time(out) == strip_wall_time(want)
+
+
 def test_cli_exit_inconclusive(capsys):
     code, _, _ = run_cli(
         ["verify-theorem", "--id", "F", "--prime", "5", "--s", "1",
@@ -1132,16 +1209,18 @@ def test_cli_hauptmodul_plan_refuses_a_prime_without_a_hauptmodul(capsys):
          "error: modulus must be an integer > 1, got 1\n"),
         ({"prec": 3, "coeffs": ["1", "0", "0"], "modulus": 25.0}, [],
          "error: modulus must be an integer > 1, got 25.0\n"),
+        ("[" * 100_000, [], "error: "),
     ],
     ids=["rho-zero-denominator", "coeff-zero-denominator", "no-coeffs", "list",
          "prime-9", "prec-list", "prec-float", "prec-bool", "rho-above-1", "rho-negative", "offset-negative",
          "rho-negative-fraction", "offset-negative-fraction", "max-index-negative",
          "rho-decimal", "rho-word", "coeff-word", "modulus-of-another-prime",
-         "residue-out-of-range", "modulus-1", "modulus-float"],
+         "residue-out-of-range", "modulus-1", "modulus-float", "nested-past-the-decoder"],
 )
 def test_cli_bad_katz_input_exits_3(tmp_path, capsys, content, extra, message):
+    """content is the file's JSON value, or its text when a string."""
     series_file = tmp_path / "f.json"
-    series_file.write_text(json.dumps(content))
+    series_file.write_text(content if isinstance(content, str) else json.dumps(content))
     args = ["katz", "--input", str(series_file), "--prime", "5", "--max-index", "1"]
     code, _, err = run_cli(args + extra, capsys)
     assert code == 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from katzexp import (
     qs_val,
 )
 from katzexp.series import qs_from_nums, qs_truncate
-from katzexp._rational import int_val, val
+from katzexp._rational import int_val, rational_from_str, rational_to_str, val
 from katzexp.errors import NotAUnit, ZeroConstantTerm
 
 
@@ -184,6 +185,43 @@ def test_json_round_trip():
     d = qs_to_json(f)
     assert d == {"prec": 4, "coeffs": ["1", "-3/7", "0", "22/5"]}
     assert qs_from_json(d).coeffs == f.coeffs
+
+
+def test_json_round_trip_past_the_int_str_digit_limit():
+    """The inverse of E_1876 to q^30 has numerators of 369,619 bits, about
+    111,000 digits, far past Python's default int/str limit of 4,300; its
+    file reads back exactly, and the limit itself is left as it was."""
+    limit = sys.get_int_max_str_digits()
+    f = qs_inv(eisenstein_series(1876, 30))
+    d = json.loads(json.dumps(qs_to_json(f)))
+    assert max(len(c) for c in d["coeffs"]) > 100_000
+    assert qs_from_json(d) == f
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "n", [10**5000, -(10**5000) + 7, 3**20001, -(2**50000) - 1, 0, -5],
+    ids=["10^5000", "7-10^5000", "3^20001", "-2^50000-1", "0", "-5"],
+)
+def test_rational_strings_at_any_size(n):
+    """rational_from_str inverts rational_to_str at any size, and outside
+    plain numerals it refuses what int() refuses."""
+    den = 7**9001
+    assert rational_from_str(rational_to_str(n)) == n
+    assert rational_from_str(rational_to_str(QQ(n, den))) == QQ(n, den)
+    assert rational_from_str(" %s / %s " % (rational_to_str(n), rational_to_str(den))) == QQ(n, den)
+
+
+@pytest.mark.parametrize(
+    "s, message",
+    [("1" * 5000 + ".5", "expected a rational"), ("1e" + "1" * 5000, "expected a rational"),
+     ("+-" + "1" * 5000, "expected a rational"), ("1_" * 5000 + "1", "expected a rational"),
+     ("1" * 5000 + "/0", "zero denominator")],
+    ids=["decimal-point", "exponent", "two-signs", "underscores", "zero-denominator"],
+)
+def test_long_malformed_rationals_are_refused(s, message):
+    with pytest.raises(ValueError, match=message):
+        rational_from_str(s)
 
 
 def test_json_prec_mismatch_rejected():

@@ -20,11 +20,14 @@ p = 13); `extended_37_jobs2_s`, `check-condition --extended --prime 37
 scaled-chain test (perfbench stops at n = 30); and `theorem_f_pprec8_s`,
 `verify-theorem --id F --prime 5 --s 1 --max-index 21 --pprec 8`, the family
 member at classical-limit weight 1,171,876 (perfbench stops at weight
-1,090). `src_lines_by_module` splits perfbench's `src_lines` by file, so
-the trajectory shows where lines went.
+1,090). It also records the median of 11 runs of `examples_s`,
+`reproduce-examples`, whose little computation leaves mostly the start and
+the command-line parse. It byte-compiles src/ before the cold timings, so
+that none of them times compilation. `src_lines_by_module` splits
+perfbench's `src_lines` by file, so the trajectory shows where lines went.
 
 With `--parent REV` (say `--parent HEAD^`) it also extracts `git archive
-REV` into a temporary directory, byte-compiles the src/ of both trees, and
+REV` into a temporary directory, byte-compiles its src/ too, and
 runs every cold timing alternately there and in the checkout, the two
 trees taking turns to go first. Beside each `<name>` it then records `<name>_parent`,
 the parent tree's median, and `<name>_ratio`, the checkout's median over
@@ -94,6 +97,7 @@ COLD_TIMINGS = {
     "chain_7_60_s": (["-c", "from katzexp import phi_image; phi_image(60, 7)"], 3, True),
     "theorem_f_pprec8_s": (["-m", "katzexp.cli", "verify-theorem", "--id", "F", "--prime", "5",
                             "--s", "1", "--max-index", "21", "--pprec", "8"], 3, True),
+    "examples_s": (["-m", "katzexp.cli", "reproduce-examples"], 11, True),
 }
 
 
@@ -145,12 +149,12 @@ def main(argv=None) -> int:
         sys.stderr.write(proc.stdout + proc.stderr)
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
+    # bytecode in every tree timed, or a cold timing would include compilation
+    compileall.compile_dir("src", quiet=1)
     if parent_commit:
         with tempfile.TemporaryDirectory() as tmp:
             parent = extract_tree(parent_commit, tmp)
-            # bytecode in both trees, or a ratio would time compilation
-            for root in (parent, "."):
-                compileall.compile_dir(os.path.join(root, "src"), quiet=1)
+            compileall.compile_dir(os.path.join(parent, "src"), quiet=1)
             snapshot.update(cold_times(parent), parent_commit=parent_commit)
     else:
         snapshot.update(cold_times())
