@@ -8,8 +8,9 @@ weights, an exceeded budget), and 4 only for an internal error.
 
 A request in its canonical form (each option spelled in full and followed
 by its value) is read straight off its row of COMMANDS; any other command
-line, --help included, goes to argparse, which alone prints usage, help
-and errors.
+line, --help included, goes to argparse, whose parser holds every row and
+alone prints usage, help and errors. run then plans the request and calls
+the plan's computation.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from .series import qs_from_json
 EXIT_CODES = {STATUS_CERTIFIED: 0, STATUS_FAILED: 1, STATUS_INCONCLUSIVE: 2}
 
 
-def build_parser(names=COMMANDS):
-    """The parser with a subparser for each of names, rows of COMMANDS.
-    Its usage line lists every command either way; the full table keeps the
-    default metavar, which its "invalid choice" and "required" errors read."""
+def build_parser():
+    """The parser with a subparser for each row of COMMANDS."""
     import argparse  # loaded for help and usage errors only
     import re
 
@@ -46,11 +45,8 @@ def build_parser(names=COMMANDS):
 
     # --help describes the commands and exit codes, not how a request is read
     parser = _Parser(prog="katzexp", description=__doc__.rsplit("\n\n", 1)[0])
-    metavar = None if len(names) == len(COMMANDS) else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
-                                metavar=metavar)
-    for name in names:
-        command = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
         for flag, keywords in command.arguments:
             sp.add_argument(flag, **keywords)
@@ -89,12 +85,9 @@ def _plain_args(name, argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    named = argv[:1] if argv and argv[0] in COMMANDS else []
-    args = named and _plain_args(named[0], argv[1:])
-    if not args:
-        # a malformed request builds only its own command's parser; --help,
-        # no command or an unknown one builds the whole table
-        args = vars(build_parser(named or COMMANDS).parse_args(argv))
+    args = argv and argv[0] in COMMANDS and _plain_args(argv[0], argv[1:])
+    if not args:  # --help, no command, an unknown one or a malformed request
+        args = vars(build_parser().parse_args(argv))
     out = args["out"]
     try:
         # fail before the run, creating and truncating nothing

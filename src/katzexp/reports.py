@@ -1,9 +1,9 @@
 """Reproducible verification runs with machine-readable reports.
 
 Each command is one row of COMMANDS: a plan, which maps its parameters to
-everything its report states except the computed values, a computation,
-which supplies those values, and its command-line options; run executes a
-row (see Plan, Command and revalidate_report). In a capped report a stored
+everything its report states except the computed values and carries the
+computation that supplies them, and its command-line options; run executes
+a row (see Plan, Command and revalidate_report). In a capped report a stored
 valuation at or above pprec, "inf" included, means "at least pprec"; every
 verdict depends only on min(v, pprec).
 """
@@ -63,23 +63,23 @@ class RunReport(NamedTuple):
 class Plan(NamedTuple):
     """A command's report before computation: the canonical parameters, one
     layout per entry (all but its computed values; an iterable, lazy where
-    entries may be many) and the provenance, a field left None being the
-    computation's (katz's input precision)."""
+    entries may be many), the provenance, a field left None being the
+    computation's (katz's input precision), and compute() -> (the value of
+    each layout, in order; the computed provenance fields), a closure over
+    what the plan resolved, which revalidate_report never calls."""
 
     parameters: dict
     results: object
     provenance: dict
+    compute: Callable
 
 
 class Command(NamedTuple):
     """One subcommand as data. plan(parameters) -> Plan refuses parameters
-    outside the command's domain; compute(plan, parameters) -> (the value of
-    each entry of plan.results, in order; the computed provenance fields).
-    arguments holds (flag, argparse keywords) pairs whose destinations are
-    the parameter names the plan and the computation read."""
+    outside the command's domain; arguments holds (flag, argparse keywords)
+    pairs whose destinations are the parameter names the plan reads."""
 
     plan: Callable
-    compute: Callable
     help: str
     arguments: tuple = ()
 
@@ -163,11 +163,10 @@ def aggregate_status(results) -> str:
 
 def run(name, parameters) -> RunReport:
     """The report of COMMANDS[name] on parameters: the one place that plans,
-    computes and assembles, timed from before the plan."""
-    started, command = time.perf_counter(), COMMANDS[name]
-    plan = command.plan(parameters)
-    plan = plan._replace(results=list(plan.results))
-    values, computed = command.compute(plan, parameters)
+    calls the plan's compute and assembles, timed from before the plan."""
+    started = time.perf_counter()
+    plan = COMMANDS[name].plan(parameters)
+    values, computed = plan.compute()
     return _assemble(name, plan, values, started, **computed)
 
 
@@ -227,14 +226,15 @@ def _require_split(p, max_index):
 def _condition_plan(params):
     """One claim v_p(b_i) >= pi/(p+1) on the split of E_{n(p-1)} for each
     n = 1..p, at one prime or (extended) at every prime 5 <= p <= max_prime,
-    which the command line calls --prime and which defaults to 97."""
+    which the command line calls --prime and which defaults to 97; computed
+    by _condition_sweep with the parameters jobs and budget_seconds."""
     if params.get("extended"):
         top = params.get("max_prime", params.get("prime"))
         top = 97 if top is None else top
         last = next((q for q in range(top, 4, -1) if is_prime(q)), None)
         if last is None:
             raise UnsupportedPrime("no primes in [5, %d]" % top)
-        primes = (q for q in range(5, last + 1) if is_prime(q))
+        primes = range(5, last + 1)
         parameters, label = {"extended": True, "max_prime": top}, "p={p}, n={n}"
     else:
         last = params.get("prime")
@@ -243,8 +243,10 @@ def _condition_plan(params):
         require_prime(last)
         primes, parameters, label = [last], {"prime": last, "max_n": last}, "n={n}"
     layouts = (_cert(label.format(p=p, n=n), "claim", p, QQ(p, p + 1), 0, n)
-               for p in primes for n in range(1, p + 1))
-    return Plan(parameters, layouts, _provenance(qprec_for_split(last, last), last))
+               for p in filter(is_prime, primes) for n in range(1, p + 1))
+    jobs, budget_seconds = params.get("jobs", 1), params.get("budget_seconds")
+    return Plan(parameters, layouts, _provenance(qprec_for_split(last, last), last),
+                lambda: (_condition_sweep(list(filter(is_prime, primes)), jobs, budget_seconds), {}))
 
 
 def _condition_prime(p, budget_seconds=None, deadline=None):
@@ -273,8 +275,12 @@ def _condition_sweep(primes, jobs, budget_seconds):
     split, in a worker as in a serial run; on overrun ResourceBudgetExceeded
     is raised and the pool terminated, so a sweep is complete or absent. A
     sweep over more than one prime writes one line to stderr per prime."""
+    if not isinstance(jobs, int):
+        raise ValueError("jobs must be an int, got %r" % (jobs,))
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % (jobs,))
+    if not isinstance(budget_seconds, (int, float, type(None))):
+        raise ValueError("budget_seconds must be a number, got %r" % (budget_seconds,))
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be > 0, got %g" % budget_seconds)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
@@ -294,11 +300,6 @@ def _condition_sweep(primes, jobs, budget_seconds):
         if pool is not None:
             pool.terminate()
     return results
-
-
-def _condition_compute(plan, params):
-    primes = list(dict.fromkeys(e["certificate"]["p"] for e in plan.results))
-    return _condition_sweep(primes, params.get("jobs", 1), params.get("budget_seconds")), {}
 
 
 def cmd_check_condition(p, *, jobs=1, budget_seconds=None) -> RunReport:
@@ -338,18 +339,19 @@ def _examples_plan(params):
                     "so V(E_24)/E_24 is not overconvergent at that rate"),
         _comparison("first hauptmodul floor violation at rate 1/6", 10),
     ]
-    return Plan({"prime": 5}, layouts, _provenance(qprec_for_split(5, 6), 6))
+    qprec = qprec_for_split(5, 6)
 
+    def compute():
+        E24 = eisenstein_series(24, qprec)
+        ke = katz_split_classical(E24, 6, 5)
+        t_vals = hauptmodul_valuations(_vratio(E24, 5), 5, len(_T_VALS_24))
+        vals, b3, b6 = [t.val for t in ke.terms], ke.terms[3], ke.terms[6]
+        values = [rational_to_str(b3.miller_coords[0]), rational_to_str(b6.miller_coords[0]),
+                  [_val_str(b3.val), _val_str(b6.val)], vals, vals,
+                  [_val_str(v) for v in t_vals], _floor_violation(t_vals)]
+        return values, {}
 
-def _examples_compute(plan, params):
-    E24 = eisenstein_series(24, plan.provenance["qprec"])
-    ke = katz_split_classical(E24, 6, 5)
-    t_vals = hauptmodul_valuations(_vratio(E24, 5), 5, len(_T_VALS_24))
-    vals, b3, b6 = [t.val for t in ke.terms], ke.terms[3], ke.terms[6]
-    values = [rational_to_str(b3.miller_coords[0]), rational_to_str(b6.miller_coords[0]),
-              [_val_str(b3.val), _val_str(b6.val)], vals, vals,
-              [_val_str(v) for v in t_vals], _floor_violation(t_vals)]
-    return values, {}
+    return Plan({"prime": 5}, layouts, _provenance(qprec, 6), compute)
 
 
 def cmd_reproduce_examples() -> RunReport:
@@ -486,41 +488,37 @@ def _theorem_plan(params):
         pprec = parameters["pprec"] = 4 if pprec is None else pprec
         if pprec < 1:
             raise PrecisionTooLow("pprec must be >= 1, got %r" % (pprec,))
-    qprec, _ = row.build(value, p, top, pprec)
+    qprec, series = row.build(value, p, top, pprec)
     base = QQ(p if row.base_p else 1, p + 1)
     rates = ((base, 0),) if row.sharp else ((base, 1), (base * QQ(2, 3), 0))
-    layouts = []
+    targets = []  # the layouts of each series of the row, in order
     for name, witness in row.targets:
         name = name.format(v=value, p=p, pprec=pprec)
         head = name + (", sharp " if row.sharp else ", ")
-        layouts += [_cert(_rated(head, rho, c), "claim", p, rho, c, top) for rho, c in rates]
+        target = [_cert(_rated(head, rho, c), "claim", p, rho, c, top) for rho, c in rates]
         if witness is not None:
             label = _rated(name + ", sharp ", base, 0)
-            layouts.append(_cert(label, "witness", p, base, 0, top, note=witness))
+            target.append(_cert(label, "witness", p, base, 0, top, note=witness))
         if row.hauptmodul and p in HAUPTMODUL_PRIMES:
             note = "membership at rate 1/%d would force the floor on every listed coefficient"
-            layouts.append(_hauptmodul(name, 2 * top // (p + 1) + 1, note % (p + 1), floor=True))
-    return Plan(parameters, layouts, _provenance(qprec, top, pprec))
+            target.append(_hauptmodul(name, 2 * top // (p + 1) + 1, note % (p + 1), floor=True))
+        targets.append(target)
 
+    def compute():
+        """One split per series, whose valuations fill its target's layouts;
+        a hauptmodul layout takes the series' t-valuations instead."""
+        values = []
+        for f, target in zip(series(), targets, strict=True):
+            ke = katz_split_function(f, p, top)
+            if ke.effective_pprec != pprec:
+                raise PrecisionTooLow("split known mod p^%s, not p^%s" % (ke.effective_pprec, pprec))
+            vals = [t.val for t in ke.terms]
+            values += [hauptmodul_valuations(f, p, e["size"]) if e["kind"] == "hauptmodul" else vals
+                       for e in target]
+        return values, {}
 
-def _theorem_compute(plan, params):
-    """One split per series of the plan's THEOREMS row, filling the layouts
-    whose labels begin with that series' name; a hauptmodul layout takes the
-    series' t-valuations."""
-    parameters, pprec = plan.parameters, _val_parse(plan.provenance["pprec"])
-    p, top = parameters["prime"], parameters["max_index"]
-    param = next(q for q in ("s", "k", "n") if q in parameters)
-    row, value = THEOREMS[parameters["theorem"], param], parameters[param]
-    _, series = row.build(value, p, top, pprec)
-    values = []
-    for f, (name, _) in zip(series(), row.targets, strict=True):
-        ke = katz_split_function(f, p, top)
-        if ke.effective_pprec != pprec:
-            raise PrecisionTooLow("split known mod p^%s, not p^%s" % (ke.effective_pprec, pprec))
-        vals, name = [t.val for t in ke.terms], name.format(v=value, p=p, pprec=pprec)
-        values += [hauptmodul_valuations(f, p, e["size"]) if e["kind"] == "hauptmodul" else vals
-                   for e in plan.results if e["label"].startswith(name)]
-    return values, {}
+    layouts = [layout for target in targets for layout in target]
+    return Plan(parameters, layouts, _provenance(qprec, top, pprec), compute)
 
 
 def cmd_verify_theorem(theorem, p, max_index, *, s=None, k=None, n=None, pprec=None) -> RunReport:
@@ -534,8 +532,8 @@ def cmd_verify_theorem(theorem, p, max_index, *, s=None, k=None, n=None, pprec=N
 
 def _katz_plan(params):
     """One claim at rate rho (default p/(p+1)) and offset c, both given as
-    "num" or "num/den", on a split; the input's q- and p-adic precision are
-    the computation's."""
+    "num" or "num/den", on a split of params["series"], which only the
+    computation reads, as it fixes the input's q- and p-adic precision."""
     p, top = params["prime"], params["max_index"]
     rho = None if params["rho"] is None else rational_from_str(params["rho"])
     c = rational_from_str(params["c"])
@@ -544,13 +542,13 @@ def _katz_plan(params):
     require_rate(rho, c)
     parameters = dict(prime=p, max_index=top, rho=rational_to_str(rho), c=rational_to_str(c))
     layout = _cert(_rated("input series, ", rho, c), "claim", p, rho, c, top)
-    return Plan(parameters, [layout], {"qprec": None, "pprec": None, "max_index": top})
 
+    def compute():
+        f = params["series"]
+        ke = katz_split_function(f, p, top)
+        return [[t.val for t in ke.terms]], {"qprec": f.prec, "pprec": _val_str(ke.effective_pprec)}
 
-def _katz_compute(plan, params):
-    f = params["series"]
-    ke = katz_split_function(f, plan.parameters["prime"], plan.parameters["max_index"])
-    return [[t.val for t in ke.terms]], {"qprec": f.prec, "pprec": _val_str(ke.effective_pprec)}
+    return Plan(parameters, [layout], {"qprec": None, "pprec": None, "max_index": top}, compute)
 
 
 def _rate_param(x):
@@ -574,14 +572,9 @@ def _hauptmodul_plan(params):
     require_hauptmodul_prime(p)
     note = "raw valuation vector; no rate claim attached"
     layout = _hauptmodul("V(E_%d)/E_%d" % (k, k), terms, note)
-    parameters = {"prime": p, "weight": k, "terms": terms}
-    return Plan(parameters, [layout], _provenance(terms + 8, terms - 1))
-
-
-def _hauptmodul_compute(plan, params):
-    p, k, terms = (plan.parameters[key] for key in ("prime", "weight", "terms"))
-    f = _vratio(eisenstein_series(k, plan.provenance["qprec"]), p)
-    return [hauptmodul_valuations(f, p, terms)], {}
+    parameters, qprec = {"prime": p, "weight": k, "terms": terms}, terms + 8
+    return Plan(parameters, [layout], _provenance(qprec, terms - 1),
+                lambda: ([hauptmodul_valuations(_vratio(eisenstein_series(k, qprec), p), p, terms)], {}))
 
 
 def cmd_hauptmodul(p, k, terms) -> RunReport:
@@ -592,18 +585,16 @@ def cmd_hauptmodul(p, k, terms) -> RunReport:
 # every subcommand, by the name its reports carry, in the order --help lists them
 COMMANDS = {
     "check-condition": Command(
-        _condition_plan, _condition_compute,
-        "certify the coefficient-valuation condition for one prime or a range",
+        _condition_plan, "certify the coefficient-valuation condition for one prime or a range",
         (("--prime", dict(type=int, help="prime p >= 5 (default 97 with --extended)")),
          ("--extended", dict(action="store_true",
                              help="sweep every prime from 5 up to --prime instead of just one")),
          ("--jobs", dict(type=int, default=1, help="parallel workers")),
          ("--budget-seconds", dict(type=float, help="abort (exit > 2) instead of running "
                                    "past this wall-clock budget")))),
-    "reproduce-examples": Command(
-        _examples_plan, _examples_compute, "replay the published p=5 weight-24 computations"),
+    "reproduce-examples": Command(_examples_plan, "replay the published p=5 weight-24 computations"),
     "verify-theorem": Command(
-        _theorem_plan, _theorem_compute, "certify one theorem-shaped rate statement",
+        _theorem_plan, "certify one theorem-shaped rate statement",
         (("--id", dict(required=True, dest="theorem", metavar="ID",
                        help="which statement: A, B, C, E or F (any case)")),
          ("--prime", dict(type=int, required=True)),
@@ -614,7 +605,7 @@ COMMANDS = {
          ("--pprec", dict(type=int, help="p-adic working precision for A and F (default 4)")))),
     # the command line reads --input into the series that the computation splits
     "katz": Command(
-        _katz_plan, _katz_compute, "split a weight-0 q-series from a JSON file",
+        _katz_plan, "split a weight-0 q-series from a JSON file",
         (("--input", dict(required=True, help="JSON file with prec and coeffs")),
          ("--prime", dict(type=int, required=True)),
          ("--max-index", dict(type=int, required=True)),
@@ -622,8 +613,7 @@ COMMANDS = {
          ("--offset", dict(default="0", dest="c", metavar="OFFSET",
                            help="offset c in v >= rho*i - c")))),
     "hauptmodul": Command(
-        _hauptmodul_plan, _hauptmodul_compute,
-        "valuation vector of V(E_k)/E_k in the genus-zero coordinate",
+        _hauptmodul_plan, "valuation vector of V(E_k)/E_k in the genus-zero coordinate",
         (("--prime", dict(type=int, required=True, help="5, 7 or 13")),
          ("--weight", dict(type=int, required=True)),
          ("--terms", dict(type=int, required=True)))),

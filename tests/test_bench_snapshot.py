@@ -159,10 +159,15 @@ def test_extract_tree_writes_the_committed_tree(monkeypatch, tmp_path):
 
 
 def test_a_snapshot_compiles_src_before_its_cold_timings(monkeypatch, tmp_path):
-    """Without --parent too, the checkout's src/ is compiled before any
-    cold timing, so that none of them times compilation."""
+    """Without --parent too, the checkout's src/ is compiled before the
+    perfbench run and before any cold timing, so that neither perfbench's
+    workers nor the cold timings compile the package."""
     events = []
     output = "meta %s\n%s\n" % (json.dumps(META), json.dumps(FINAL))
+
+    def stub_run(argv, **kw):
+        events.append(("perfbench", argv[1]))
+        return subprocess.CompletedProcess(argv, 0, output, "")
 
     def stub_cold_times(parent=None):
         events.append(("time", parent))
@@ -170,12 +175,11 @@ def test_a_snapshot_compiles_src_before_its_cold_timings(monkeypatch, tmp_path):
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
-    monkeypatch.setattr(bench_snapshot.subprocess, "run",
-                        lambda argv, **kw: subprocess.CompletedProcess(argv, 0, output, ""))
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", stub_run)
     monkeypatch.setattr(bench_snapshot.compileall, "compile_dir",
                         lambda root, quiet=0: events.append(("compile", root)))
     monkeypatch.setattr(bench_snapshot, "cold_times", stub_cold_times)
     assert bench_snapshot.main(["--pr", "7"]) == 0
-    assert events == [("compile", "src"), ("time", None)]
+    assert events == [("compile", "src"), ("perfbench", "perfbench/run.py"), ("time", None)]
     snapshot = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert snapshot["bare_start_s"] == 0.05 and snapshot["pr"] == 7

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from katzexp import cli, revalidate_report
+from katzexp import cli, qs_from_json, reports, revalidate_report
 
 SNAPSHOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
 
@@ -75,3 +75,27 @@ def test_report_matches_snapshot(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_snapshot_revalidates(command):
     assert revalidate_report(load_snapshot()[command]["report"])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_plan_of_the_stored_parameters_computes_the_stored_report(command):
+    """The same-path recompute: the plan of a stored report's parameters
+    (with the E_8 series for katz, which a report does not store), its
+    compute() and _assemble give the stored report back."""
+    stored = load_snapshot()[command]["report"]
+    parameters = dict(stored["parameters"], series=qs_from_json(_e8_json()))
+    plan = reports.COMMANDS[stored["command"]].plan(parameters)
+    values, computed = plan.compute()
+    report = reports._assemble(stored["command"], plan, values, **computed).to_json()
+    report.pop("wall_time")
+    assert report == stored
+
+
+def test_revalidation_computes_nothing(monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran during revalidation")
+
+    for name in ("eisenstein_sweep", "katz_split_function", "katz_split_classical",
+                 "hauptmodul_valuations"):
+        monkeypatch.setattr(reports, name, no_kernel)
+    assert all(revalidate_report(entry["report"]) for entry in load_snapshot().values())

@@ -380,11 +380,8 @@ MINIMAL_ARGV = {
 @pytest.mark.parametrize("name", sorted(reports.COMMANDS))
 def test_every_command_plans_the_parameters_its_options_parse_to(name):
     """A row's options and its plan agree on the parameter names and values,
-    and the one-command parser that cli.main builds parses them as the full
-    table does."""
-    argv = [name] + MINIMAL_ARGV[name]
-    args = cli.build_parser().parse_args(argv)
-    assert vars(cli.build_parser([name]).parse_args(argv)) == vars(args)
+    and cli._plain_args reads them as argparse does."""
+    args = cli.build_parser().parse_args([name] + MINIMAL_ARGV[name])
     assert cli._plain_args(name, MINIMAL_ARGV[name]) == vars(args)
     assert isinstance(reports.COMMANDS[name].plan(vars(args)), reports.Plan)
 
@@ -424,10 +421,18 @@ def command_line(name):
     return chunks.flatmap(st.permutations).map(lambda chunks: [t for c in chunks for t in c])
 
 
+@pytest.fixture(scope="module")
+def full_table():
+    """The argparse reference, built once: parse_args keeps no state between
+    calls, and building the table for every example would make a failing
+    run shrink for minutes."""
+    return cli.build_parser()
+
+
 @pytest.mark.parametrize("name", sorted(reports.COMMANDS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_a_plain_request_parses_as_argparse_parses_it(name, data):
+def test_a_plain_request_parses_as_argparse_parses_it(full_table, name, data):
     """Wherever cli._plain_args reads a command line, argparse reads the
     same namespace from it (compared by repr, as nan is not nan)."""
     argv = data.draw(command_line(name))
@@ -436,7 +441,7 @@ def test_a_plain_request_parses_as_argparse_parses_it(name, data):
         return
     try:
         with contextlib.redirect_stderr(io.StringIO()) as err:
-            parsed = vars(cli.build_parser().parse_args([name, *argv]))
+            parsed = vars(full_table.parse_args([name, *argv]))
     except SystemExit:
         pytest.fail("argparse refused %r: %s" % (argv, err.getvalue()))
     assert repr(sorted(plain.items())) == repr(sorted(parsed.items()))
@@ -858,27 +863,6 @@ def parse_outcome(args, capsys):
     return code, out.out, out.err
 
 
-# command lines that end in the parser or the plan: every --help, no command,
-# an unknown one, a trailing unknown argument for each command, a missing
-# required option, a non-integer --prime and an unknown theorem id
-PARSER_ARGV = (
-    [["--help"], [], ["bogus"]]
-    + [[name, "--help"] for name in reports.COMMANDS]
-    + [[name] + MINIMAL_ARGV[name] + ["--bogus"] for name in reports.COMMANDS]
-    + [["hauptmodul", "--prime", "5", "--weight", "24"],
-       ["check-condition", "--prime", "five"],
-       ["verify-theorem", "--id", "Z", "--prime", "5", "--max-index", "3"]]
-)
-
-
-@pytest.mark.parametrize("args", PARSER_ARGV, ids=lambda args: " ".join(args) or "no-arguments")
-def test_one_command_parser_answers_as_the_full_table(monkeypatch, capsys, args):
-    shipped = parse_outcome(args, capsys)
-    full_table = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda names: full_table())
-    assert parse_outcome(args, capsys) == shipped
-
-
 def test_usage_errors_name_the_command_argument(capsys):
     """The full table's errors read the subparsers' dest, and every usage
     line lists the commands."""
@@ -897,13 +881,14 @@ def test_usage_errors_name_the_command_argument(capsys):
 @pytest.mark.parametrize(
     "args, built",
     [([name] + MINIMAL_ARGV[name], []) for name in reports.COMMANDS]
-    + [([name] + MINIMAL_ARGV[name] + ["--bogus"], [name]) for name in reports.COMMANDS]
+    + [([name] + MINIMAL_ARGV[name] + ["--bogus"], list(reports.COMMANDS)) for name in reports.COMMANDS]
     + [(["--help"], list(reports.COMMANDS))],
     ids=lambda value: " ".join(value),
 )
-def test_a_request_builds_the_subparser_of_its_command_alone(monkeypatch, capsys, args, built):
-    """A well-formed request builds no parser, a malformed one only its own
-    command's, and --help the whole table."""
+def test_a_canonical_request_builds_no_parser_and_any_other_the_whole_table(
+        monkeypatch, capsys, args, built):
+    """A canonical request is read off its row without argparse; a malformed
+    one and --help build all five subparsers."""
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -1305,6 +1290,22 @@ def test_cli_check_condition_rejects_budget_at_or_below_zero(monkeypatch, capsys
     assert code == 3
     assert out == ""
     assert err.startswith("error: budget_seconds must be > 0, got %s" % budget)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: cmd_check_condition_extended(7, jobs=2.0), "jobs must be an int, got 2.0"),
+     (lambda: cmd_check_condition_extended(7, jobs=1.5), "jobs must be an int, got 1.5"),
+     (lambda: cmd_check_condition(7, budget_seconds="5"), "budget_seconds must be a number, got '5'")],
+    ids=["jobs-2.0", "jobs-1.5", "budget-str"],
+)
+def test_check_condition_refuses_a_non_int_jobs_or_a_non_number_budget(monkeypatch, call, message):
+    def no_split(*args):
+        raise AssertionError("split computed for %r" % (args,))
+
+    monkeypatch.setattr(reports, "eisenstein_sweep", no_split)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_cli_prime_beyond_the_primality_bound_exits_3(capsys):

@@ -22,9 +22,10 @@ scaled-chain test (perfbench stops at n = 30); and `theorem_f_pprec8_s`,
 member at classical-limit weight 1,171,876 (perfbench stops at weight
 1,090). It also records the median of 11 runs of `examples_s`,
 `reproduce-examples`, whose little computation leaves mostly the start and
-the command-line parse. It byte-compiles src/ before the cold timings, so
-that none of them times compilation. `src_lines_by_module` splits
-perfbench's `src_lines` by file, so the trajectory shows where lines went.
+the command-line parse. It byte-compiles src/ before perfbench runs, so
+that neither perfbench's workers nor the cold timings compile the package.
+`src_lines_by_module` splits perfbench's `src_lines` by file, so the
+trajectory shows where lines went.
 
 With `--parent REV` (say `--parent HEAD^`) it also extracts `git archive
 REV` into a temporary directory, byte-compiles its src/ too, and
@@ -142,6 +143,9 @@ def main(argv=None) -> int:
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         seconds = json.load(fh)["run_seconds"]
+    # bytecode in every tree timed, or perfbench's first workers and the cold
+    # timings would include compilation
+    compileall.compile_dir("src", quiet=1)
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
            "--seed", str(args.seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -149,8 +153,6 @@ def main(argv=None) -> int:
         sys.stderr.write(proc.stdout + proc.stderr)
         return proc.returncode
     snapshot = dict(pr=args.pr, seed=args.seed, seconds=seconds, **parse_run_output(proc.stdout))
-    # bytecode in every tree timed, or a cold timing would include compilation
-    compileall.compile_dir("src", quiet=1)
     if parent_commit:
         with tempfile.TemporaryDirectory() as tmp:
             parent = extract_tree(parent_commit, tmp)
